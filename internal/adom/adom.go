@@ -15,6 +15,7 @@ package adom
 
 import (
 	"fmt"
+	"slices"
 
 	"relcomplete/internal/cc"
 	"relcomplete/internal/ctable"
@@ -26,8 +27,7 @@ var ErrBudget = fmt.Errorf("adom: valuation budget exceeded")
 
 // Adom is a materialised active domain.
 type Adom struct {
-	values []relation.Value
-	set    *relation.ValueSet
+	values []relation.Value          // sorted, distinct
 	fresh  map[string]relation.Value // variable -> its dedicated New value
 }
 
@@ -126,29 +126,32 @@ func (b *Builder) addVar(v string) {
 // spurious "generic" tuple survives a certain-answer intersection —
 // for the ∀-style checks of the strong model, extra constants only
 // enlarge the family of instances inspected and preserve exactness.
+//
+// Build takes ownership of the builder's constants: the builder must
+// not be used afterwards.
 func (b *Builder) Build() *Adom {
-	a := &Adom{set: b.consts.Clone(), fresh: make(map[string]relation.Value, len(b.vars))}
+	set := b.consts
+	b.consts = nil
+	a := &Adom{fresh: make(map[string]relation.Value, len(b.vars))}
 	mint := func(base string) relation.Value {
 		candidate := relation.Value("•" + base)
-		for i := 0; a.set.Contains(candidate); i++ {
+		for i := 0; set.Contains(candidate); i++ {
 			candidate = relation.Value(fmt.Sprintf("•%s_%d", base, i))
 		}
-		a.set.Add(candidate)
+		set.Add(candidate)
 		return candidate
 	}
 	for _, v := range b.vars {
 		a.fresh[v] = mint(v)
 		mint(v + "ʹ") // interchangeable twin
 	}
-	a.values = a.set.Values()
+	a.values = set.Values()
 	return a
 }
 
-// Values returns the members of the domain in sorted order.
+// Values returns the members of the domain in sorted order (shared; do
+// not mutate).
 func (a *Adom) Values() []relation.Value { return a.values }
-
-// Set returns the domain as a value set (shared; do not mutate).
-func (a *Adom) Set() *relation.ValueSet { return a.set }
 
 // Len returns the domain size.
 func (a *Adom) Len() int { return len(a.values) }
@@ -158,7 +161,10 @@ func (a *Adom) Len() int { return len(a.values) }
 func (a *Adom) Fresh(varName string) relation.Value { return a.fresh[varName] }
 
 // Contains reports domain membership.
-func (a *Adom) Contains(v relation.Value) bool { return a.set.Contains(v) }
+func (a *Adom) Contains(v relation.Value) bool {
+	_, ok := slices.BinarySearch(a.values, v)
+	return ok
+}
 
 // CandidatesFor returns the values a variable may take: the members of
 // its finite attribute domain if it has one (the paper requires

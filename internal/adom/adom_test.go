@@ -152,3 +152,21 @@ func TestCountZeroWhenEmptyFiniteDomain(t *testing.T) {
 		t.Fatalf("Count with empty domain = %d", got)
 	}
 }
+
+// Contains answers by binary search over the sorted values; it must
+// agree with a set over them, for members and for near misses.
+func TestContainsMatchesValueSet(t *testing.T) {
+	a := NewBuilder().
+		AddConstants(relation.NewValueSet("b", "a", "•x", "•xʹ", "", "zz", "ä")).
+		AddVars([]string{"x", "y"}).
+		Build()
+	set := relation.NewValueSet(a.Values()...)
+	if set.Len() != a.Len() {
+		t.Fatalf("values not distinct: %v", a.Values())
+	}
+	for _, v := range append(a.Values(), "c", "•", "•x_1", "aa", "z", "zzz", "•y_0") {
+		if a.Contains(v) != set.Contains(v) {
+			t.Fatalf("Contains(%q) = %v, set says %v", v, a.Contains(v), set.Contains(v))
+		}
+	}
+}

@@ -38,6 +38,7 @@ type Constraint struct {
 	planTried bool
 	leftPlan  *eval.Plan
 	rightPlan *eval.Plan
+	identity  string // master relation of an identity-projection right side, see identityRel
 	rhsCache  map[*relation.Database]*rhsEntry
 }
 
@@ -127,9 +128,11 @@ func MustParse(name, left, right string) *Constraint {
 
 // Satisfied reports (I, Dm) ⊨ φ, i.e. q(I) ⊆ p(Dm). The compiled path
 // streams q(I) and stops at the first tuple outside p(Dm) instead of
-// materialising and sorting both answer sets.
+// materialising and sorting both answer sets. When p is the identity
+// projection of a master relation, p(Dm) is that relation, and
+// membership is a probe of the master instance itself.
 func (c *Constraint) Satisfied(db, master *relation.Database, opts eval.Options) (bool, error) {
-	lp, rp := c.plans(opts)
+	lp, rp, identity := c.plans(opts)
 	if opts.NaiveJoin || lp == nil || rp == nil {
 		return c.satisfiedNaive(db, master, opts)
 	}
@@ -138,9 +141,22 @@ func (c *Constraint) Satisfied(db, master *relation.Database, opts eval.Options)
 	// exactly as the two-phase check behaved.
 	var inRHS map[string]bool
 	var rhsErr error
+	var rm *relation.Instance
+	if identity != "" {
+		if rm = master.Relation(identity); rm != nil && rm.Schema().Arity() != c.Right.Arity() {
+			rm = nil // evaluate the plan, as for any other right side
+		}
+	}
 	ok := true
 	keyBuf := make([]byte, 0, 64)
 	err := lp.ForEach(db, opts, func(t relation.Tuple) error {
+		if rm != nil {
+			if !rm.Contains(t) {
+				ok = false
+				return eval.Stop
+			}
+			return nil
+		}
 		if inRHS == nil {
 			if inRHS, rhsErr = c.rhsSet(rp, master, opts); rhsErr != nil {
 				return eval.Stop
@@ -188,15 +204,17 @@ func (c *Constraint) satisfiedNaive(db, master *relation.Database, opts eval.Opt
 	return true, nil
 }
 
-// plans compiles both sides once. Compilation of a validated CC (both
-// sides CQ) cannot fail; a nil result routes to the naive path anyway.
-func (c *Constraint) plans(opts eval.Options) (*eval.Plan, *eval.Plan) {
+// plans compiles both sides once and recognises an identity-projection
+// right side. Compilation of a validated CC (both sides CQ) cannot
+// fail; a nil result routes to the naive path anyway.
+func (c *Constraint) plans(opts eval.Options) (*eval.Plan, *eval.Plan, string) {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
 	if !c.planTried {
 		c.planTried = true
 		c.leftPlan, _ = eval.Compile(c.Left)
 		c.rightPlan, _ = eval.Compile(c.Right)
+		c.identity = identityRel(c.Right)
 		if c.leftPlan != nil {
 			opts.Obs.Inc(obs.PlanCompilations)
 		}
@@ -206,7 +224,25 @@ func (c *Constraint) plans(opts eval.Options) (*eval.Plan, *eval.Plan) {
 	} else if c.leftPlan != nil || c.rightPlan != nil {
 		opts.Obs.Inc(obs.PlanCacheHits)
 	}
-	return c.leftPlan, c.rightPlan
+	return c.leftPlan, c.rightPlan, c.identity
+}
+
+// identityRel returns Rm when q is p(x̄) := Rm(x̄) with distinct
+// variables in head order, so that q(Dm) is the Rm instance itself;
+// "" otherwise.
+func identityRel(q *query.Query) string {
+	a, ok := q.Body.(*query.Atom)
+	if !ok || len(a.Terms) != len(q.Head) {
+		return ""
+	}
+	seen := make(map[string]bool, len(a.Terms))
+	for i, t := range a.Terms {
+		if !t.IsVar || !q.Head[i].IsVar || q.Head[i].Name != t.Name || seen[t.Name] {
+			return ""
+		}
+		seen[t.Name] = true
+	}
+	return a.Rel
 }
 
 // rhsCacheMax bounds the number of distinct master databases memoised

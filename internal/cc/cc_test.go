@@ -260,3 +260,77 @@ func TestConstraintErrorPropagation(t *testing.T) {
 		t.Fatal("unknown master relation should error")
 	}
 }
+
+// Right sides of the form p(x̄) := Rm(x̄) are checked by probing the
+// master instance; every other shape keeps the memoised p(Dm) set. Each
+// must agree with the NaiveJoin oracle on every data instance.
+func TestIdentityProjectionAgreesWithNaive(t *testing.T) {
+	cases := []struct {
+		left, right string
+		identity    bool
+	}{
+		{"q(x, y) := R(x, y)", "p(x, y) := Rm(x, y)", true},
+		{"q(x, y) := R(x, y)", "p(y, x) := Rm(x, y)", false},          // swapped columns
+		{"q(x, y) := R(x, y)", "p(x, x) := Rm(x, x)", false},          // repeated variable
+		{"q(x) := S(x)", "p(x) := Rm(x, '2')", false},                 // constant
+		{"q(x) := S(x)", "p(x) := exists y: Rm(x, y)", false},         // dropped column
+		{"q(x) := S(x)", "p(x) := Rm(x, y)", false},                   // dropped column, implicit
+		{"q(x, y) := R(x, y) & x != y", "p(x, y) := Rm(x, y)", true},  // selective left side
+		{"q(x, y) := R(y, x)", "p(a, b) := Rm(a, b)", true},           // renamed variables
+		{"q(x, y) := R(x, y)", "p(x, y) := Rm(x, y) & x != y", false}, // comparison on the right
+	}
+	vals := []relation.Value{"1", "2", "3"}
+	for _, tc := range cases {
+		c := MustParse("c", tc.left, tc.right)
+		if got := identityRel(c.Right) != ""; got != tc.identity {
+			t.Fatalf("%s: identity = %v, want %v", tc.right, got, tc.identity)
+		}
+		// Every data instance of one R tuple and one S tuple, against
+		// a fixed master; plus the empty instance.
+		f := newFixture(t)
+		f.dm.MustInsert("Rm", relation.T("1", "2"))
+		f.dm.MustInsert("Rm", relation.T("2", "2"))
+		f.dm.MustInsert("Rm", relation.T("3", "1"))
+		dbs := []*relation.Database{relation.NewDatabase(f.data)}
+		for _, a := range vals {
+			for _, b := range vals {
+				for _, s := range vals {
+					db := relation.NewDatabase(f.data)
+					db.MustInsert("R", relation.T(a, b))
+					db.MustInsert("S", relation.T(s))
+					dbs = append(dbs, db)
+				}
+			}
+		}
+		for _, db := range dbs {
+			got, err := c.Satisfied(db, f.dm, eval.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.Satisfied(db, f.dm, eval.Options{NaiveJoin: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s ⊆ %s on %v: compiled %v, naive %v", tc.left, tc.right, db, got, want)
+			}
+		}
+	}
+}
+
+// An identity right side over a relation the master lacks still errors,
+// and only once the left side yields a tuple.
+func TestIdentityProjectionUnknownMaster(t *testing.T) {
+	f := newFixture(t)
+	c := MustParse("c", "q(x) := S(x)", "p(x) := Gone(x)")
+	if identityRel(c.Right) != "Gone" {
+		t.Fatal("right side should be recognised as an identity projection")
+	}
+	if ok, err := c.Satisfied(f.db, f.dm, eval.Options{}); err != nil || !ok {
+		t.Fatalf("empty left side: ok=%v err=%v, want satisfied", ok, err)
+	}
+	f.db.MustInsert("S", relation.T("1"))
+	if _, err := c.Satisfied(f.db, f.dm, eval.Options{}); err == nil || !strings.Contains(err.Error(), "Gone") {
+		t.Fatalf("unknown master relation: err = %v", err)
+	}
+}

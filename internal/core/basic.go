@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 
 	"relcomplete/internal/adom"
 	"relcomplete/internal/ctable"
@@ -115,16 +116,19 @@ func (p *Problem) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *
 	}
 }
 
-// dbKey canonically serialises a ground database for deduplication.
+// dbKey canonically serialises a ground database for deduplication:
+// per relation, in schema order, the row count and the sorted tuples'
+// keys. Keys are only compared across databases of one schema.
 func dbKey(db *relation.Database) string {
-	out := ""
+	buf := make([]byte, 0, 64)
 	for _, r := range db.Schema().Relations() {
-		out += "|" + r.Name + ":"
-		for _, t := range db.Relation(r.Name).Sorted() {
-			out += t.Key() + ","
+		rows := db.Relation(r.Name).Sorted()
+		buf = binary.AppendUvarint(buf, uint64(len(rows)))
+		for _, t := range rows {
+			buf = t.AppendKey(buf)
 		}
 	}
-	return out
+	return string(buf)
 }
 
 // Consistent decides the consistency problem: is Mod(T, Dm, V)
@@ -136,7 +140,8 @@ func (p *Problem) Consistent(ci *ctable.CInstance) (bool, error) {
 
 // ConsistentCtx is Consistent honoring the context's deadline and
 // cancellation; an abort surfaces as a *DeadlineError.
-func (p *Problem) ConsistentCtx(ctx context.Context, ci *ctable.CInstance) (bool, error) {
+func (p *Problem) ConsistentCtx(ctx context.Context, ci *ctable.CInstance) (_ bool, err error) {
+	defer p.countBudget(&err)
 	ctx, endSpan := p.span(ctx, "consistency")
 	defer endSpan()
 	g := p.beginOp(ctx, "consistency", "no model found among %d candidates checked")
@@ -167,7 +172,8 @@ func (p *Problem) AnyModel(ci *ctable.CInstance) (*relation.Database, error) {
 }
 
 // AnyModelCtx is AnyModel honoring the context's deadline.
-func (p *Problem) AnyModelCtx(ctx context.Context, ci *ctable.CInstance) (*relation.Database, error) {
+func (p *Problem) AnyModelCtx(ctx context.Context, ci *ctable.CInstance) (_ *relation.Database, err error) {
+	defer p.countBudget(&err)
 	g := p.beginOp(ctx, "any_model", "no model found among %d candidates checked")
 	d, err := p.domainsFor(ci, false, false)
 	if err != nil {
@@ -187,7 +193,8 @@ func (p *Problem) Models(ci *ctable.CInstance, max int) ([]*relation.Database, e
 }
 
 // ModelsCtx is Models honoring the context's deadline.
-func (p *Problem) ModelsCtx(ctx context.Context, ci *ctable.CInstance, max int) ([]*relation.Database, error) {
+func (p *Problem) ModelsCtx(ctx context.Context, ci *ctable.CInstance, max int) (_ []*relation.Database, err error) {
+	defer p.countBudget(&err)
 	g := p.beginOp(ctx, "models", "%d candidates checked")
 	d, err := p.domainsFor(ci, false, false)
 	if err != nil {
@@ -210,7 +217,8 @@ func (p *Problem) Extensible(db *relation.Database) (bool, error) {
 }
 
 // ExtensibleCtx is Extensible honoring the context's deadline.
-func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (bool, error) {
+func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (_ bool, err error) {
+	defer p.countBudget(&err)
 	ctx, endSpan := p.span(ctx, "extensibility")
 	defer endSpan()
 	g := p.beginOp(ctx, "extensibility", "no admissible extension among %d candidates checked")

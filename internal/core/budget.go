@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"relcomplete/internal/obs"
@@ -32,6 +33,7 @@ type BudgetError struct {
 	Consumed int64
 
 	sentinel error // ErrBudget or ErrInconclusive
+	counted  bool  // already counted in budget_errors_total (countBudget)
 }
 
 // Error renders the failure with its cap detail.
@@ -42,15 +44,26 @@ func (e *BudgetError) Error() string {
 // Unwrap exposes the sentinel for errors.Is.
 func (e *BudgetError) Unwrap() error { return e.sentinel }
 
-// budgetErr builds a BudgetError around ErrBudget and counts it.
+// budgetErr builds a BudgetError around ErrBudget.
 func (p *Problem) budgetErr(op, cap string, limit, consumed int64) error {
-	p.Options.Obs.Inc(obs.BudgetErrors)
 	return &BudgetError{Op: op, Cap: cap, Limit: limit, Consumed: consumed, sentinel: ErrBudget}
 }
 
 // inconclusiveErr builds a BudgetError around ErrInconclusive (the
-// bounded RCQP search exhausted its size bound) and counts it.
+// bounded RCQP search exhausted its size bound).
 func (p *Problem) inconclusiveErr(op, cap string, limit, consumed int64) error {
-	p.Options.Obs.Inc(obs.BudgetErrors)
 	return &BudgetError{Op: op, Cap: cap, Limit: limit, Consumed: consumed, sentinel: ErrInconclusive}
+}
+
+// countBudget counts *errp in budget_errors_total when it is a
+// BudgetError no entry point has counted yet. Every exported decider
+// entry point defers it, so an aborted decide counts once, however
+// many sub-searches, probes or nested entry points hit a cap on the
+// way: only the error the decide returns is counted, and only once.
+func (p *Problem) countBudget(errp *error) {
+	var be *BudgetError
+	if errors.As(*errp, &be) && !be.counted {
+		be.counted = true
+		p.Options.Obs.Inc(obs.BudgetErrors)
+	}
 }

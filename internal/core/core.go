@@ -285,21 +285,34 @@ type Problem struct {
 	CCs     *cc.Set
 	Options Options
 
-	// cacheMu guards the three lazy caches below. Search probes run on
-	// worker goroutines (internal/search) and share the Problem; every
-	// cache access goes through a compute-under-lock accessor, and the
-	// computations never touch another cache, so the single mutex
-	// cannot recurse.
-	cacheMu       sync.Mutex
-	disjTabs      []*query.Tableau            // cached renamed disjunct tableaux
-	atomCandCache map[string][]relation.Tuple // constant-pinned closed lattice per atom
-	closureCache  map[string]bool             // single-tuple closure verdicts
-	plan          *eval.Plan                  // compiled query plan (positive existential only)
-	planTried     bool                        // whether plan compilation was attempted
-	domCache      map[domainsKey]*domains     // adom+typing per (c-instance, flags)
+	// memo is the state derived from the fixed inputs, shared with every
+	// view of the problem (WithOptions).
+	memo *memo
+}
+
+// memo holds what a problem derives from its fixed inputs and reuses
+// across calls. None of it depends on budgets or observability, which
+// is what lets views with other Options share it. The one entry over
+// budget-counted work, the pinned lattices of atomCands, records that
+// work so a hit fails under a smaller budget exactly as the cold
+// enumeration does (see atomCandidates).
+//
+// mu guards every field. Search probes run on worker goroutines
+// (internal/search) and share the memo; every access goes through a
+// compute-under-lock accessor, and the computations never take mu
+// again, so the single mutex cannot recurse.
+type memo struct {
+	mu        sync.Mutex
+	plan      *eval.Plan                // compiled query plan (positive existential only)
+	planTried bool                      // whether plan compilation was attempted
+	disjTabs  []*query.Tableau          // renamed disjunct tableaux
+	domains   map[domainsKey]*domains   // adom+typing per (c-instance, flags)
+	sigs      map[string]int            // typing signature -> small id
+	atomCands map[atomCandKey]atomCands // constant-pinned closed lattice per atom
+	closure   map[string]bool           // single-tuple closure verdicts
 
 	// profiles aggregates sampled per-node wall-time profiles of the
-	// plans this problem executes (eval/profile.go). Profiling rides the
+	// plans the problem executes (eval/profile.go). Profiling rides the
 	// observability switch: it is armed only while Options.Obs is set,
 	// so the uninstrumented path never touches it. The zero value is
 	// ready; read through PlanProfiles.
@@ -318,6 +331,22 @@ type domainsKey struct {
 	ciRows       int
 	master       *relation.Database
 	masterTuples int
+}
+
+// WithOptions returns a view of p that decides under opts. The view
+// shares p's inputs and everything p has derived from them — plan,
+// tableaux, domains, lattices, closure verdicts and plan profiles — so
+// it costs one allocation and starts as warm as p. Budgets,
+// parallelism, observability and fault injection come from opts; the
+// fields that shape the shared state (NoTypedDomains, NaiveJoin and
+// Boxed) stay p's. p and its views may decide concurrently.
+func (p *Problem) WithOptions(opts Options) *Problem {
+	opts.NoTypedDomains = p.Options.NoTypedDomains
+	opts.NaiveJoin = p.Options.NaiveJoin
+	opts.Boxed = p.Options.Boxed
+	v := *p
+	v.Options = opts
+	return &v
 }
 
 // NewProblem validates and builds a problem instance.
@@ -352,7 +381,7 @@ func NewProblem(schema *relation.DBSchema, q Qry, master *relation.Database, ccs
 	if opts.Boxed && !master.Boxed() {
 		master = master.CloneBoxed()
 	}
-	return &Problem{Schema: schema, Query: q, Master: master, CCs: ccs, Options: opts}, nil
+	return &Problem{Schema: schema, Query: q, Master: master, CCs: ccs, Options: opts, memo: &memo{}}, nil
 }
 
 // MustProblem is NewProblem that panics on error.
@@ -372,7 +401,7 @@ func (p *Problem) evalOpts() eval.Options {
 		if p.Options.Profiles != nil {
 			o.Profiles = p.Options.Profiles
 		} else {
-			o.Profiles = &p.profiles
+			o.Profiles = &p.memo.profiles
 		}
 	}
 	return o
@@ -386,7 +415,7 @@ func (p *Problem) PlanProfiles() *eval.ProfileRegistry {
 	if p.Options.Profiles != nil {
 		return p.Options.Profiles
 	}
-	return &p.profiles
+	return &p.memo.profiles
 }
 
 // evalOptsCtx is evalOpts with the context's cancellation wired into
@@ -480,18 +509,19 @@ func (p *Problem) queryPlan() *eval.Plan {
 	if p.Options.NaiveJoin || p.Query.Calc == nil || !query.IsPositiveExistential(p.Query.Calc) {
 		return nil
 	}
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	if !p.planTried {
-		p.planTried = true
-		p.plan, _ = eval.Compile(p.Query.Calc) // nil on error: generic path
-		if p.plan != nil {
+	m := p.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.planTried {
+		m.planTried = true
+		m.plan, _ = eval.Compile(p.Query.Calc) // nil on error: generic path
+		if m.plan != nil {
 			p.Options.Obs.Inc(obs.PlanCompilations)
 		}
-	} else if p.plan != nil {
+	} else if m.plan != nil {
 		p.Options.Obs.Inc(obs.PlanCacheHits)
 	}
-	return p.plan
+	return m.plan
 }
 
 // answers evaluates the problem's query on a ground database.
@@ -571,12 +601,14 @@ func intersectTuples(a []relation.Tuple, universe bool, b []relation.Tuple) ([]r
 // disjunctTableaux returns the tableaux of the query's CQ disjuncts,
 // with variables renamed into a reserved namespace so they cannot
 // collide with c-instance variables. Only valid for ∃FO+ and below.
-// Safe for concurrent use: the first caller computes under cacheMu.
+// Safe for concurrent use: the first caller computes under the memo
+// lock.
 func (p *Problem) disjunctTableaux() ([]*query.Tableau, error) {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	if p.disjTabs != nil {
-		return p.disjTabs, nil
+	m := p.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.disjTabs != nil {
+		return m.disjTabs, nil
 	}
 	if p.Query.Calc == nil {
 		return nil, fmt.Errorf("relcomplete: FP queries have no disjunct tableaux")
@@ -598,7 +630,7 @@ func (p *Problem) disjunctTableaux() ([]*query.Tableau, error) {
 		}
 		tabs = append(tabs, tab)
 	}
-	p.disjTabs = tabs
+	m.disjTabs = tabs
 	return tabs, nil
 }
 
@@ -811,6 +843,11 @@ func (p *Problem) checkModel(ctx context.Context, db *relation.Database) (bool, 
 type domains struct {
 	a  *adom.Adom
 	ty *typing
+
+	// sig is the id of the typing signature (typingSignature), the
+	// lattice caches' key: computed on first use, once per domains.
+	sigOnce sync.Once
+	sig     int
 }
 
 // domainsCacheCap bounds the memoised domains computations; the cache
@@ -836,9 +873,10 @@ func (p *Problem) domainsFor(ci *ctable.CInstance, withQueryVars, withExtRow boo
 	if ci != nil {
 		key.ciRows = ci.Size()
 	}
-	p.cacheMu.Lock()
-	d, ok := p.domCache[key]
-	p.cacheMu.Unlock()
+	m := p.memo
+	m.mu.Lock()
+	d, ok := m.domains[key]
+	m.mu.Unlock()
 	if ok {
 		return d, nil
 	}
@@ -851,14 +889,39 @@ func (p *Problem) domainsFor(ci *ctable.CInstance, withQueryVars, withExtRow boo
 		return nil, err
 	}
 	d = &domains{a: a, ty: ty}
-	p.cacheMu.Lock()
-	if len(p.domCache) >= domainsCacheCap {
-		p.domCache = nil
+	m.mu.Lock()
+	if len(m.domains) >= domainsCacheCap {
+		m.domains = nil
 	}
-	if p.domCache == nil {
-		p.domCache = make(map[domainsKey]*domains, 8)
+	if m.domains == nil {
+		m.domains = make(map[domainsKey]*domains, 8)
 	}
-	p.domCache[key] = d
-	p.cacheMu.Unlock()
+	m.domains[key] = d
+	m.mu.Unlock()
 	return d, nil
+}
+
+// latticeSig returns the id of d's typing signature. Equal signatures
+// mean equal per-column candidates, so domains built for different
+// c-instances share their pinned lattices (the RCQP search checks
+// thousands of candidate instances against one lattice). Ids are
+// interned per problem, so lattice keys stay small however long the
+// signature is.
+func (p *Problem) latticeSig(d *domains) int {
+	d.sigOnce.Do(func() {
+		sig := p.typingSignature(d.a, d.ty)
+		m := p.memo
+		m.mu.Lock()
+		id, ok := m.sigs[sig]
+		if !ok {
+			if m.sigs == nil {
+				m.sigs = map[string]int{}
+			}
+			id = len(m.sigs)
+			m.sigs[sig] = id
+		}
+		m.mu.Unlock()
+		d.sig = id
+	})
+	return d.sig
 }

@@ -226,3 +226,34 @@ func TestBudgetErrorDetail(t *testing.T) {
 		t.Error("budget_errors counter not incremented")
 	}
 }
+
+// TestBudgetErrorsCountOncePerDecide: budget_errors counts aborted
+// decides, not cap hits. A parallel strong RCDP whose every admitted
+// model runs into the cap in its bounded check (the lattice exceeds
+// the budget, and failed enumerations are not memoised) hits the cap
+// once per probe, and the enumeration hits it too; the decide returns
+// one BudgetError and counts one.
+func TestBudgetErrorsCountOncePerDecide(t *testing.T) {
+	multi := false
+	for attempt := 0; attempt < 20 && !multi; attempt++ {
+		s := newBoundedScenario(t, "1", "2", "3", "4", "5", "6")
+		m := obs.NewMetrics()
+		s.p.Options.Obs = m
+		s.p.Options.MaxValuations = 4
+		s.p.Options.Parallelism = 4
+		_, err := s.p.RCDP(s.withVar("x"), Strong)
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("err = %v, want a budget error", err)
+		}
+		st := m.Snapshot().Counters
+		if st["budget_errors"] != 1 {
+			t.Fatalf("budget_errors = %d after one aborted decide (models admitted %d)",
+				st["budget_errors"], st["models_admitted"])
+		}
+		// Every admitted model's probe hit the cap.
+		multi = st["models_admitted"] >= 2
+	}
+	if !multi {
+		t.Fatal("no run had two probes hit the cap: the test checks nothing")
+	}
+}

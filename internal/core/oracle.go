@@ -31,7 +31,8 @@ func (p *Problem) ReferenceGroundComplete(db *relation.Database, extra int) (boo
 
 // ReferenceGroundCompleteCtx is ReferenceGroundComplete honoring the
 // context's deadline.
-func (p *Problem) ReferenceGroundCompleteCtx(ctx context.Context, db *relation.Database, extra int) (bool, error) {
+func (p *Problem) ReferenceGroundCompleteCtx(ctx context.Context, db *relation.Database, extra int) (_ bool, err error) {
+	defer p.countBudget(&err)
 	g := p.beginOp(ctx, "reference_ground_complete", "no counterexample found in %d models")
 	closed, err := p.satisfiesCCs(ctx, db)
 	if err != nil {
@@ -119,7 +120,8 @@ func (p *Problem) ReferenceRCDP(ci *ctable.CInstance, m Model, extra int) (bool,
 }
 
 // ReferenceRCDPCtx is ReferenceRCDP honoring the context's deadline.
-func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m Model, extra int) (bool, error) {
+func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m Model, extra int) (_ bool, err error) {
+	defer p.countBudget(&err)
 	g := p.beginOp(ctx, "reference_rcdp_"+m.String(), "verdict undecided after %d models")
 	d, err := p.domainsFor(ci, p.Query.Calc != nil && p.Query.Lang() != FO, true)
 	if err != nil {

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
-	"relcomplete/internal/adom"
 	"relcomplete/internal/ctable"
 	"relcomplete/internal/obs"
 	"relcomplete/internal/query"
@@ -58,6 +56,7 @@ func (p *Problem) RCDPExplain(ci *ctable.CInstance, m Model) (bool, *Counterexam
 
 // RCDPExplainCtx is RCDPExplain honoring the context's deadline.
 func (p *Problem) RCDPExplainCtx(ctx context.Context, ci *ctable.CInstance, m Model) (ok bool, cex *Counterexample, err error) {
+	defer p.countBudget(&err)
 	if tr := p.Options.Trace; tr.Enabled() {
 		pop := tr.Push("decide", obs.F("problem", "rcdp"), obs.F("model", m.String()), obs.F("query", p.Query.Name()))
 		defer func() {
@@ -156,9 +155,8 @@ func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Databa
 		return nil, err
 	}
 	seenExt := map[string]bool{}
-	sig := p.typingSignature(d.a, d.ty)
 	for _, tab := range tabs {
-		cex, err := p.tableauCounterexample(ctx, db, tab, d, sig, baseAnswers, seenExt)
+		cex, err := p.tableauCounterexample(ctx, db, tab, d, baseAnswers, seenExt)
 		if err != nil {
 			return nil, err
 		}
@@ -169,36 +167,61 @@ func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Databa
 	return nil, nil
 }
 
+// atomCandKey identifies one memoised pinned lattice: the typing
+// signature of the domains it was enumerated over and the tableau atom
+// (tableaux are memoised, so atom pointers are stable per problem).
+type atomCandKey struct {
+	sig  int
+	atom *query.Atom
+}
+
+// atomCands is one memoised pinned lattice: the closed tuples, and how
+// many lattice leaves the enumeration visited to find them.
+type atomCands struct {
+	tuples  []relation.Tuple
+	visited int
+}
+
 // atomCandidates returns the constant-pinned closed lattice for one
-// atom, memoised per typing signature. Concurrent probes share the
-// cache: the first caller computes under cacheMu, later callers reuse
-// the cached slice (read-only by convention).
-func (p *Problem) atomCandidates(ctx context.Context, sig string, atom *query.Atom, d *domains) ([]relation.Tuple, error) {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	if p.atomCandCache == nil {
-		p.atomCandCache = map[string][]relation.Tuple{}
+// atom, memoised per typing signature. Concurrent probes and views
+// share the memo: the first caller computes under its lock, later
+// callers reuse the cached slice (read-only by convention).
+//
+// The lattice enumeration is budget-counted work, and the memo is what
+// makes its outcome independent of cache warmth: an entry records the
+// leaves its enumeration visited, and a hit under a MaxValuations below
+// that count returns the BudgetError the cold enumeration returns.
+func (p *Problem) atomCandidates(ctx context.Context, atom *query.Atom, d *domains) ([]relation.Tuple, error) {
+	key := atomCandKey{sig: p.latticeSig(d), atom: atom}
+	m := p.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.atomCands[key]
+	if !ok {
+		var err error
+		if e, err = p.atomClosedCandidates(ctx, atom, d); err != nil {
+			return nil, err
+		}
+		if m.atomCands == nil {
+			m.atomCands = map[atomCandKey]atomCands{}
+		}
+		m.atomCands[key] = e
 	}
-	key := sig + "§" + atom.String()
-	if cached, ok := p.atomCandCache[key]; ok {
-		return cached, nil
+	if limit := p.Options.MaxValuations; limit > 0 && e.visited > limit {
+		return nil, p.budgetErr("pinned tuple lattice over "+atom.Rel, "MaxValuations",
+			int64(limit), int64(limit)+1)
 	}
-	cands, err := p.atomClosedCandidates(ctx, atom, d)
-	if err != nil {
-		return nil, err
-	}
-	p.atomCandCache[key] = cands
-	return cands, nil
+	return e.tuples, nil
 }
 
 // atomClosedCandidates enumerates the lattice tuples matching an
 // atom's constant positions whose singleton instance is partially
 // closed — the only tuples the atom can contribute to a partially
 // closed extension (CC antimonotonicity). Closure verdicts are
-// memoised per tuple across atoms. Callers must hold cacheMu (it
-// reads and writes closureCache); the CC evaluation below never
-// touches a Problem cache, so the lock cannot recurse.
-func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d *domains) ([]relation.Tuple, error) {
+// memoised per tuple across atoms. Callers must hold the memo lock (it
+// reads and writes the closure memo); the CC evaluation below never
+// touches the memo, so the lock cannot recurse.
+func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d *domains) (atomCands, error) {
 	r := p.Schema.Relation(atom.Rel)
 	pins := map[int]relation.Value{}
 	for i, t := range atom.Terms {
@@ -206,97 +229,78 @@ func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d 
 			pins[i] = t.Const
 		}
 	}
-	if p.closureCache == nil {
-		p.closureCache = map[string]bool{}
+	m := p.memo
+	if m.closure == nil {
+		m.closure = map[string]bool{}
 	}
 	probe := relation.NewDatabaseWith(p.Schema, p.Master.Interner())
-	var out []relation.Tuple
-	done, err := p.pinnedLatticeOver(ctx, r, d, pins, func(t relation.Tuple) (bool, error) {
-		ck := atom.Rel + "|" + t.Key()
-		closed, ok := p.closureCache[ck]
+	var out atomCands
+	keyBuf := make([]byte, 0, 64)
+	err := p.pinnedLatticeOver(ctx, r, d, pins, func(t relation.Tuple) error {
+		out.visited++
+		keyBuf = t.AppendKey(relation.AppendValueKey(keyBuf[:0], relation.Value(atom.Rel)))
+		closed, ok := m.closure[string(keyBuf)]
 		if !ok {
 			var err error
 			closed, err = p.satisfiesCCs(ctx, probe.WithTuple(r.Name, t))
 			if err != nil {
-				return false, err
+				return err
 			}
-			p.closureCache[ck] = closed
+			m.closure[string(keyBuf)] = closed
 		}
 		if closed {
-			out = append(out, t)
+			out.tuples = append(out.tuples, t)
 		}
-		return true, nil
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if !done {
-		return nil, p.budgetErr("atom candidate lattice for "+atom.String(), "MaxValuations",
-			int64(p.Options.MaxValuations), int64(p.Options.MaxValuations))
-	}
-	return out, nil
+	return out, err
 }
 
 // pinnedLatticeOver enumerates the candidate lattice of one relation
 // with some positions pinned to constants, consulting the context per
 // leaf.
 func (p *Problem) pinnedLatticeOver(ctx context.Context, r *relation.Schema, d *domains, pins map[int]relation.Value,
-	fn func(t relation.Tuple) (bool, error)) (bool, error) {
+	fn func(t relation.Tuple) error) error {
 	cols := make([][]relation.Value, r.Arity())
 	for i := range cols {
 		if v, ok := pins[i]; ok {
 			if !r.DomainAt(i).Contains(v) {
-				return true, nil // constant outside the domain: no tuples
+				return nil // constant outside the domain: no tuples
 			}
 			cols[i] = []relation.Value{v}
 			continue
 		}
-		if d.ty != nil {
-			cols[i] = d.ty.candidatesAt(position{rel: r.Name, col: i}, r.DomainAt(i), d.a)
-		} else {
-			cols[i] = d.a.CandidatesFor(r.DomainAt(i))
-		}
+		cols[i] = d.ty.candidatesAt(position{rel: r.Name, col: i}, r.DomainAt(i), d.a)
 	}
 	t := make(relation.Tuple, r.Arity())
 	tried := 0
-	var rec func(i int) (bool, error)
-	rec = func(i int) (bool, error) {
+	var rec func(i int) error
+	rec = func(i int) error {
 		if i == r.Arity() {
 			if err := ctx.Err(); err != nil {
-				return false, err
+				return err
 			}
 			tried++
 			if p.Options.MaxValuations > 0 && tried > p.Options.MaxValuations {
-				return false, p.budgetErr("pinned tuple lattice over "+r.Name, "MaxValuations",
+				return p.budgetErr("pinned tuple lattice over "+r.Name, "MaxValuations",
 					int64(p.Options.MaxValuations), int64(tried))
 			}
 			return fn(t.Clone())
 		}
 		for _, v := range cols[i] {
 			t[i] = v
-			cont, err := rec(i + 1)
-			if err != nil || !cont {
-				return cont, err
+			if err := rec(i + 1); err != nil {
+				return err
 			}
 		}
-		return true, nil
+		return nil
 	}
 	return rec(0)
 }
 
-// adomSignature canonically serialises an active domain's values.
-func adomSignature(a *adom.Adom) string {
-	var sb strings.Builder
-	for _, v := range a.Values() {
-		fmt.Fprintf(&sb, "%d:%s;", len(v), v)
-	}
-	return sb.String()
-}
-
 // tableauCounterexample backtracks over one disjunct tableau's atoms.
 func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Database, tab *query.Tableau,
-	d *domains, sig string, baseAnswers []relation.Tuple,
-	seenExt map[string]bool) (*Counterexample, error) {
+	d *domains, baseAnswers []relation.Tuple, seenExt map[string]bool) (*Counterexample, error) {
 
 	type pick struct {
 		rel string
@@ -335,7 +339,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 				instCands[i] = append(instCands[i], t)
 			}
 		}
-		cached, err := p.atomCandidates(ctx, sig, atom, d)
+		cached, err := p.atomCandidates(ctx, atom, d)
 		if err != nil {
 			return nil, err
 		}
@@ -477,7 +481,8 @@ func (p *Problem) GroundComplete(db *relation.Database) (bool, *Counterexample, 
 }
 
 // GroundCompleteCtx is GroundComplete honoring the context's deadline.
-func (p *Problem) GroundCompleteCtx(ctx context.Context, db *relation.Database) (bool, *Counterexample, error) {
+func (p *Problem) GroundCompleteCtx(ctx context.Context, db *relation.Database) (_ bool, _ *Counterexample, err error) {
+	defer p.countBudget(&err)
 	ctx, endSpan := p.span(ctx, "ground_complete")
 	defer endSpan()
 	g := p.beginOp(ctx, "ground_complete", "no counterexample found in %d models")
@@ -511,7 +516,8 @@ func (p *Problem) MINP(ci *ctable.CInstance, m Model) (bool, error) {
 
 // MINPCtx is MINP honoring the context's deadline and cancellation; an
 // abort surfaces as a *DeadlineError.
-func (p *Problem) MINPCtx(ctx context.Context, ci *ctable.CInstance, m Model) (bool, error) {
+func (p *Problem) MINPCtx(ctx context.Context, ci *ctable.CInstance, m Model) (_ bool, err error) {
+	defer p.countBudget(&err)
 	switch m {
 	case Strong:
 		return p.minpStrong(ctx, ci)
@@ -594,7 +600,8 @@ func (p *Problem) GroundMinimal(db *relation.Database) (bool, error) {
 }
 
 // GroundMinimalCtx is GroundMinimal honoring the context's deadline.
-func (p *Problem) GroundMinimalCtx(ctx context.Context, db *relation.Database) (bool, error) {
+func (p *Problem) GroundMinimalCtx(ctx context.Context, db *relation.Database) (_ bool, err error) {
+	defer p.countBudget(&err)
 	g := p.beginOp(ctx, "ground_minimal", "no complete removal found in %d models")
 	complete, _, err := p.GroundCompleteCtx(ctx, db)
 	if err != nil {

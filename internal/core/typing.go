@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"relcomplete/internal/adom"
 	"relcomplete/internal/ctable"
@@ -43,13 +43,43 @@ type position struct {
 	col int
 }
 
-// typing is the computed partition with per-class candidate values.
+// typing is the computed partition with each class's candidate
+// values, built once per domains and shared read-only by every
+// enumeration over it.
 type typing struct {
+	class map[position]int
+	// cands holds, per class, the sorted candidates of its positions:
+	// the class's constants and fresh values plus shared.
+	cands [][]relation.Value
+	// shared holds, sorted, the constants attributed to no class and
+	// the fresh values available to every class.
+	shared []relation.Value
+}
+
+// classParts is the partition before compaction into a typing: per
+// class the constants observed at it and its fresh values (both may
+// repeat), the constants attributed to no class, and the fresh values
+// every class receives.
+type classParts struct {
 	class  map[position]int
-	consts []*relation.ValueSet // per class
-	global *relation.ValueSet   // constants attributed to no class
-	fresh  [][]relation.Value   // per class fresh values
-	every  []relation.Value     // fresh values available to all classes
+	consts [][]relation.Value
+	fresh  [][]relation.Value
+	global []relation.Value
+	every  []relation.Value
+}
+
+// compact builds each class's sorted candidate slice once.
+func (cp *classParts) compact() *typing {
+	shared := relation.DedupValues(append(append([]relation.Value(nil), cp.global...), cp.every...))
+	ty := &typing{class: cp.class, cands: make([][]relation.Value, len(cp.consts)), shared: shared}
+	for cl := range cp.consts {
+		vals := make([]relation.Value, 0, len(cp.consts[cl])+len(cp.fresh[cl])+len(shared))
+		vals = append(vals, cp.consts[cl]...)
+		vals = append(vals, cp.fresh[cl]...)
+		vals = append(vals, shared...)
+		ty.cands[cl] = relation.DedupValues(vals)
+	}
+	return ty
 }
 
 // unionFind over interned position ids.
@@ -96,6 +126,16 @@ func (p *Problem) computeTyping(ci *ctable.CInstance, a *adom.Adom) (*typing, er
 	if p.Options.NoTypedDomains {
 		return nil, nil
 	}
+	cp, err := p.classify(ci, a)
+	if err != nil {
+		return nil, err
+	}
+	return cp.compact(), nil
+}
+
+// classify partitions the positions into compatibility classes and
+// attributes the constants and fresh values of Adom to them.
+func (p *Problem) classify(ci *ctable.CInstance, a *adom.Adom) (*classParts, error) {
 	uf := newUnionFind()
 	// Constants with the positions they were observed at; position nil
 	// (ok=false) means unattributable.
@@ -330,7 +370,7 @@ func (p *Problem) computeTyping(ci *ctable.CInstance, a *adom.Adom) (*typing, er
 	}
 
 	// Materialise classes.
-	ty := &typing{class: map[position]int{}, global: relation.NewValueSet()}
+	ty := &classParts{class: map[position]int{}}
 	classOf := map[int]int{}
 	for pos, id := range uf.id {
 		root := uf.find(id)
@@ -338,22 +378,17 @@ func (p *Problem) computeTyping(ci *ctable.CInstance, a *adom.Adom) (*typing, er
 		if !ok {
 			cl = len(ty.consts)
 			classOf[root] = cl
-			ty.consts = append(ty.consts, relation.NewValueSet())
+			ty.consts = append(ty.consts, nil)
 			ty.fresh = append(ty.fresh, nil)
 		}
 		ty.class[pos] = cl
 	}
 	for _, o := range obs {
-		if !o.has {
-			ty.global.Add(o.v)
-			continue
+		if cl, ok := ty.class[o.at]; o.has && ok {
+			ty.consts[cl] = append(ty.consts[cl], o.v)
+		} else {
+			ty.global = append(ty.global, o.v)
 		}
-		cl, ok := ty.class[o.at]
-		if !ok {
-			ty.global.Add(o.v)
-			continue
-		}
-		ty.consts[cl].Add(o.v)
 	}
 
 	// Fresh values: a variable's personal pair goes to its class; the
@@ -449,7 +484,8 @@ func freshTwin(a *adom.Adom, f relation.Value) relation.Value {
 }
 
 // candidatesAt returns the candidate values for one column position
-// under the typing (nil typing = the full domain).
+// under the typing (nil typing = the full domain). The slice is shared;
+// callers must not mutate it.
 func (ty *typing) candidatesAt(pos position, dom *relation.Domain, a *adom.Adom) []relation.Value {
 	if dom.IsFinite() {
 		return dom.Values()
@@ -457,18 +493,10 @@ func (ty *typing) candidatesAt(pos position, dom *relation.Domain, a *adom.Adom)
 	if ty == nil {
 		return a.Values()
 	}
-	set := relation.NewValueSet()
 	if cl, ok := ty.class[pos]; ok {
-		set.AddAll(ty.consts[cl])
-		for _, f := range ty.fresh[cl] {
-			set.Add(f)
-		}
+		return ty.cands[cl]
 	}
-	set.AddAll(ty.global)
-	for _, f := range ty.every {
-		set.Add(f)
-	}
-	return set.Values()
+	return ty.shared
 }
 
 // varCandidates returns the candidate values for a c-instance variable:
@@ -578,26 +606,26 @@ func (p *Problem) typedTuplesOver(ctx context.Context, r *relation.Schema, a *ad
 }
 
 // typingSignature canonically serialises the per-column candidates so
-// lattice caches can key on them.
+// lattice caches can key on them (see latticeSig). Each value is
+// length-prefixed, so distinct candidate lists never serialise alike.
 func (p *Problem) typingSignature(a *adom.Adom, ty *typing) string {
 	if ty == nil {
-		return "untyped|" + adomSignature(a)
+		buf := append(make([]byte, 0, 16*a.Len()+8), "untyped|"...)
+		for _, v := range a.Values() {
+			buf = relation.AppendValueKey(buf, v)
+		}
+		return string(buf)
 	}
-	var parts []string
+	buf := append(make([]byte, 0, 256), "typed|"...)
 	for _, r := range p.Schema.Relations() {
+		buf = relation.AppendValueKey(buf, relation.Value(r.Name))
 		for i := 0; i < r.Arity(); i++ {
 			vals := ty.candidatesAt(position{rel: r.Name, col: i}, r.DomainAt(i), a)
-			s := r.Name + "." + fmt.Sprint(i) + ":"
+			buf = binary.AppendUvarint(buf, uint64(len(vals)))
 			for _, v := range vals {
-				s += fmt.Sprintf("%d:%s;", len(v), v)
+				buf = relation.AppendValueKey(buf, v)
 			}
-			parts = append(parts, s)
 		}
 	}
-	sort.Strings(parts)
-	out := "typed|"
-	for _, s := range parts {
-		out += s + "|"
-	}
-	return out
+	return string(buf)
 }

@@ -28,7 +28,8 @@ func (p *Problem) CertainAnswers(ci *ctable.CInstance) ([]relation.Tuple, error)
 // and cancellation; an abort surfaces as a *DeadlineError. A partial
 // intersection is a superset of the certain answers, so no partial
 // result is returned.
-func (p *Problem) CertainAnswersCtx(ctx context.Context, ci *ctable.CInstance) ([]relation.Tuple, error) {
+func (p *Problem) CertainAnswersCtx(ctx context.Context, ci *ctable.CInstance) (_ []relation.Tuple, err error) {
+	defer p.countBudget(&err)
 	ctx, endSpan := p.span(ctx, "certain_answers")
 	defer endSpan()
 	g := p.beginOp(ctx, "certain_answers", "intersection over %d models incomplete")
@@ -108,7 +109,8 @@ func (p *Problem) CertainAnswersOfExtensions(ci *ctable.CInstance) ([]relation.T
 
 // CertainAnswersOfExtensionsCtx is CertainAnswersOfExtensions honoring
 // the context's deadline.
-func (p *Problem) CertainAnswersOfExtensionsCtx(ctx context.Context, ci *ctable.CInstance) ([]relation.Tuple, bool, error) {
+func (p *Problem) CertainAnswersOfExtensionsCtx(ctx context.Context, ci *ctable.CInstance) (_ []relation.Tuple, _ bool, err error) {
+	defer p.countBudget(&err)
 	g := p.beginOp(ctx, "certain_answers_of_extensions", "intersection over %d models incomplete")
 	acc, _, anyExt, err := p.certainExtStream(ctx, ci, nil)
 	return acc, anyExt, g.wrap(err)
@@ -388,7 +390,8 @@ func (p *Problem) RCQP(m Model) (bool, error) {
 
 // RCQPCtx is RCQP honoring the context's deadline and cancellation; an
 // abort surfaces as a *DeadlineError.
-func (p *Problem) RCQPCtx(ctx context.Context, m Model) (bool, error) {
+func (p *Problem) RCQPCtx(ctx context.Context, m Model) (_ bool, err error) {
+	defer p.countBudget(&err)
 	switch m {
 	case Weak:
 		if p.Query.Lang() == FO {
@@ -408,7 +411,8 @@ func (p *Problem) RCQPGround(m Model) (bool, error) {
 }
 
 // RCQPGroundCtx is RCQPGround honoring the context's deadline.
-func (p *Problem) RCQPGroundCtx(ctx context.Context, m Model) (bool, error) {
+func (p *Problem) RCQPGroundCtx(ctx context.Context, m Model) (_ bool, err error) {
+	defer p.countBudget(&err)
 	switch m {
 	case Weak:
 		if p.Query.Lang() == FO {
@@ -433,7 +437,8 @@ func (p *Problem) ConstructWeaklyComplete() (*relation.Database, error) {
 
 // ConstructWeaklyCompleteCtx is ConstructWeaklyComplete honoring the
 // context's deadline.
-func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (*relation.Database, error) {
+func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (_ *relation.Database, err error) {
+	defer p.countBudget(&err)
 	g := p.beginOp(ctx, "construct_weakly_complete", "")
 	if !p.Query.Monotone() {
 		return nil, fmt.Errorf("weakly complete witness for FO: %w", ErrUndecidable)

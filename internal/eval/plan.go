@@ -286,8 +286,16 @@ func freeOf(n planNode) []int {
 type planRun struct {
 	frame []relation.Value
 	bound []bool
-	adom  []relation.Value
 	insts []*relation.Instance // by relIdx; nil for unknown relations
+
+	// adom is the quantification domain, built by domain() the first
+	// time a node ranges over it: positive plans whose atoms bind every
+	// variable never do. db, q and extra are its inputs.
+	adom     []relation.Value
+	adomDone bool
+	db       *relation.Database
+	q        *query.Query
+	extra    *relation.ValueSet
 
 	// Derived decisions, computed on the first frame that reaches a node
 	// and reused for the rest of the run. The set of bound slots at any
@@ -380,8 +388,10 @@ func (p *Plan) newRun(db *relation.Database, opts Options) (*planRun, error) {
 	rt := &planRun{
 		frame:      make([]relation.Value, p.nSlots),
 		bound:      make([]bool, p.nSlots),
-		adom:       evalDomain(db, p.q, opts),
 		insts:      insts,
+		db:         db,
+		q:          p.q,
+		extra:      opts.ExtraDomain,
 		orders:     make(map[*andNode][]int, 4),
 		targets:    make(map[planNode][]int, 4),
 		strategies: make(map[*atomNode]*atomStrategy, 8),
@@ -399,6 +409,16 @@ func (p *Plan) newRun(db *relation.Database, opts Options) (*planRun, error) {
 		rt.started = time.Now() // clock read only on instrumented runs
 	}
 	return rt, nil
+}
+
+// domain returns the run's quantification domain, building it on first
+// use.
+func (rt *planRun) domain() []relation.Value {
+	if !rt.adomDone {
+		rt.adom = evalDomain(rt.db, rt.q, Options{ExtraDomain: rt.extra})
+		rt.adomDone = true
+	}
+	return rt.adom
 }
 
 // unboundOf filters slots down to the ones not bound in rt.
@@ -695,7 +715,7 @@ func (c *cmpNode) exec(rt *planRun, k cont) error {
 	default:
 		// Both sides unbound variables: range the left over the domain,
 		// then bind the right against it (the naive evaluator's rule).
-		for _, v := range rt.adom {
+		for _, v := range rt.domain() {
 			rt.frame[c.l.slot] = v
 			rt.bound[c.l.slot] = true
 			err := c.bindAgainst(rt, c.r.slot, v, k)
@@ -718,7 +738,7 @@ func (c *cmpNode) bindAgainst(rt *planRun, slot int, val relation.Value, k cont)
 		rt.bound[slot] = false
 		return err
 	}
-	for _, v := range rt.adom {
+	for _, v := range rt.domain() {
 		if v == val {
 			continue
 		}
@@ -835,9 +855,10 @@ func conjCost(rt *planRun, kid planNode, boundSim []bool) float64 {
 			if n.op == query.Eq {
 				return 1 // pins one variable
 			}
-			return 50000 + float64(len(rt.adom)) // ≠ ranges the domain
+			return 50000 + float64(len(rt.domain())) // ≠ ranges the domain
 		default:
-			return 100000 + float64(len(rt.adom))*float64(len(rt.adom))
+			n := float64(len(rt.domain()))
+			return 100000 + n*n
 		}
 	case *existsNode:
 		if u := unboundFree(n.free); u > 0 {
@@ -1044,7 +1065,7 @@ func (c *collector) pad(i int) error {
 	if rt.bound[s] {
 		return c.pad(i + 1)
 	}
-	for _, v := range rt.adom {
+	for _, v := range rt.domain() {
 		rt.frame[s] = v
 		rt.bound[s] = true
 		err := c.pad(i + 1)
@@ -1185,7 +1206,7 @@ func (p *Plan) ExplainRun(db *relation.Database, opts Options) (string, error) {
 	var b strings.Builder
 	b.WriteString(p.render(rt))
 	fmt.Fprintf(&b, "  run: answers=%d rows_probed=%d rows_emitted=%d short_circuits=%d adom=%d\n",
-		answers, rt.rowsProbed, rt.rowsEmitted, rt.shortCircuits, len(rt.adom))
+		answers, rt.rowsProbed, rt.rowsEmitted, rt.shortCircuits, len(rt.domain()))
 	return b.String(), nil
 }
 

@@ -34,7 +34,7 @@ const (
 	CounterexamplesFound                // witnesses of relative incompleteness found
 	CCChecks                            // containment-constraint evaluations
 	CCViolations                        // CC evaluations that failed
-	BudgetErrors                        // searches aborted by a budget cap
+	BudgetErrors                        // decides aborted by a budget cap, one per aborted decide
 
 	// eval: compiled query plans.
 	PlanCompilations // query plans compiled

@@ -112,7 +112,7 @@ var counterHelp = [numCounters]string{
 	CounterexamplesFound:  "witnesses of relative incompleteness found",
 	CCChecks:              "containment-constraint evaluations",
 	CCViolations:          "CC evaluations that failed",
-	BudgetErrors:          "searches aborted by a budget cap",
+	BudgetErrors:          "decides aborted by a budget cap, one per aborted decide",
 	PlanCompilations:      "query plans compiled",
 	PlanCacheHits:         "plan reuses from a problem- or CC-level cache",
 	PlanRuns:              "executions of a compiled plan",

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"maps"
+	"sort"
 	"strings"
 	"sync"
 
@@ -656,11 +657,7 @@ func (in *Instance) ActiveDomain(dst *ValueSet) *ValueSet {
 func (in *Instance) Sorted() []Tuple {
 	out := make([]Tuple, len(in.rows))
 	copy(out, in.rows)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Compare(out[j-1]) < 0; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 

@@ -28,14 +28,17 @@ type DecideRequest struct {
 	Model string `json:"model,omitempty"`
 	// Query, when set, overrides the loaded document's calculus query
 	// for this request only (the resident problem is untouched). The
-	// decide runs on a freshly built problem, so it pays plan
-	// compilation once per request.
+	// decide runs on a problem built privately from the document, so it
+	// pays the build and plan compilation once per request.
 	Query string `json:"query,omitempty"`
 	// TimeoutMS bounds the decision; expiry answers 408 with a deadline
 	// object. 0 means the server's default timeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Budget, when set, overrides the document's enumeration caps for
-	// this request only (also a fresh problem build).
+	// this request only. Without a query override the decide runs on a
+	// view of the resident problem (core.Problem.WithOptions), which
+	// shares its warm derived state; the outcome, budget errors
+	// included, is the one a cold problem would give.
 	Budget *BudgetRequest `json:"budget,omitempty"`
 }
 
@@ -47,10 +50,25 @@ type BudgetRequest struct {
 	MaxDerived    int `json:"max_derived,omitempty"`
 }
 
-// overridden reports whether the request needs a problem rebuilt from
-// the document instead of the shared resident one.
-func (r *DecideRequest) overridden() bool {
-	return r.Query != "" || r.Budget != nil
+// apply overlays the request's nonzero caps on o; a nil request
+// leaves o unchanged.
+func (b *BudgetRequest) apply(o core.Options) core.Options {
+	if b == nil {
+		return o
+	}
+	if b.MaxValuations != 0 {
+		o.MaxValuations = b.MaxValuations
+	}
+	if b.MaxSubsets != 0 {
+		o.MaxSubsets = b.MaxSubsets
+	}
+	if b.RCQPSizeBound != 0 {
+		o.RCQPSizeBound = b.RCQPSizeBound
+	}
+	if b.MaxDerived != 0 {
+		o.MaxDerived = b.MaxDerived
+	}
+	return o
 }
 
 // DecideResponse is the decide endpoint's JSON body — also used for

@@ -623,9 +623,9 @@ func (e *panicError) Error() string {
 	return fmt.Sprintf("decide panicked: %v", e.val)
 }
 
-// runDecide resolves the problem (shared resident instance, or a fresh
-// build when the request overrides query/budget), applies the deadline
-// and dispatches the property.
+// runDecide resolves the problem (the shared resident instance, a view
+// of it under a budget override, or a private build for a query
+// override), applies the deadline and dispatches the property.
 func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest) (res decideResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -633,31 +633,25 @@ func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest) (r
 		}
 	}()
 	p, ci := e.Problem, e.CInstance
-	if req.overridden() {
+	switch {
+	case req.Query != "":
+		// A query override builds a private problem rather than a view:
+		// its constants and variable names would otherwise be interned
+		// into the resident master's interner, which only grows and is
+		// not charged against the registry cap.
 		doc := *e.Doc
-		if req.Query != "" {
-			doc.Query = probjson.QueryDoc{Calc: req.Query}
-		}
-		if b := req.Budget; b != nil {
-			if b.MaxValuations != 0 {
-				doc.Options.MaxValuations = b.MaxValuations
-			}
-			if b.MaxSubsets != 0 {
-				doc.Options.MaxSubsets = b.MaxSubsets
-			}
-			if b.RCQPSizeBound != 0 {
-				doc.Options.RCQPSizeBound = b.RCQPSizeBound
-			}
-			if b.MaxDerived != 0 {
-				doc.Options.MaxDerived = b.MaxDerived
-			}
-		}
+		doc.Query = probjson.QueryDoc{Calc: req.Query}
 		var err error
 		p, ci, err = s.registry.build(&doc)
 		if err != nil {
 			return res, &badRequestError{msg: err.Error()}
 		}
-		// The rebuilt problem is private to this request, so it can
+		p.Options = req.Budget.apply(p.Options)
+	case req.Budget != nil:
+		p = p.WithOptions(req.Budget.apply(p.Options))
+	}
+	if p != e.Problem {
+		// The overriding problem is private to this request, so it can
 		// carry a per-request metrics instance; the counters it gathers
 		// are folded into the server-wide set when the decide returns.
 		// (The shared resident path keeps writing the server-wide
