@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 
 	"relcomplete/internal/adom"
 	"relcomplete/internal/ctable"
@@ -33,7 +32,8 @@ func (p *Problem) PartiallyClosedCtx(ctx context.Context, db *relation.Database)
 // forEachModel enumerates ModAdom(T, Dm, V): for every valuation µ of
 // T's variables over the active domain with (µ(T), Dm) ⊨ V, fn is
 // called with µ(T). Distinct valuations yielding the same ground
-// instance are deduplicated. Enumeration stops when fn returns false.
+// instance are deduplicated by the tuples each adds beyond T's ground
+// prefix (ApplyKeyed). Enumeration stops when fn returns false.
 // The context is consulted per valuation, so a deadline interrupts the
 // enumeration itself, not just the work between candidates.
 func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *domains,
@@ -44,11 +44,10 @@ func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *dom
 			return false, err
 		}
 		p.Options.Obs.Inc(obs.ValuationsEnumerated)
-		db, err := ci.Apply(mu)
+		db, key, err := ci.ApplyKeyed(mu)
 		if err != nil {
 			return false, err
 		}
-		key := dbKey(db)
 		if seen[key] {
 			return true, nil
 		}
@@ -93,11 +92,10 @@ func (p *Problem) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *
 				return false, err
 			}
 			p.Options.Obs.Inc(obs.ValuationsEnumerated)
-			db, err := ci.Apply(mu)
+			db, key, err := ci.ApplyKeyed(mu)
 			if err != nil {
 				return false, err
 			}
-			key := dbKey(db)
 			if seen[key] {
 				return true, nil
 			}
@@ -114,21 +112,6 @@ func (p *Problem) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *
 			*genErr = err
 		}
 	}
-}
-
-// dbKey canonically serialises a ground database for deduplication:
-// per relation, in schema order, the row count and the sorted tuples'
-// keys. Keys are only compared across databases of one schema.
-func dbKey(db *relation.Database) string {
-	buf := make([]byte, 0, 64)
-	for _, r := range db.Schema().Relations() {
-		rows := db.Relation(r.Name).Sorted()
-		buf = binary.AppendUvarint(buf, uint64(len(rows)))
-		for _, t := range rows {
-			buf = t.AppendKey(buf)
-		}
-	}
-	return string(buf)
 }
 
 // Consistent decides the consistency problem: is Mod(T, Dm, V)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"relcomplete/internal/ctable"
@@ -346,30 +348,47 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 		latticeCands[i] = cached
 	}
 
+	// The extension I' is I plus the picks I lacks, in pick order.
+	// seenExt lives for one I, so the sorted distinct new picks key I'
+	// canonically, and an extension is built only when its key is new.
+	var added, sorted []pick
+	var keyBuf []byte
 	var process func() error
 	process = func() error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ext := db
-		grew := false
+		added = added[:0]
 		for _, pk := range picks {
-			if !ext.Relation(pk.rel).Contains(pk.t) {
-				if !grew {
-					ext = ext.Clone()
-					grew = true
-				}
-				ext.MustInsert(pk.rel, pk.t)
+			if !db.Relation(pk.rel).Contains(pk.t) {
+				added = append(added, pk)
 			}
 		}
-		if !grew {
+		if len(added) == 0 {
 			return nil // I' = I: answers trivially agree
 		}
-		key := dbKey(ext)
-		if seenExt[key] {
+		sorted = append(sorted[:0], added...)
+		slices.SortFunc(sorted, func(a, b pick) int {
+			if c := strings.Compare(a.rel, b.rel); c != 0 {
+				return c
+			}
+			return a.t.Compare(b.t)
+		})
+		keyBuf = keyBuf[:0]
+		for i, pk := range sorted {
+			if i > 0 && pk.rel == sorted[i-1].rel && pk.t.Equal(sorted[i-1].t) {
+				continue
+			}
+			keyBuf = pk.t.AppendKey(relation.AppendValueKey(keyBuf, relation.Value(pk.rel)))
+		}
+		if seenExt[string(keyBuf)] {
 			return nil
 		}
-		seenExt[key] = true
+		seenExt[string(keyBuf)] = true
+		ext := db.Clone()
+		for _, pk := range added {
+			ext.MustInsert(pk.rel, pk.t) // a repeated pick is a no-op
+		}
 		tried++
 		if p.Options.MaxValuations > 0 && tried > p.Options.MaxValuations {
 			return p.budgetErr("bounded check", "MaxValuations",

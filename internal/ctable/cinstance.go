@@ -1,10 +1,13 @@
 package ctable
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"relcomplete/internal/relation"
 )
@@ -26,6 +29,13 @@ type CInstance struct {
 	// storage ablation was the process default at first use).
 	internOnce sync.Once
 	intern     *relation.Interner
+
+	// prefix is µ(T) over every table's ground prefix, built on the
+	// first Apply and again when a table's row count has changed since;
+	// prefixMu serialises the builds. Concurrent decides on one resident
+	// c-instance share it, and every Apply starts from a clone of it.
+	prefixMu sync.Mutex
+	prefix   atomic.Pointer[groundPrefix]
 }
 
 // applyInterner returns the shared interner for Apply results, created
@@ -153,18 +163,97 @@ func (ci *CInstance) IsGround() bool {
 }
 
 // Apply computes µ(T) as a ground database. All databases returned by
-// one CInstance share one interner (see applyInterner).
+// one CInstance share one interner (see applyInterner). Each relation
+// starts from a copy-on-write clone of its table's ground prefix, and
+// only the rows after the prefix are applied, so a candidate costs what
+// its valuation changes; the rows, their order and their ids are those
+// of the row-by-row build.
 func (ci *CInstance) Apply(mu Valuation) (*relation.Database, error) {
-	it := ci.applyInterner()
-	db := relation.NewDatabaseWith(ci.schema, it)
-	for _, r := range ci.schema.Relations() {
-		inst, err := ci.tables[r.Name].applyWith(mu, it)
-		if err != nil {
-			return nil, err
+	db, _, err := ci.ApplyKeyed(mu)
+	return db, err
+}
+
+// ApplyKeyed is Apply plus a key of µ(T) built from the tuples µ adds
+// beyond the ground prefixes: per relation in schema order, their count
+// and their sorted encodings. The prefixes are fixed for the
+// c-instance, so two valuations get equal keys exactly when they yield
+// equal databases, and the deciders deduplicate candidates by the key.
+func (ci *CInstance) ApplyKeyed(mu Valuation) (*relation.Database, string, error) {
+	pre := ci.groundPrefix()
+	db := pre.db.Clone()
+	var key []byte
+	for _, pt := range pre.tables {
+		inst := db.Relation(pt.t.schema.Name)
+		if err := pt.t.applyRows(inst, pt.t.rows[pt.next:], mu); err != nil {
+			return nil, "", err
 		}
-		db.MustSetRelation(inst)
+		key = appendAddedKey(key, inst.Tuples()[pt.size:])
 	}
-	return db, nil
+	return db, string(key), nil
+}
+
+// appendAddedKey appends the count and the sorted encodings of the
+// tuples one relation gained beyond its prefix.
+func appendAddedKey(dst []byte, added []relation.Tuple) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(added)))
+	if len(added) > 1 {
+		added = slices.Clone(added)
+		slices.SortFunc(added, relation.Tuple.Compare)
+	}
+	for _, t := range added {
+		dst = t.AppendKey(dst)
+	}
+	return dst
+}
+
+// groundPrefix is µ(T) over every table's ground prefix (see
+// CTable.applyGroundPrefix), the same database for every µ. Its
+// relations are frozen, so the clone Apply starts from shares their
+// membership maps.
+type groundPrefix struct {
+	db     *relation.Database
+	tables []prefixTable // in schema order
+}
+
+// prefixTable records how one table's prefix was built.
+type prefixTable struct {
+	t    *CTable
+	rows int // the table's row count when the prefix was built
+	next int // index of the first row the prefix does not cover
+	size int // tuples in the prefix's relation
+}
+
+// groundPrefix returns the current ground prefix, building it under
+// prefixMu when it is missing or a table has gained rows since.
+func (ci *CInstance) groundPrefix() *groundPrefix {
+	if pre := ci.prefix.Load(); pre != nil && pre.current() {
+		return pre
+	}
+	ci.prefixMu.Lock()
+	defer ci.prefixMu.Unlock()
+	if pre := ci.prefix.Load(); pre != nil && pre.current() {
+		return pre
+	}
+	pre := &groundPrefix{db: relation.NewDatabaseWith(ci.schema, ci.applyInterner())}
+	for _, r := range ci.schema.Relations() {
+		t, inst := ci.tables[r.Name], pre.db.Relation(r.Name)
+		next := t.applyGroundPrefix(inst)
+		inst.Freeze()
+		pre.tables = append(pre.tables, prefixTable{t: t, rows: t.Len(), next: next, size: inst.Len()})
+	}
+	ci.prefix.Store(pre)
+	return pre
+}
+
+// current reports whether the prefix was built for every table's
+// current row count.
+func (pre *groundPrefix) current() bool {
+	for _, pt := range pre.tables {
+		if pt.rows != pt.t.Len() {
+			return false
+		}
+	}
+	return true
 }
 
 // RowRef addresses one row of a c-instance.

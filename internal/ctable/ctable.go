@@ -190,22 +190,22 @@ func (t *CTable) IsGround() bool {
 // Apply computes µ(T): rows whose condition holds under µ, with
 // variables substituted. µ must assign every variable it touches.
 func (t *CTable) Apply(mu Valuation) (*relation.Instance, error) {
-	return t.applyWith(mu, nil)
+	out := relation.NewInstance(t.schema)
+	if err := t.applyRows(out, t.rows, mu); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// applyWith is Apply storing the result in an instance sharing it; a
-// nil interner falls back to the process-default storage mode.
-func (t *CTable) applyWith(mu Valuation, it *relation.Interner) (*relation.Instance, error) {
-	var out *relation.Instance
-	if it != nil {
-		out = relation.NewInternedInstance(t.schema, it)
-	} else {
-		out = relation.NewInstance(t.schema)
-	}
-	for _, r := range t.rows {
+// applyRows inserts µ(r) into out for every row r of rows whose
+// condition holds under µ, in order. It is the one row application of
+// both Apply paths: CTable.Apply over all rows, and CInstance.Apply
+// over the rows after the ground prefix.
+func (t *CTable) applyRows(out *relation.Instance, rows []Row, mu Valuation) error {
+	for _, r := range rows {
 		keep, err := r.Cond.Eval(mu)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !keep {
 			continue
@@ -215,7 +215,7 @@ func (t *CTable) applyWith(mu Valuation, it *relation.Interner) (*relation.Insta
 			if term.IsVar {
 				v, ok := mu[term.Name]
 				if !ok {
-					return nil, fmt.Errorf("ctable %s: variable %s unassigned", t.schema.Name, term.Name)
+					return fmt.Errorf("ctable %s: variable %s unassigned", t.schema.Name, term.Name)
 				}
 				tup[i] = v
 			} else {
@@ -223,10 +223,47 @@ func (t *CTable) applyWith(mu Valuation, it *relation.Interner) (*relation.Insta
 			}
 		}
 		if err := out.Insert(tup); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// applyGroundPrefix applies the table's ground prefix into inst and
+// returns how many rows it covers. The ground prefix is the rows before
+// the first row that mentions a variable, in its terms or in its
+// condition: they yield the same tuples under every µ, so the empty
+// valuation applies them (one whose constant-only condition is false is
+// left out). It stops at the first variable row rather than taking
+// every ground row because insertion order decides which model and
+// which counterexample the deciders reach first, and before a row that
+// fails to apply, so that Apply reports the error where the row-by-row
+// build did.
+func (t *CTable) applyGroundPrefix(inst *relation.Instance) int {
+	next := 0
+	for next < len(t.rows) && t.rows[next].ground() {
+		if t.applyRows(inst, t.rows[next:next+1], nil) != nil {
+			break
+		}
+		next++
+	}
+	return next
+}
+
+// ground reports whether the row mentions no variable, in its terms or
+// in its condition.
+func (r Row) ground() bool {
+	for _, term := range r.Terms {
+		if term.IsVar {
+			return false
+		}
+	}
+	for _, a := range r.Cond {
+		if a.L.IsVar || a.R.IsVar {
+			return false
+		}
+	}
+	return true
 }
 
 // WithoutRow returns a copy of the table with row index i removed.

@@ -221,9 +221,15 @@ func (db *Database) WithTuple(rel string, t Tuple) *Database {
 }
 
 // WithoutTuple returns a copy of the database with t removed from rel.
+// Every other relation is cloned; rel is rebuilt without t.
 func (db *Database) WithoutTuple(rel string, t Tuple) *Database {
-	c := db.Clone()
-	c.insts[rel] = c.insts[rel].WithoutTuple(t)
+	c := &Database{schema: db.schema, insts: make(map[string]*Instance, len(db.insts)), intern: db.intern}
+	for _, r := range db.schema.Relations() {
+		if r.Name != rel {
+			c.insts[r.Name] = db.insts[r.Name].Clone()
+		}
+	}
+	c.insts[rel] = db.insts[rel].WithoutTuple(t)
 	return c
 }
 

@@ -82,6 +82,14 @@ type Instance struct {
 	rows   []Tuple
 	seen   map[string]int // tuple key -> index in rows
 
+	// Copy-on-write membership. A frozen instance accepts no inserts, so
+	// its clones share its seen map as base, read-only, and write new
+	// keys into a seen map of their own; a key is a member when either
+	// map holds it. The two maps never share a key. Freeze refuses an
+	// instance with a base, so a frozen instance has none of its own.
+	base   map[string]int
+	frozen bool
+
 	// Interned storage. intern == nil means boxed mode; otherwise ids
 	// holds the rows flattened as len(rows)×arity interned ids.
 	intern *Interner
@@ -380,6 +388,9 @@ func (in *Instance) MustInsert(t Tuple) {
 }
 
 func (in *Instance) insertUnchecked(t Tuple) bool {
+	if in.frozen {
+		panic("relation: insert into a frozen instance of " + in.schema.Name)
+	}
 	if in.intern == nil {
 		return in.insertBoxed(t)
 	}
@@ -409,7 +420,7 @@ func (in *Instance) insertUnchecked(t Tuple) bool {
 		m.Add(obs.InternHits, hits)
 		m.Add(obs.ValuesInterned, fresh)
 	}
-	if _, ok := in.seen[string(key)]; ok {
+	if in.has(key) {
 		return false
 	}
 	in.seen[string(key)] = len(in.rows)
@@ -425,11 +436,12 @@ func (in *Instance) insertUnchecked(t Tuple) bool {
 // insertBoxed is the boxed-mode insert: the original value-encoded
 // membership key and no id or statistics maintenance.
 func (in *Instance) insertBoxed(t Tuple) bool {
-	k := t.Key()
-	if _, ok := in.seen[k]; ok {
+	var arr [scratchKeyBytes]byte
+	k := t.AppendKey(arr[:0])
+	if in.has(k) {
 		return false
 	}
-	in.seen[k] = len(in.rows)
+	in.seen[string(k)] = len(in.rows)
 	row := t.Clone()
 	rowIdx := len(in.rows)
 	in.rows = append(in.rows, row)
@@ -451,17 +463,26 @@ func (in *Instance) maintainIndexes(m *obs.Metrics, rowIdx int, row Tuple) {
 	in.idxMu.Unlock()
 }
 
+// has reports whether a membership key is in seen or in the shared
+// base of a copy-on-write clone.
+func (in *Instance) has(key []byte) bool {
+	if _, ok := in.base[string(key)]; ok {
+		return true
+	}
+	_, ok := in.seen[string(key)]
+	return ok
+}
+
 // Contains reports whether the instance holds t.
 func (in *Instance) Contains(t Tuple) bool {
 	if in == nil {
 		return false
 	}
-	if in.intern == nil {
-		_, ok := in.seen[t.Key()]
-		return ok
-	}
 	var arr [scratchKeyBytes]byte
 	key := arr[:0]
+	if in.intern == nil {
+		return in.has(t.AppendKey(key))
+	}
 	for _, v := range t {
 		id, ok := in.intern.Lookup(v)
 		if !ok {
@@ -469,8 +490,7 @@ func (in *Instance) Contains(t Tuple) bool {
 		}
 		key = AppendIDKey(key, id)
 	}
-	_, ok := in.seen[string(key)]
-	return ok
+	return in.has(key)
 }
 
 // Tuples returns the tuples in insertion order. The returned slice is
@@ -517,8 +537,10 @@ func (in *Instance) ResidentBytes() int64 {
 	rows := int64(len(in.rows))
 	b := rows * (sliceHeaderBytes + arity*stringHeaderBytes)
 	b += int64(len(in.ids)) * 4
-	for k := range in.seen {
-		b += int64(len(k)) + mapEntryBytes
+	for _, m := range [...]map[string]int{in.base, in.seen} {
+		for k := range m {
+			b += int64(len(k)) + mapEntryBytes
+		}
 	}
 	if in.intern == nil {
 		for _, t := range in.rows {
@@ -532,21 +554,39 @@ func (in *Instance) ResidentBytes() int64 {
 
 // Clone returns an independent copy. Rows are immutable after insert,
 // so the clone shares the tuple backing arrays (as index buckets and
-// Tuples() callers already do) and bulk-copies the membership map and
-// ids instead of re-keying every row. Statistics and indexes are not
-// copied; the clone rebuilds them lazily if queried.
+// Tuples() callers already do) and copies the ids instead of re-keying
+// every row. The membership map is copied on write: the clone of a
+// frozen instance shares its map read-only and starts an empty one of
+// its own, and the clone of such a clone copies only that small map.
+// Statistics and indexes are not copied; the clone rebuilds them
+// lazily if queried.
 func (in *Instance) Clone() *Instance {
 	c := &Instance{schema: in.schema, intern: in.intern}
 	c.rows = append([]Tuple(nil), in.rows...)
-	if in.seen != nil {
-		c.seen = maps.Clone(in.seen)
-	} else {
+	switch {
+	case in.frozen:
+		c.base, c.seen = in.seen, make(map[string]int)
+	case in.seen != nil:
+		c.base, c.seen = in.base, maps.Clone(in.seen)
+	default:
 		c.seen = make(map[string]int)
 	}
 	if in.intern != nil {
 		c.ids = append([]uint32(nil), in.ids...)
 	}
 	return c
+}
+
+// Freeze makes the instance read-only: a later insert panics, and
+// clones share its membership map instead of copying it. An instance
+// built once and cloned per use (a c-instance's ground prefix) freezes
+// itself before it is shared. Only an instance built by inserts can be
+// frozen; freezing the clone of a frozen instance panics.
+func (in *Instance) Freeze() {
+	if in.base != nil {
+		panic("relation: freeze of a copy-on-write clone of " + in.schema.Name)
+	}
+	in.frozen = true
 }
 
 // Union returns a new instance holding the tuples of both operands.
@@ -567,13 +607,35 @@ func (in *Instance) WithTuple(t Tuple) *Instance {
 	return c
 }
 
-// WithoutTuple returns a copy of the instance with t removed.
+// WithoutTuple returns a copy of the instance with t removed. Interned
+// instances copy the other rows and their ids and key membership by the
+// ids, without interning again; boxed instances re-insert the rows.
 func (in *Instance) WithoutTuple(t Tuple) *Instance {
 	c := in.emptyLike(len(in.rows))
-	for _, u := range in.rows {
-		if !u.Equal(t) {
-			c.insertUnchecked(u)
+	if in.intern == nil {
+		for _, u := range in.rows {
+			if !u.Equal(t) {
+				c.insertUnchecked(u)
+			}
 		}
+		return c
+	}
+	arity := in.schema.Arity()
+	c.rows = make([]Tuple, 0, len(in.rows))
+	c.ids = make([]uint32, 0, len(in.ids))
+	var arr [scratchKeyBytes]byte
+	for i, u := range in.rows {
+		if u.Equal(t) {
+			continue
+		}
+		ids := in.ids[i*arity : (i+1)*arity]
+		key := arr[:0]
+		for _, id := range ids {
+			key = AppendIDKey(key, id)
+		}
+		c.seen[string(key)] = len(c.rows)
+		c.rows = append(c.rows, u)
+		c.ids = append(c.ids, ids...)
 	}
 	return c
 }
