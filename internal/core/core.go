@@ -475,10 +475,11 @@ func (p *Problem) span(ctx context.Context, name string) (context.Context, func(
 		// so a tail-bucket spike in the OpenMetrics exposition carries
 		// an exemplar pointing at a request that caused it.
 		m.ObserveExemplar(obs.DeciderWallNs, elapsed.Nanoseconds(), traceID)
-		// Per-call admission distribution. Deltas over the shared
-		// counters: nested or concurrent decider calls may attribute
-		// each other's models — the histogram is a distribution sketch,
-		// not an exact ledger.
+		// Per-call admission distribution, as deltas over Obs. A decide
+		// that owns its Obs (rcserved gives each request its own view)
+		// gets exact per-call counts; calls sharing one Obs concurrently
+		// may attribute each other's models, and a nested call's models
+		// count toward its enclosing call too.
 		checked := m.Get(obs.ModelsChecked) - checked0
 		if checked > 0 {
 			admitted := m.Get(obs.ModelsAdmitted) - admitted0

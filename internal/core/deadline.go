@@ -75,8 +75,10 @@ func (e *DeadlineError) Unwrap() []error { return []error{ErrDeadline, e.cause} 
 
 // progressNow reads the obs counters a DeadlineError snapshots. Taken
 // once at decider entry and once at abort; the delta is the cancelled
-// call's own work (approximately so under concurrent callers sharing
-// one Metrics, exactly so for the usual one-problem-one-call pattern).
+// call's own work. It is exact when the decide owns its Metrics, as
+// each rcserved request does; calls sharing one Metrics concurrently
+// may count each other's work, and a nested call's work counts toward
+// its enclosing call too.
 func (p *Problem) progressNow() Progress {
 	m := p.Options.Obs
 	return Progress{

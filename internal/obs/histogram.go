@@ -59,12 +59,15 @@ const (
 // the divisor from recorded int64 values to the exposed unit (a
 // divisor rather than a multiplier so ns→seconds stays exact in
 // float64: 6e10/1e9 is exactly 60), and its ascending upper bucket
-// bounds in recorded units. A final +Inf bucket is implicit.
+// bounds in recorded units. A final +Inf bucket is implicit. labels
+// holds the bucket labels every snapshot and exposition renders: each
+// bound in the exposed unit, then "+Inf"; init computes them once.
 type histoDef struct {
 	name   string
 	help   string
 	div    float64
 	bounds []int64
+	labels []string
 }
 
 // maxHistoBuckets bounds len(bounds)+1 across all defs so Metrics can
@@ -128,6 +131,17 @@ var histoDefs = [numHistos]histoDef{
 	},
 }
 
+func init() {
+	for h := range histoDefs {
+		d := &histoDefs[h]
+		d.labels = make([]string, 0, len(d.bounds)+1)
+		for _, b := range d.bounds {
+			d.labels = append(d.labels, formatBound(float64(b)/d.div))
+		}
+		d.labels = append(d.labels, "+Inf")
+	}
+}
+
 // String returns the histogram's canonical snake_case exposition name.
 func (h Histo) String() string {
 	if h < 0 || h >= numHistos {
@@ -168,11 +182,7 @@ func (m *Metrics) HistoCount(h Histo) int64 {
 	if m == nil {
 		return 0
 	}
-	var total int64
-	hg := &m.histos[h]
-	for i := 0; i <= len(histoDefs[h].bounds); i++ {
-		total += hg.counts[i].Load()
-	}
+	_, total := m.histos[h].load(&histoDefs[h])
 	return total
 }
 
@@ -243,24 +253,41 @@ type HistogramStat struct {
 	Buckets []HistogramBucket `json:"buckets"`
 }
 
-// histoStat builds the snapshot of one histogram; ok is false when it
-// has no observations.
+// histoStat builds the snapshot of one histogram; ok is false, and no
+// buckets are built, when it has no observations.
 func (m *Metrics) histoStat(h Histo) (HistogramStat, bool) {
 	d := &histoDefs[h]
-	hg := &m.histos[h]
-	st := HistogramStat{Name: d.name}
+	counts, total := m.histos[h].load(d)
+	if total == 0 {
+		return HistogramStat{Name: d.name}, false
+	}
+	return d.stat(counts, m.histos[h].sum.Load()), true
+}
+
+// load reads one histogram's per-bucket counts and their total.
+func (hg *histo) load(d *histoDef) (counts [maxHistoBuckets]int64, total int64) {
+	for i := range d.labels {
+		counts[i] = hg.counts[i].Load()
+		total += counts[i]
+	}
+	return counts, total
+}
+
+// stat renders per-bucket counts and a sum, both in recorded units, as
+// a snapshot with cumulative buckets.
+func (d *histoDef) stat(counts [maxHistoBuckets]int64, sum int64) HistogramStat {
+	st := HistogramStat{
+		Name:    d.name,
+		Sum:     float64(sum) / d.div,
+		Buckets: make([]HistogramBucket, len(d.labels)),
+	}
 	var cum int64
-	for i := 0; i <= len(d.bounds); i++ {
-		cum += hg.counts[i].Load()
-		le := "+Inf"
-		if i < len(d.bounds) {
-			le = formatBound(float64(d.bounds[i]) / d.div)
-		}
-		st.Buckets = append(st.Buckets, HistogramBucket{LE: le, Count: cum})
+	for i, le := range d.labels {
+		cum += counts[i]
+		st.Buckets[i] = HistogramBucket{LE: le, Count: cum}
 	}
 	st.Count = cum
-	st.Sum = float64(hg.sum.Load()) / d.div
-	return st, cum > 0
+	return st
 }
 
 // formatBound renders a bucket bound or sum the way Prometheus does:

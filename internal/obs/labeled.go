@@ -253,10 +253,7 @@ func (v *HistogramVec) SeriesCount(labelValues ...string) int64 {
 	if s == nil {
 		return 0
 	}
-	var total int64
-	for i := 0; i <= len(v.def.bounds); i++ {
-		total += s.h.counts[i].Load()
-	}
+	_, total := s.h.load(v.def)
 	return total
 }
 
@@ -342,11 +339,7 @@ func (v *HistogramVec) writeSeries(w *errWriter, name string, exemplars bool) {
 		var cum int64
 		for i, c := range r.counts {
 			cum += c
-			le := "+Inf"
-			if i < len(v.def.bounds) {
-				le = formatBound(float64(v.def.bounds[i]) / v.def.div)
-			}
-			fmt.Fprintf(w, "%s_bucket%s %d", name, labelPairs(v.labels, r.values, "le", le), cum)
+			fmt.Fprintf(w, "%s_bucket%s %d", name, labelPairs(v.labels, r.values, "le", v.def.labels[i]), cum)
 			if r.exs != nil && r.exs[i] != nil {
 				writeExemplar(w, *r.exs[i])
 			}

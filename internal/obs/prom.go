@@ -85,20 +85,14 @@ func (m *Metrics) PrometheusText() string {
 // histoExposition is histoStat without the emptiness filter: scrape
 // output exposes every histogram, observed or not.
 func histoExposition(m *Metrics, h Histo) HistogramStat {
-	if m != nil {
-		st, _ := m.histoStat(h)
-		return st
-	}
 	d := &histoDefs[h]
-	st := HistogramStat{Name: d.name}
-	for i := 0; i <= len(d.bounds); i++ {
-		le := "+Inf"
-		if i < len(d.bounds) {
-			le = formatBound(float64(d.bounds[i]) / d.div)
-		}
-		st.Buckets = append(st.Buckets, HistogramBucket{LE: le})
+	var counts [maxHistoBuckets]int64
+	var sum int64
+	if m != nil {
+		counts, _ = m.histos[h].load(d)
+		sum = m.histos[h].sum.Load()
 	}
-	return st
+	return d.stat(counts, sum)
 }
 
 // counterHelp carries the HELP text per counter, kept alongside the

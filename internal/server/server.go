@@ -440,6 +440,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	var req DecideRequest
 	var queueWait, wall time.Duration
 	ran := false // a decider actually executed (wall is meaningful)
+	// view is the decide's request-scoped metrics: what this decide
+	// recorded, and all its stats report. nil (empty stats) until the
+	// request reaches runDecide.
+	var view *obs.Metrics
 
 	// finish is the single exit: per-tenant labelled metrics, the
 	// structured decision log, the /debug/requests ring record, the
@@ -471,6 +475,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			resp.Trace = &TraceInfo{TraceID: traceID, Spans: spans, Dropped: spansDropped}
 		}
 		resp.QueueWaitMS = float64(queueWait.Nanoseconds()) / 1e6
+		resp.Stats = view.Snapshot()
 		s.requests.Add(RequestRecord{
 			Time:         began,
 			TraceID:      traceID,
@@ -511,7 +516,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	fail := func(status int, kind string, err error) {
 		resp.Kind = kind
 		resp.decorate(err)
-		resp.Stats = s.metrics.Snapshot()
 		finish(status)
 	}
 
@@ -564,12 +568,13 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	// the label set.
 	start := time.Now()
 	var result decideResult
+	view = obs.NewMetrics()
 	pprof.Do(r.Context(), pprof.Labels(
 		"problem", name,
 		"decider", req.Property,
 		"trace_id", traceID,
 	), func(ctx context.Context) {
-		result, err = s.runDecide(ctx, e, &req)
+		result, err = s.runDecide(ctx, e, &req, view)
 	})
 	wall = time.Since(start)
 	ran = true
@@ -589,7 +594,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	resp.Verdict = result.Verdict
 	resp.Counterexample = result.Counterexample
 	resp.CertainAnswers = result.CertainAnswers
-	resp.Stats = s.metrics.Snapshot()
 	finish(http.StatusOK)
 }
 
@@ -623,18 +627,21 @@ func (e *panicError) Error() string {
 	return fmt.Sprintf("decide panicked: %v", e.val)
 }
 
-// runDecide resolves the problem (the shared resident instance, a view
-// of it under a budget override, or a private build for a query
-// override), applies the deadline and dispatches the property.
-func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest) (res decideResult, err error) {
+// runDecide resolves the problem (a view of the shared resident
+// instance, or a private build for a query override), installs the
+// request-scoped metrics view on it, applies the deadline and
+// dispatches the property. Everything the decide records lands in
+// view, which is folded into the server totals when runDecide returns.
+func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest, view *obs.Metrics) (res decideResult, err error) {
+	defer s.metrics.Merge(view)
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicError{val: r, stack: debug.Stack()}
 		}
 	}()
-	p, ci := e.Problem, e.CInstance
-	switch {
-	case req.Query != "":
+	var p *core.Problem
+	ci := e.CInstance
+	if req.Query != "" {
 		// A query override builds a private problem rather than a view:
 		// its constants and variable names would otherwise be interned
 		// into the resident master's interner, which only grows and is
@@ -647,18 +654,11 @@ func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest) (r
 			return res, &badRequestError{msg: err.Error()}
 		}
 		p.Options = req.Budget.apply(p.Options)
-	case req.Budget != nil:
-		p = p.WithOptions(req.Budget.apply(p.Options))
-	}
-	if p != e.Problem {
-		// The overriding problem is private to this request, so it can
-		// carry a per-request metrics instance; the counters it gathers
-		// are folded into the server-wide set when the decide returns.
-		// (The shared resident path keeps writing the server-wide
-		// metrics directly — its Options must not be touched.)
-		reqM := obs.NewMetrics()
-		p.Options.Obs = reqM
-		defer s.metrics.Merge(reqM)
+		p.Options.Obs = view
+	} else {
+		opts := req.Budget.apply(e.Problem.Options)
+		opts.Obs = view
+		p = e.Problem.WithOptions(opts)
 	}
 
 	timeout := s.cfg.DefaultTimeout

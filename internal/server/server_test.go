@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -130,20 +131,25 @@ func TestPutRejectsBadInput(t *testing.T) {
 
 // The decide round trip: decode → decide → encode, verdicts matching
 // the engine's own (see the probe oracle values asserted below), with
-// the stats object carried along like rcheck -json.
+// the stats object carried along like rcheck -json. The stats are the
+// decide's own: its phases are the decider it ran and the deciders
+// that one calls, and the deciders that check candidate models report
+// at least one.
 func TestDecideRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	putOrders(t, ts.URL, "orders")
 
 	cases := []struct {
-		req     DecideRequest
-		verdict bool
+		req          DecideRequest
+		verdict      bool
+		phases       []string // sorted
+		checksModels bool
 	}{
-		{DecideRequest{Property: "rcdp", Model: "strong"}, false},
-		{DecideRequest{Property: "rcdp", Model: "weak"}, false},
-		{DecideRequest{Property: "consistency"}, true},
-		{DecideRequest{Property: "minp", Model: "strong"}, false},
-		{DecideRequest{Property: "rcqp", Model: "strong"}, true},
+		{DecideRequest{Property: "rcdp", Model: "strong"}, false, []string{"rcdp_strong"}, true},
+		{DecideRequest{Property: "rcdp", Model: "weak"}, false, []string{"certain_answers", "rcdp_weak"}, true},
+		{DecideRequest{Property: "consistency"}, true, []string{"consistency"}, true},
+		{DecideRequest{Property: "minp", Model: "strong"}, false, []string{"minp_strong", "rcdp_strong"}, true},
+		{DecideRequest{Property: "rcqp", Model: "strong"}, true, []string{"rcqp"}, false},
 	}
 	for _, c := range cases {
 		resp, dr := decide(t, ts.URL, "orders", c.req)
@@ -156,8 +162,18 @@ func TestDecideRoundTrip(t *testing.T) {
 		if dr.Problem != "orders" || dr.Property != c.req.Property {
 			t.Fatalf("%+v: echo fields wrong: %+v", c.req, dr)
 		}
-		if dr.Stats.Counters["models_checked"] == 0 {
-			t.Fatalf("%+v: stats missing solver counters", c.req)
+		var phases []string
+		for _, ph := range dr.Stats.Phases {
+			if ph.Count != 1 {
+				t.Errorf("%+v: phase %s ran %d times, want once", c.req, ph.Name, ph.Count)
+			}
+			phases = append(phases, ph.Name)
+		}
+		if !reflect.DeepEqual(phases, c.phases) {
+			t.Errorf("%+v: phases %v, want %v", c.req, phases, c.phases)
+		}
+		if c.checksModels && dr.Stats.Counters["models_checked"] < 1 {
+			t.Errorf("%+v: stats missing solver counters: %v", c.req, dr.Stats.Counters)
 		}
 	}
 

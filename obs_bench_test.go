@@ -72,8 +72,10 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkObsHistogram prices one histogram observation: an atomic
-// bucket increment plus a sum add after a short linear bound scan.
+// BenchmarkObsHistogram prices one histogram observation (an atomic
+// bucket increment plus a sum add after a short linear bound scan) and
+// the snapshots built from the histograms: one observed histogram, and
+// the metrics a single decide leaves behind.
 func BenchmarkObsHistogram(b *testing.B) {
 	m := relcomplete.NewMetrics()
 	b.Run("observe", func(b *testing.B) {
@@ -91,6 +93,27 @@ func BenchmarkObsHistogram(b *testing.B) {
 		m.Observe(0, 1)
 		for i := 0; i < b.N; i++ {
 			if st := m.Snapshot(); len(st.Histograms) == 0 {
+				b.Fatal("missing histograms")
+			}
+		}
+	})
+	b.Run("snapshot_decide", func(b *testing.B) {
+		// What a served decide's stats cost: the metrics of one strong
+		// RCDP decide, as the request-scoped view holds them when the
+		// response is built.
+		s := paperex.Reduced()
+		opts := benchCoreOpts()
+		opts.Obs = relcomplete.NewMetrics()
+		p, err := s.Problem(s.Q1, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.RCDP(s.T, core.Strong); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if st := opts.Obs.Snapshot(); len(st.Histograms) == 0 {
 				b.Fatal("missing histograms")
 			}
 		}
