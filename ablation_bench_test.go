@@ -57,12 +57,12 @@ func BenchmarkAblationDisjuncts(b *testing.B) {
 }
 
 func BenchmarkAblationEvaluators(b *testing.B) {
-	// Same positive query across the three evaluator tiers: the compiled
-	// indexed-join plans (the default), the original nested-loop
-	// map-binding evaluator (Options.NaiveJoin), and the body forced
-	// through the FO model checker (wrapped in a double negation:
-	// semantically identical, classified FO). The indexed run compiles
-	// once, as core.Problem does for the decision searches.
+	// Same positive query across the evaluator tiers: the compiled
+	// indexed-join plans, and the body forced through the FO model
+	// checker (wrapped in a double negation: semantically identical,
+	// classified FO). The indexed run compiles once, as core.Problem
+	// does for the decision searches. The nested-loop leg (naive_join)
+	// runs in internal/eval, where that evaluator lives.
 	for _, n := range []int{12, 48} {
 		schema := relation.MustDBSchema(
 			relation.MustSchema("R", relation.Attr("A", nil), relation.Attr("B", nil)),
@@ -81,14 +81,6 @@ func BenchmarkAblationEvaluators(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := plan.Answers(db, eval.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("naive_join/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := eval.Answers(db, positive, eval.Options{NaiveJoin: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -139,8 +131,9 @@ func BenchmarkAblationCandidateCache(b *testing.B) {
 }
 
 func BenchmarkAblationFPEvaluation(b *testing.B) {
-	// Semi-naive versus naive inflational fixpoint on a long chain,
-	// where naive re-derives the whole closure every round.
+	// Semi-naive inflational fixpoint on a long chain. The naive leg,
+	// which re-derives the whole closure every round, runs in
+	// internal/eval, where the naive iteration lives.
 	for _, n := range []int{16, 32, 64} {
 		schema := relation.MustDBSchema(relation.MustSchema("edge",
 			relation.Attr("A", nil), relation.Attr("B", nil)))
@@ -158,13 +151,6 @@ func BenchmarkAblationFPEvaluation(b *testing.B) {
 		b.Run(fmt.Sprintf("seminaive/chain=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eval.FPAnswers(db, prog, eval.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("naive/chain=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eval.FPAnswers(db, prog, eval.Options{NaiveFP: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,7 +12,6 @@ package relcomplete_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"relcomplete/internal/cc"
@@ -28,32 +27,6 @@ import (
 	"relcomplete/internal/workload"
 )
 
-// naiveJoinEnv mirrors rcbench's -naivejoin ablation for the benchmark
-// trajectory: RELCOMPLETE_NAIVEJOIN=1 re-times the suite on the
-// nested-loop evaluator, and cmd/benchjson merges the two runs into
-// BENCH_eval.json to report the indexed-engine speedup.
-var naiveJoinEnv = os.Getenv("RELCOMPLETE_NAIVEJOIN") != ""
-
-// boxedEnv mirrors rcbench's -boxed storage ablation the same way:
-// RELCOMPLETE_BOXED=1 re-times the suite on boxed (non-interned)
-// relation storage, folded into BENCH_eval.json as the interned-vs-
-// boxed dimension.
-var boxedEnv = os.Getenv("RELCOMPLETE_BOXED") != ""
-
-func init() {
-	if boxedEnv {
-		// Gadgets and scenario databases are built before any Options
-		// value exists, so the ablation has to flip the process-wide
-		// storage default too.
-		relation.SetDefaultBoxed(true)
-	}
-}
-
-// benchCoreOpts is the Options value benchmarks start from.
-func benchCoreOpts() core.Options {
-	return core.Options{NaiveJoin: naiveJoinEnv, Boxed: boxedEnv}
-}
-
 // ---------------------------------------------------------------------------
 // E-F1 — Figure 1 and the Examples 1.1–2.3 judgements.
 // ---------------------------------------------------------------------------
@@ -61,7 +34,7 @@ func benchCoreOpts() core.Options {
 func BenchmarkFigure1Scenario(b *testing.B) {
 	b.Run("consistency_full", func(b *testing.B) {
 		s := paperex.Full()
-		p, err := s.Problem(s.Q1, benchCoreOpts())
+		p, err := s.Problem(s.Q1, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +47,7 @@ func BenchmarkFigure1Scenario(b *testing.B) {
 	})
 	b.Run("rcdp_strong_Q1_reduced", func(b *testing.B) {
 		s := paperex.Reduced()
-		p, err := s.Problem(s.Q1, benchCoreOpts())
+		p, err := s.Problem(s.Q1, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +86,7 @@ func BenchmarkFigure2SATEncoding(b *testing.B) {
 				}
 				kids := append(br.AssignmentAtoms(varNames), atoms...)
 				q := query.MustQuery("Qpsi", []query.Term{query.V(w)}, query.Conj(kids...))
-				if _, err := eval.Answers(db, q, eval.Options{NaiveJoin: naiveJoinEnv}); err != nil {
+				if _, err := eval.Answers(db, q, eval.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -134,7 +107,6 @@ func BenchmarkConsistency3SAT(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.Problem.Options.NaiveJoin = naiveJoinEnv
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := g.ConsistencyHolds(); err != nil {
@@ -153,7 +125,6 @@ func BenchmarkExtensibility3SAT(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.Problem.Options.NaiveJoin = naiveJoinEnv
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := g.ExtensibilityHolds(); err != nil {
@@ -176,7 +147,6 @@ func benchEFEGadget(b *testing.B, nY int, run func(g *reduction.WeakRCDPGadget) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	g.Problem.Options.NaiveJoin = naiveJoinEnv
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := run(g); err != nil {
@@ -204,7 +174,6 @@ func BenchmarkRCDPViable3SAT(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.Problem.Options.NaiveJoin = naiveJoinEnv
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := g.RCDPViableHolds(); err != nil {
@@ -229,7 +198,7 @@ func BenchmarkRCDPStrongPatient(b *testing.B) {
 					query.C("LON"), query.C("2000"),
 				}})
 			}
-			p, err := s.Problem(s.Q1, benchCoreOpts())
+			p, err := s.Problem(s.Q1, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -256,7 +225,6 @@ func BenchmarkRCDPWeakFP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.Problem.Options.NaiveJoin = naiveJoinEnv
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ok, err := g.WeaklyComplete()
@@ -281,7 +249,6 @@ func BenchmarkMINPStrong3SAT(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.Problem.Options.NaiveJoin = naiveJoinEnv
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := g.MINPStrongHolds(); err != nil {
@@ -295,7 +262,6 @@ func BenchmarkMINPStrong3SAT(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.Problem.Options.NaiveJoin = naiveJoinEnv
 			// Ground the c-instance at one model: the Dp2 case.
 			db, err := g.Problem.AnyModel(g.T)
 			if err != nil || db == nil {
@@ -323,7 +289,6 @@ func BenchmarkMINPWeakCQ(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.Problem.Options.NaiveJoin = naiveJoinEnv
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := g.MinimalWeaklyComplete(); err != nil {
@@ -337,9 +302,9 @@ func BenchmarkMINPWeakCQ(b *testing.B) {
 func BenchmarkMINPWeakUCQ(b *testing.B) {
 	// Generic weak MINP (2^rows subset checks, each a Πp3 weak check)
 	// on a UCQ over the bounded-order scenario.
-	s := workload.NewBoundedScenario(3, benchCoreOpts())
+	s := workload.NewBoundedScenario(3, core.Options{})
 	q := query.MustParseQuery("Q(i) := Order(i, '1') | Order(i, '2')")
-	p := core.MustProblem(s.Schema, core.CalcQuery(q), s.Dm, s.CCs, benchCoreOpts())
+	p := core.MustProblem(s.Schema, core.CalcQuery(q), s.Dm, s.CCs, core.Options{})
 	for _, rows := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			ci := s.Instance(rows, 0, int64(rows))
@@ -359,7 +324,6 @@ func BenchmarkMINPViable3SAT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g.Problem.Options.NaiveJoin = naiveJoinEnv
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := g.MINPViableHolds(); err != nil {
@@ -384,7 +348,7 @@ func BenchmarkRCQPStrong(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := core.MustProblem(s.Data, core.CalcQuery(s.Q1), s.Dm, c, benchCoreOpts())
+		p := core.MustProblem(s.Data, core.CalcQuery(s.Q1), s.Dm, c, core.Options{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := p.RCQP(core.Strong); err != nil {
@@ -410,7 +374,7 @@ func BenchmarkRCQPStrong(b *testing.B) {
 func BenchmarkRCQPWeakConstruct(b *testing.B) {
 	for _, catalogue := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("catalogue=%d", catalogue), func(b *testing.B) {
-			s := workload.NewBoundedScenario(catalogue, benchCoreOpts())
+			s := workload.NewBoundedScenario(catalogue, core.Options{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Problem.ConstructWeaklyComplete(); err != nil {
@@ -428,7 +392,7 @@ func BenchmarkRCQPWeakConstruct(b *testing.B) {
 func BenchmarkUndecidableDispatch(b *testing.B) {
 	schema := relation.MustDBSchema(relation.MustSchema("R", relation.Attr("A", nil)))
 	p := core.MustProblem(schema,
-		core.CalcQuery(query.MustParseQuery("Q(x) := ! R(x)")), nil, nil, benchCoreOpts())
+		core.CalcQuery(query.MustParseQuery("Q(x) := ! R(x)")), nil, nil, core.Options{})
 	ci := ctable.NewCInstance(schema)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -444,7 +408,7 @@ func BenchmarkUndecidableDispatch(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkTractableRCDP(b *testing.B) {
-	s := workload.NewBoundedScenario(4, benchCoreOpts())
+	s := workload.NewBoundedScenario(4, core.Options{})
 	for _, m := range []core.Model{core.Strong, core.Weak, core.Viable} {
 		for _, rows := range []int{4, 8, 16, 32} {
 			b.Run(fmt.Sprintf("%v/rows=%d", m, rows), func(b *testing.B) {
@@ -468,7 +432,7 @@ func BenchmarkTractableRCQPIND(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := core.MustProblem(s.Data, core.CalcQuery(s.Q1), s.Dm, ccSet, benchCoreOpts())
+	p := core.MustProblem(s.Data, core.CalcQuery(s.Q1), s.Dm, ccSet, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tractable.RCQP(p, core.Strong); err != nil {
@@ -478,7 +442,7 @@ func BenchmarkTractableRCQPIND(b *testing.B) {
 }
 
 func BenchmarkTractableMINP(b *testing.B) {
-	s := workload.NewBoundedScenario(3, benchCoreOpts())
+	s := workload.NewBoundedScenario(3, core.Options{})
 	for _, rows := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			ci := s.Instance(rows, 1, int64(rows))

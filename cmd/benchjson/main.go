@@ -1,18 +1,16 @@
 // Command benchjson converts `go test -bench -benchmem` output into the
 // committed benchmark-trajectory artifact BENCH_eval.json: ns/op,
-// B/op and allocs/op per benchmark, for one or more labelled runs of
-// the same suite. When both an "indexed" and a "naive_join" run are
-// given, each benchmark additionally reports the speedup of the
-// compiled indexed-join engine over the nested-loop baseline; an
-// "indexed" plus "boxed" pair likewise reports the interned-storage
-// speedup over the boxed oracle representation.
+// B/op and allocs/op per benchmark, for one or more labelled runs.
+// Files given under the same label merge, so the bench output of
+// several packages folds into one run. An ablation compares its legs
+// as sibling sub-benchmarks of one run; the nested-loop and naive
+// fixpoint legs run in internal/eval, where those evaluators live.
 //
 // Usage:
 //
 //	go test -run xxx -bench . -benchmem . > indexed.txt
-//	RELCOMPLETE_NAIVEJOIN=1 go test -run xxx -bench . -benchmem . > naive.txt
-//	RELCOMPLETE_BOXED=1 go test -run xxx -bench . -benchmem . > boxed.txt
-//	go run ./cmd/benchjson -o BENCH_eval.json indexed=indexed.txt naive_join=naive.txt boxed=boxed.txt
+//	go test -run xxx -bench . -benchmem ./internal/eval > eval.txt
+//	go run ./cmd/benchjson -o BENCH_eval.json indexed=indexed.txt indexed=eval.txt
 //
 // With -warn OLD.json the freshly parsed runs are additionally compared
 // against a committed trajectory artifact: any benchmark whose ns/op or
@@ -22,7 +20,7 @@
 // advisory (warn-only) by design.
 //
 // Absolute numbers are machine-specific; the artifact's claim is the
-// trajectory — the ratios between labelled runs and between commits.
+// trajectory — the ratios between ablation legs and between commits.
 package main
 
 import (
@@ -31,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -48,13 +45,6 @@ type metrics struct {
 // entry groups the labelled runs of one benchmark.
 type entry struct {
 	Runs map[string]*metrics `json:"runs"`
-	// Speedup is naive_join ns/op over indexed ns/op, when both runs
-	// are present.
-	Speedup float64 `json:"speedup_naive_over_indexed,omitempty"`
-	// SpeedupBoxed is boxed ns/op over indexed ns/op — the interned
-	// storage layer's win over the boxed oracle — when both runs are
-	// present.
-	SpeedupBoxed float64 `json:"speedup_boxed_over_interned,omitempty"`
 }
 
 type report struct {
@@ -109,15 +99,6 @@ func run(args []string, stdout io.Writer) error {
 				rep.Benchmarks[name] = e
 			}
 			e.Runs[label] = m
-		}
-	}
-	for _, e := range rep.Benchmarks {
-		idx, naive := e.Runs["indexed"], e.Runs["naive_join"]
-		if idx != nil && naive != nil && idx.NsPerOp > 0 {
-			e.Speedup = math.Round(naive.NsPerOp/idx.NsPerOp*100) / 100
-		}
-		if boxed := e.Runs["boxed"]; idx != nil && boxed != nil && idx.NsPerOp > 0 {
-			e.SpeedupBoxed = math.Round(boxed.NsPerOp/idx.NsPerOp*100) / 100
 		}
 	}
 	if *warnAgainst != "" {

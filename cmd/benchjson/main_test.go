@@ -19,7 +19,12 @@ PASS
 ok  	relcomplete	3.141s
 `
 
-const sampleNaive = `BenchmarkConsistency3SAT/forall=1-8         	     200	   5000000 ns/op	 2400000 B/op	   45000 allocs/op
+// sampleEval is a second package's output, folded under the same label.
+const sampleEval = `pkg: relcomplete/internal/eval
+BenchmarkAblationEvaluators/naive_join/n=12-8         	   20000	     74362 ns/op	   17756 B/op	     225 allocs/op
+`
+
+const sampleRepeat = `BenchmarkConsistency3SAT/forall=1-8         	     200	   5000000 ns/op	 2400000 B/op	   45000 allocs/op
 BenchmarkConsistency3SAT/forall=2-8         	     100	  12000000 ns/op	 5000000 B/op	   90000 allocs/op
 `
 
@@ -65,38 +70,43 @@ func TestTrimProcSuffix(t *testing.T) {
 	}
 }
 
-func TestRunMergesAndComputesSpeedup(t *testing.T) {
+// Files under one label merge into one run; a second label adds a run
+// beside it, and the artifact carries nothing but the runs.
+func TestRunMergesLabelledRuns(t *testing.T) {
 	dir := t.TempDir()
-	idx := filepath.Join(dir, "indexed.txt")
-	nv := filepath.Join(dir, "naive.txt")
+	files := map[string]string{"indexed.txt": sampleIndexed, "eval.txt": sampleEval, "repeat.txt": sampleRepeat}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	out := filepath.Join(dir, "BENCH_eval.json")
-	if err := os.WriteFile(idx, []byte(sampleIndexed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(nv, []byte(sampleNaive), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-o", out, "indexed=" + idx, "naive_join=" + nv}, nil); err != nil {
+	args := []string{"-o", out, "indexed=" + filepath.Join(dir, "indexed.txt"),
+		"indexed=" + filepath.Join(dir, "eval.txt"), "repeat=" + filepath.Join(dir, "repeat.txt")}
+	if err := run(args, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if strings.Contains(string(raw), "speedup") {
+		t.Fatalf("artifact carries a speedup field:\n%s", raw)
+	}
 	var rep report
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
 	e := rep.Benchmarks["BenchmarkConsistency3SAT/forall=1"]
-	if e == nil || e.Runs["indexed"] == nil || e.Runs["naive_join"] == nil {
+	if e == nil || e.Runs["indexed"].NsPerOp != 500000 || e.Runs["repeat"].NsPerOp != 5000000 {
 		t.Fatalf("missing merged entry: %+v", rep.Benchmarks)
 	}
-	if e.Speedup != 10 {
-		t.Fatalf("speedup = %v, want 10", e.Speedup)
+	ev := rep.Benchmarks["BenchmarkAblationEvaluators/naive_join/n=12"]
+	if ev == nil || len(ev.Runs) != 1 || ev.Runs["indexed"].AllocsPerOp != 225 {
+		t.Fatalf("second package not folded under its label: %+v", ev)
 	}
-	// The key-encoder benchmark has no naive run: no speedup reported.
-	if k := rep.Benchmarks["BenchmarkTupleKeyAppend"]; k.Speedup != 0 {
-		t.Fatalf("unexpected speedup on single-run benchmark: %v", k.Speedup)
+	if k := rep.Benchmarks["BenchmarkTupleKeyAppend"]; k == nil || len(k.Runs) != 1 {
+		t.Fatalf("single-run benchmark: %+v", k)
 	}
 }
 

@@ -13,8 +13,6 @@
 //	rcbench -quick              # reduced sizes
 //	rcbench -run MINP           # only experiments whose id contains "MINP"
 //	rcbench -workers 8          # worker count for the candidate searches
-//	rcbench -naivejoin          # ablation: nested-loop joins instead of compiled plans
-//	rcbench -boxed              # ablation: boxed relation storage instead of interned ids
 //	rcbench -cpuprofile cpu.pb  # write a pprof CPU profile of the sweep
 //	rcbench -memprofile mem.pb  # write a pprof heap profile at exit
 //	rcbench -trace              # stream the decision trace to stderr
@@ -70,20 +68,18 @@ type experiment struct {
 	runFn func(quick bool) ([]row, error)
 }
 
-// workersFlag and naiveJoinFlag hold the -workers and -naivejoin values
-// for the current run; every experiment builds its Problem from
-// benchOpts so the settings reach the deciders. benchMetrics and the
+// workersFlag and slowOpFlag hold the -workers and -slowlog values for
+// the current run; every experiment builds its Problem from benchOpts
+// so the settings reach the deciders. benchMetrics and the
 // benchRing flight recorder are always attached (both are cheap);
 // benchTracer is the flight-recorder tracer, upgraded to a verbose
 // teed tracer under -trace.
 var (
-	workersFlag   int
-	naiveJoinFlag bool
-	boxedFlag     bool
-	slowOpFlag    time.Duration
-	benchMetrics  = obs.NewMetrics()
-	benchRing     = obs.NewRingSink(obs.DefaultRingSize)
-	benchTracer   = obs.NewFlightTracer(benchRing)
+	workersFlag  int
+	slowOpFlag   time.Duration
+	benchMetrics = obs.NewMetrics()
+	benchRing    = obs.NewRingSink(obs.DefaultRingSize)
+	benchTracer  = obs.NewFlightTracer(benchRing)
 	// benchProfiles is the sweep-wide plan-profile registry: experiments
 	// build transient problems, so the shared registry (via
 	// Options.Profiles) is what lets -http's /debug/plans rank plans
@@ -98,8 +94,8 @@ var (
 // benchOpts is the Options value each experiment starts from.
 func benchOpts() core.Options {
 	return core.Options{
-		Parallelism: workersFlag, NaiveJoin: naiveJoinFlag, Boxed: boxedFlag,
-		Obs: benchMetrics, Trace: benchTracer, Profiles: benchProfiles,
+		Parallelism: workersFlag,
+		Obs:         benchMetrics, Trace: benchTracer, Profiles: benchProfiles,
 		FlightRecorder: benchRing, SlowOpThreshold: slowOpFlag,
 	}
 }
@@ -107,8 +103,6 @@ func benchOpts() core.Options {
 // applyBenchOpts pushes the run-wide flags into a gadget-built Problem.
 func applyBenchOpts(o *core.Options) {
 	o.Parallelism = workersFlag
-	o.NaiveJoin = naiveJoinFlag
-	o.Boxed = boxedFlag
 	o.Obs = benchMetrics
 	o.Trace = benchTracer
 	o.Profiles = benchProfiles
@@ -121,8 +115,6 @@ func run(args []string, out io.Writer) error {
 	quick := fs.Bool("quick", false, "reduced sizes")
 	filter := fs.String("run", "", "only experiments whose id contains this substring")
 	workers := fs.Int("workers", 0, "worker count for the parallel candidate searches (0 = GOMAXPROCS, 1 = sequential)")
-	naiveJoin := fs.Bool("naivejoin", false, "ablation: evaluate with the nested-loop evaluator instead of compiled indexed plans")
-	boxed := fs.Bool("boxed", false, "ablation: boxed (non-interned) relation storage instead of interned ids")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	trace := fs.Bool("trace", false, "stream the decision trace of every experiment to stderr")
@@ -134,9 +126,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	workersFlag = *workers
-	naiveJoinFlag = *naiveJoin
-	boxedFlag = *boxed
-	relation.SetDefaultBoxed(boxedFlag) // gadget construction happens before Options reach a Problem
 	slowOpFlag = *slowlog
 	benchCtx = context.Background()
 	if *timeout > 0 {
@@ -682,7 +671,7 @@ func runRCQPStrong(quick bool) ([]row, error) {
 	rows = append(rows, r)
 
 	// Bounded witness search with the Figure 1 CC set.
-	pSearch, err := s.Problem(s.Q1, core.Options{RCQPSizeBound: 1, Parallelism: workersFlag, NaiveJoin: naiveJoinFlag})
+	pSearch, err := s.Problem(s.Q1, core.Options{RCQPSizeBound: 1, Parallelism: workersFlag})
 	if err != nil {
 		return nil, err
 	}

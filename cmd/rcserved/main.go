@@ -113,7 +113,6 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal, ready chan<- st
 	defaultTimeout := fs.Duration("default-timeout", 30*time.Second, "decide deadline when the request sets no timeout_ms")
 	maxTimeout := fs.Duration("max-timeout", 5*time.Minute, "upper bound on a request's timeout_ms")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "SIGTERM: how long in-flight decisions may run before hard close")
-	boxed := fs.Bool("boxed", false, "ablation: boxed (non-interned) relation storage for loaded problems")
 	slowlog := fs.Duration("slowlog", 0, "dump the flight recorder to stderr when one decider call exceeds this (0 = off)")
 	traceExport := fs.String("trace-export", "", "export finished request spans: a file path gets one JSON span per line, an http(s):// URL POSTs OTLP/HTTP JSON")
 	dataDir := fs.String("data-dir", "", "durable registry state: write-ahead log + snapshots in this directory, replayed on boot (empty = in-memory only)")
@@ -135,8 +134,7 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal, ready chan<- st
 	// decision logs, eviction/overload warnings, lifecycle messages.
 	logger := slog.New(slog.NewJSONHandler(stderr, nil))
 	metrics := obs.NewMetrics()
-	relation.SetMetrics(metrics)     // index counters live behind a process-global hook
-	relation.SetDefaultBoxed(*boxed) // storage ablation, set before any document builds
+	relation.SetMetrics(metrics) // index counters live behind a process-global hook
 	maxResident := *maxResidentMB
 	if maxResident > 0 {
 		maxResident <<= 20

@@ -133,7 +133,7 @@ func MustParse(name, left, right string) *Constraint {
 // membership is a probe of the master instance itself.
 func (c *Constraint) Satisfied(db, master *relation.Database, opts eval.Options) (bool, error) {
 	lp, rp, identity := c.plans(opts)
-	if opts.NaiveJoin || lp == nil || rp == nil {
+	if lp == nil || rp == nil {
 		return c.satisfiedNaive(db, master, opts)
 	}
 	// p(Dm) is materialised lazily, on the first q-tuple: an empty left
@@ -178,8 +178,9 @@ func (c *Constraint) Satisfied(db, master *relation.Database, opts eval.Options)
 	return ok, nil
 }
 
-// satisfiedNaive is the original materialise-both-sides check, kept as
-// the NaiveJoin oracle and the fallback for uncompilable sides.
+// satisfiedNaive is the original materialise-both-sides check: the
+// fallback for uncompilable sides, and the reference the streaming
+// check is tested against.
 func (c *Constraint) satisfiedNaive(db, master *relation.Database, opts eval.Options) (bool, error) {
 	lhs, err := eval.Answers(db, c.Left, opts)
 	if err != nil {

@@ -263,7 +263,8 @@ func TestConstraintErrorPropagation(t *testing.T) {
 
 // Right sides of the form p(x̄) := Rm(x̄) are checked by probing the
 // master instance; every other shape keeps the memoised p(Dm) set. Each
-// must agree with the NaiveJoin oracle on every data instance.
+// must agree with the materialise-both-sides check on every data
+// instance.
 func TestIdentityProjectionAgreesWithNaive(t *testing.T) {
 	cases := []struct {
 		left, right string
@@ -307,7 +308,7 @@ func TestIdentityProjectionAgreesWithNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := c.Satisfied(db, f.dm, eval.Options{NaiveJoin: true})
+			want, err := c.satisfiedNaive(db, f.dm, eval.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -196,19 +196,6 @@ type Options struct {
 	// stated. The default (typed) is exact; the flag exists for the
 	// differential test-suite and the ablation benchmark.
 	NoTypedDomains bool
-	// NaiveJoin evaluates queries and CCs with the original
-	// nested-loop map-binding evaluator instead of the compiled
-	// indexed-join plans. It is the differential-testing oracle and the
-	// ablation baseline; verdicts are identical either way.
-	NaiveJoin bool
-	// Boxed rebuilds the master data with boxed (non-interned) relation
-	// storage, so every candidate instance derived from it inherits the
-	// original boxed representation instead of the interned id-based
-	// one. Like NaiveJoin it is a differential-testing oracle and
-	// ablation baseline; verdicts are identical either way. The
-	// process-wide relation.SetDefaultBoxed covers instances built
-	// outside the problem (rcbench -boxed sets both).
-	Boxed bool
 	// Parallelism is the worker count for the candidate searches
 	// (counterexample, witness and certain-answer enumerations). 0
 	// defaults to runtime.GOMAXPROCS(0); 1 forces the exact sequential
@@ -338,12 +325,10 @@ type domainsKey struct {
 // tableaux, domains, lattices, closure verdicts and plan profiles — so
 // it costs one allocation and starts as warm as p. Budgets,
 // parallelism, observability and fault injection come from opts; the
-// fields that shape the shared state (NoTypedDomains, NaiveJoin and
-// Boxed) stay p's. p and its views may decide concurrently.
+// field that shapes the shared state, NoTypedDomains, stays p's. p and
+// its views may decide concurrently.
 func (p *Problem) WithOptions(opts Options) *Problem {
 	opts.NoTypedDomains = p.Options.NoTypedDomains
-	opts.NaiveJoin = p.Options.NaiveJoin
-	opts.Boxed = p.Options.Boxed
 	v := *p
 	v.Options = opts
 	return &v
@@ -378,9 +363,6 @@ func NewProblem(schema *relation.DBSchema, q Qry, master *relation.Database, ccs
 		// An absent master data instance is the fully open-world case.
 		master = relation.NewDatabase(relation.MustDBSchema())
 	}
-	if opts.Boxed && !master.Boxed() {
-		master = master.CloneBoxed()
-	}
 	return &Problem{Schema: schema, Query: q, Master: master, CCs: ccs, Options: opts, memo: &memo{}}, nil
 }
 
@@ -395,8 +377,7 @@ func MustProblem(schema *relation.DBSchema, q Qry, master *relation.Database, cc
 
 // evalOpts builds the evaluation options used throughout.
 func (p *Problem) evalOpts() eval.Options {
-	o := eval.Options{MaxDerived: p.Options.MaxDerived, NaiveJoin: p.Options.NaiveJoin,
-		Obs: p.Options.Obs, Fault: p.Options.FaultPlan}
+	o := eval.Options{MaxDerived: p.Options.MaxDerived, Obs: p.Options.Obs, Fault: p.Options.FaultPlan}
 	if p.Options.Obs != nil {
 		if p.Options.Profiles != nil {
 			o.Profiles = p.Options.Profiles
@@ -502,12 +483,12 @@ func (p *Problem) span(ctx context.Context, name string) (context.Context, func(
 
 // queryPlan returns the compiled plan for the problem's calculus query,
 // compiling it on first use. It returns nil when the query is outside
-// the compiled fragment (FP, full FO) or NaiveJoin is requested; the
-// caller then takes the generic eval path. Safe for concurrent use: the
-// deciders evaluate the same query on thousands of candidate databases
-// from worker goroutines, and compiling once is the point of plans.
+// the compiled fragment (FP, full FO); the caller then takes the
+// generic eval path. Safe for concurrent use: the deciders evaluate the
+// same query on thousands of candidate databases from worker
+// goroutines, and compiling once is the point of plans.
 func (p *Problem) queryPlan() *eval.Plan {
-	if p.Options.NaiveJoin || p.Query.Calc == nil || !query.IsPositiveExistential(p.Query.Calc) {
+	if p.Query.Calc == nil || !query.IsPositiveExistential(p.Query.Calc) {
 		return nil
 	}
 	m := p.memo
@@ -534,35 +515,6 @@ func (p *Problem) answers(ctx context.Context, db *relation.Database) ([]relatio
 		return plan.Answers(db, p.evalOptsCtx(ctx))
 	}
 	return eval.Answers(db, p.Query.Calc, p.evalOptsCtx(ctx))
-}
-
-// sameAnswers reports whether Q agrees on two databases.
-func (p *Problem) sameAnswers(ctx context.Context, db1, db2 *relation.Database) (bool, error) {
-	a1, err := p.answers(ctx, db1)
-	if err != nil {
-		return false, err
-	}
-	a2, err := p.answers(ctx, db2)
-	if err != nil {
-		return false, err
-	}
-	return equalTupleSets(a1, a2), nil
-}
-
-func equalTupleSets(a, b []relation.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[string]bool, len(a))
-	for _, t := range a {
-		seen[t.Key()] = true
-	}
-	for _, t := range b {
-		if !seen[t.Key()] {
-			return false
-		}
-	}
-	return true
 }
 
 // diffTuples returns the tuples of b missing from a, sorted.

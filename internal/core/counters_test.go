@@ -33,33 +33,46 @@ const counterDoc = `{
     {"rel": "Order", "terms": ["?y", "4"]}]}
 }`
 
-// TestDecideCountersPinned pins the exact values of the counters the
-// candidate enumeration feeds, for one fixed sequential decide per
-// property on counterDoc. The relation-layer counters count every
-// intern call of the decide after the problem is built: candidates,
-// extensions and probe databases. A candidate starts from its
-// c-instance's ground prefix, interned once on the first Apply, so
-// intern_hits grows by the variable rows per candidate, not by every
-// row: building every candidate row by row made six more intern calls
-// (the prefix's three rows of two values) for each valuation after the
-// first, 79 and 484 hits instead of 31 and 196.
+// pinnedCounters lists the counters TestDecideCountersPinned asserts,
+// in the order of each case's want.
+var pinnedCounters = []string{
+	"valuations_enumerated", "models_checked", "models_admitted",
+	"extensions_tested", "counterexamples_found", "cc_checks", "cc_violations",
+	"plan_compilations", "plan_runs", "naive_evaluations",
+	"index_builds", "index_probes", "values_interned", "intern_hits",
+}
+
+// TestDecideCountersPinned pins the exact values of the solver, eval
+// and relation counters for one fixed sequential decide per property
+// on counterDoc. The index counters count the hash indexes the decide
+// builds and probes on candidates, extensions and probe databases.
+// values_interned and intern_hits are retired and must stay 0.
 func TestDecideCountersPinned(t *testing.T) {
-	type counts struct {
-		valuations, checked, admitted, interned, hits int64
-	}
 	cases := []struct {
 		property string
 		decide   func(p *core.Problem, ci *ctable.CInstance) error
-		want     counts
+		want     []int64 // in pinnedCounters order
 	}{
 		{"consistency", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.Consistent(ci)
 			return err
-		}, counts{valuations: 9, checked: 8, admitted: 1, interned: 11, hits: 31}},
+		}, []int64{9, 8, 1, 0, 0, 8, 7, 2, 8, 0, 0, 0, 0, 0}},
 		{"rcdp_strong", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.RCDP(ci, core.Strong)
 			return err
-		}, counts{valuations: 49, checked: 28, admitted: 3, interned: 18, hits: 196}},
+		}, []int64{49, 28, 3, 0, 0, 34, 31, 3, 37, 0, 3, 3, 0, 0}},
+		{"rcdp_weak", func(p *core.Problem, ci *ctable.CInstance) error {
+			_, err := p.RCDP(ci, core.Weak)
+			return err
+		}, []int64{22, 20, 2, 9, 0, 29, 26, 3, 31, 0, 2, 2, 0, 0}},
+		{"extensibility", func(p *core.Problem, ci *ctable.CInstance) error {
+			db, err := p.AnyModel(ci)
+			if err != nil {
+				return err
+			}
+			_, err = p.Extensible(db)
+			return err
+		}, []int64{9, 8, 1, 9, 0, 17, 15, 2, 17, 0, 0, 0, 0, 0}},
 	}
 	for _, c := range cases {
 		t.Run(c.property, func(t *testing.T) {
@@ -76,10 +89,10 @@ func TestDecideCountersPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := m.Snapshot().Counters
-			got := counts{st["valuations_enumerated"], st["models_checked"], st["models_admitted"],
-				st["values_interned"], st["intern_hits"]}
-			if got != c.want {
-				t.Errorf("counters %+v, want %+v", got, c.want)
+			for i, name := range pinnedCounters {
+				if st[name] != c.want[i] {
+					t.Errorf("%s = %d, want %d", name, st[name], c.want[i])
+				}
 			}
 		})
 	}

@@ -212,7 +212,7 @@ func (p *Problem) factsToDatabase(tab *query.Tableau, mu ctable.Valuation) (*rel
 	if err != nil {
 		return nil, false, err
 	}
-	db := relation.NewDatabaseWith(p.Schema, p.Master.Interner())
+	db := relation.NewDatabase(p.Schema)
 	for _, f := range facts {
 		rel := p.Schema.Relation(f.Rel)
 		if rel == nil {
@@ -323,7 +323,7 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 		}
 		return false, nil
 	}
-	empty := relation.NewDatabaseWith(p.Schema, p.Master.Interner())
+	empty := relation.NewDatabase(p.Schema)
 	ok, err := check(ctx, empty)
 	if err != nil {
 		return false, g.wrap(err)

@@ -299,3 +299,32 @@ func (p *Problem) referenceWeakComplete(ctx context.Context, ci *ctable.CInstanc
 	}
 	return false, fmt.Errorf("reference weak completeness for FO: %w", ErrUndecidable)
 }
+
+// sameAnswers reports whether Q agrees on two databases.
+func (p *Problem) sameAnswers(ctx context.Context, db1, db2 *relation.Database) (bool, error) {
+	a1, err := p.answers(ctx, db1)
+	if err != nil {
+		return false, err
+	}
+	a2, err := p.answers(ctx, db2)
+	if err != nil {
+		return false, err
+	}
+	return equalTupleSets(a1, a2), nil
+}
+
+func equalTupleSets(a, b []relation.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	seen := make(map[string]bool, len(a))
+	for _, t := range a {
+		seen[t.Key()] = true
+	}
+	for _, t := range b {
+		if !seen[t.Key()] {
+			return false
+		}
+	}
+	return true
+}

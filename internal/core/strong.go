@@ -235,7 +235,7 @@ func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d 
 	if m.closure == nil {
 		m.closure = map[string]bool{}
 	}
-	probe := relation.NewDatabaseWith(p.Schema, p.Master.Interner())
+	probe := relation.NewDatabase(p.Schema)
 	var out atomCands
 	keyBuf := make([]byte, 0, 64)
 	err := p.pinnedLatticeOver(ctx, r, d, pins, func(t relation.Tuple) error {

@@ -447,7 +447,7 @@ func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (_ *relation.D
 	if err != nil {
 		return nil, err
 	}
-	db := relation.NewDatabaseWith(p.Schema, p.Master.Interner())
+	db := relation.NewDatabase(p.Schema)
 	// Greedy maximality: a tuple rejected now stays rejected forever
 	// because CC violation is monotone in the data.
 	for _, r := range p.Schema.Relations() {

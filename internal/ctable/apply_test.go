@@ -3,6 +3,7 @@ package ctable
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -21,13 +22,31 @@ func genSchema() *relation.DBSchema {
 	)
 }
 
+// forEachValueMode runs fn twice. With boxed=false every constant and
+// valuation value the test builds is drawn from genValues, so equal
+// values share one string; with boxed=true val copies each into an
+// allocation of its own, so a valuation's value and a ground row's equal
+// constant share no memory. Apply must build the same models either way.
+func forEachValueMode(t *testing.T, fn func(t *testing.T, val func(relation.Value) relation.Value)) {
+	for _, boxed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("boxed=%v", boxed), func(t *testing.T) {
+			val := func(v relation.Value) relation.Value { return v }
+			if boxed {
+				val = func(v relation.Value) relation.Value { return relation.Value(strings.Clone(string(v))) }
+			}
+			fn(t, val)
+		})
+	}
+}
+
 // genCInstance draws a c-instance over genSchema mixing ground rows,
 // variable rows, rows with variable and with constant-only conditions
 // (true and false), and duplicates of earlier rows. Each table starts
-// with a run of ground rows of random length, possibly empty.
-func genCInstance(rng *rand.Rand) *CInstance {
+// with a run of ground rows of random length, possibly empty. Every
+// constant is passed through val.
+func genCInstance(rng *rand.Rand, val func(relation.Value) relation.Value) *CInstance {
 	ci := NewCInstance(genSchema())
-	pick := func() query.Term { return query.C(genValues[rng.Intn(len(genValues))]) }
+	pick := func() query.Term { return query.C(val(genValues[rng.Intn(len(genValues))])) }
 	constCond := func() Condition {
 		return Cond(CEq(pick(), pick())) // true or false, no variable
 	}
@@ -68,13 +87,14 @@ func genCInstance(rng *rand.Rand) *CInstance {
 	return ci
 }
 
-// allValuations lists every assignment of x, y, z over genValues.
-func allValuations() []Valuation {
+// allValuations lists every assignment of x, y, z over genValues, each
+// value passed through val.
+func allValuations(val func(relation.Value) relation.Value) []Valuation {
 	var out []Valuation
 	for _, x := range genValues {
 		for _, y := range genValues {
 			for _, z := range genValues {
-				out = append(out, Valuation{"x": x, "y": y, "z": z})
+				out = append(out, Valuation{"x": val(x), "y": val(y), "z": val(z)})
 			}
 		}
 	}
@@ -82,17 +102,12 @@ func allValuations() []Valuation {
 }
 
 // rowByRow is µ(T) built the way Apply built it before ground prefixes:
-// every row applied in order into a fresh instance on the c-instance's
-// apply interner.
+// every row applied in order into a fresh instance.
 func rowByRow(t *testing.T, ci *CInstance, mu Valuation) *relation.Database {
 	t.Helper()
-	it := ci.applyInterner()
-	db := relation.NewDatabaseWith(ci.schema, it)
+	db := relation.NewDatabase(ci.schema)
 	for _, r := range ci.schema.Relations() {
 		inst := relation.NewInstance(r)
-		if it != nil {
-			inst = relation.NewInternedInstance(r, it)
-		}
 		tbl := ci.tables[r.Name]
 		if err := tbl.applyRows(inst, tbl.rows, mu); err != nil {
 			t.Fatal(err)
@@ -104,8 +119,8 @@ func rowByRow(t *testing.T, ci *CInstance, mu Valuation) *relation.Database {
 
 // sameBuild checks that got holds want's tuples in want's order, and
 // that the storage derived from the rows agrees: membership, the
-// resident-bytes charge, per-position statistics and, through
-// full-width index probes, the id image of every row.
+// resident-bytes charge, per-position statistics and full-width index
+// probes for every row.
 func sameBuild(t *testing.T, what string, got, want *relation.Database) {
 	t.Helper()
 	for _, r := range want.Schema().Relations() {
@@ -144,9 +159,9 @@ func sameBuild(t *testing.T, what string, got, want *relation.Database) {
 // checkApplyEquivalence compares Apply and ApplyKeyed with the
 // row-by-row build for every valuation, and checks that keys are equal
 // exactly when the databases are.
-func checkApplyEquivalence(t *testing.T, ci *CInstance, label string) {
+func checkApplyEquivalence(t *testing.T, ci *CInstance, label string, val func(relation.Value) relation.Value) {
 	t.Helper()
-	mus := allValuations()
+	mus := allValuations(val)
 	dbs := make([]*relation.Database, len(mus))
 	keys := make([]string, len(mus))
 	for i, mu := range mus {
@@ -173,35 +188,24 @@ func checkApplyEquivalence(t *testing.T, ci *CInstance, label string) {
 	}
 }
 
-func forEachStorage(t *testing.T, fn func(t *testing.T)) {
-	for _, boxed := range []bool{false, true} {
-		t.Run(fmt.Sprintf("boxed=%v", boxed), func(t *testing.T) {
-			prev := relation.DefaultBoxed()
-			relation.SetDefaultBoxed(boxed)
-			defer relation.SetDefaultBoxed(prev)
-			fn(t)
-		})
-	}
-}
-
 // Apply from a ground prefix builds what the row-by-row build builds,
-// in order and in ids, and ApplyKeyed's keys identify the databases,
+// in order, and ApplyKeyed's keys identify the databases,
 // on generated c-instances before and after rows are added.
 func TestApplyMatchesRowByRowBuild(t *testing.T) {
-	forEachStorage(t, func(t *testing.T) {
+	forEachValueMode(t, func(t *testing.T, val func(relation.Value) relation.Value) {
 		for seed := int64(1); seed <= 60; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			ci := genCInstance(rng)
+			ci := genCInstance(rng, val)
 			label := fmt.Sprintf("seed %d %v", seed, ci)
-			checkApplyEquivalence(t, ci, label)
+			checkApplyEquivalence(t, ci, label, val)
 			// A row added after the prefix was built rebuilds it.
 			rel := []string{"R", "S"}[rng.Intn(2)]
 			terms := make([]query.Term, ci.Table(rel).Schema().Arity())
 			for j := range terms {
-				terms[j] = query.C(genValues[rng.Intn(len(genValues))])
+				terms[j] = query.C(val(genValues[rng.Intn(len(genValues))]))
 			}
 			ci.MustAddRow(rel, Row{Terms: terms})
-			checkApplyEquivalence(t, ci, label+" + "+rel+Row{Terms: terms}.String())
+			checkApplyEquivalence(t, ci, label+" + "+rel+Row{Terms: terms}.String(), val)
 		}
 	})
 }
@@ -209,22 +213,23 @@ func TestApplyMatchesRowByRowBuild(t *testing.T) {
 // The prefix grows with ground rows added to an all-ground table and
 // stops growing at the first variable row.
 func TestApplyPrefixRebuiltAfterAddRow(t *testing.T) {
-	forEachStorage(t, func(t *testing.T) {
+	forEachValueMode(t, func(t *testing.T, val func(relation.Value) relation.Value) {
 		ci := NewCInstance(genSchema())
 		row := func(terms ...query.Term) Row { return Row{Terms: terms} }
+		c := func(v relation.Value) query.Term { return query.C(val(v)) }
 		steps := []struct {
 			row  Row
 			next int // rows of R the prefix covers after the step
 		}{
-			{row(query.C("a"), query.C("b")), 1},
-			{Row{Terms: []query.Term{query.C("b"), query.C("b")}, Cond: Cond(CEq(query.C("a"), query.C("c")))}, 2},
-			{row(query.C("a"), query.C("b")), 3},
-			{row(query.V("x"), query.C("c")), 3},
-			{row(query.C("c"), query.C("c")), 3},
+			{row(c("a"), c("b")), 1},
+			{Row{Terms: []query.Term{c("b"), c("b")}, Cond: Cond(CEq(c("a"), c("c")))}, 2},
+			{row(c("a"), c("b")), 3},
+			{row(query.V("x"), c("c")), 3},
+			{row(c("c"), c("c")), 3},
 		}
 		for i, st := range steps {
 			ci.MustAddRow("R", st.row)
-			checkApplyEquivalence(t, ci, fmt.Sprintf("step %d %v", i, ci))
+			checkApplyEquivalence(t, ci, fmt.Sprintf("step %d %v", i, ci), val)
 			if pt := ci.prefix.Load().tables[0]; pt.next != st.next || pt.rows != i+1 {
 				t.Fatalf("step %d: prefix covers %d of %d rows, want %d of %d", i, pt.next, pt.rows, st.next, i+1)
 			}
@@ -236,10 +241,10 @@ func TestApplyPrefixRebuiltAfterAddRow(t *testing.T) {
 // its first calls, which build the shared prefix; every result must
 // equal the row-by-row build.
 func TestApplyConcurrent(t *testing.T) {
-	forEachStorage(t, func(t *testing.T) {
+	forEachValueMode(t, func(t *testing.T, val func(relation.Value) relation.Value) {
 		rng := rand.New(rand.NewSource(7))
-		ci := genCInstance(rng)
-		mus := allValuations()
+		ci := genCInstance(rng, val)
+		mus := allValuations(val)
 		const goroutines = 8
 		got := make([][]*relation.Database, goroutines)
 		var wg sync.WaitGroup

@@ -20,33 +20,12 @@ type CInstance struct {
 	schema *relation.DBSchema
 	tables map[string]*CTable
 
-	// internOnce/intern lazily create the one interner shared by every
-	// database Apply produces: the deciders call Apply once per
-	// enumerated valuation (possibly from parallel workers), and all
-	// those candidates draw on the same small set of constants, so
-	// re-interning per candidate would dominate the enumeration. nil
-	// after internOnce fires means Apply builds boxed databases (the
-	// storage ablation was the process default at first use).
-	internOnce sync.Once
-	intern     *relation.Interner
-
 	// prefix is µ(T) over every table's ground prefix, built on the
 	// first Apply and again when a table's row count has changed since;
 	// prefixMu serialises the builds. Concurrent decides on one resident
 	// c-instance share it, and every Apply starts from a clone of it.
 	prefixMu sync.Mutex
 	prefix   atomic.Pointer[groundPrefix]
-}
-
-// applyInterner returns the shared interner for Apply results, created
-// on first use; nil selects boxed storage.
-func (ci *CInstance) applyInterner() *relation.Interner {
-	ci.internOnce.Do(func() {
-		if !relation.DefaultBoxed() {
-			ci.intern = relation.NewInterner()
-		}
-	})
-	return ci.intern
 }
 
 // NewCInstance returns an empty c-instance of the schema.
@@ -162,12 +141,10 @@ func (ci *CInstance) IsGround() bool {
 	return true
 }
 
-// Apply computes µ(T) as a ground database. All databases returned by
-// one CInstance share one interner (see applyInterner). Each relation
-// starts from a copy-on-write clone of its table's ground prefix, and
-// only the rows after the prefix are applied, so a candidate costs what
-// its valuation changes; the rows, their order and their ids are those
-// of the row-by-row build.
+// Apply computes µ(T) as a ground database. Each relation starts from a
+// copy-on-write clone of its table's ground prefix, and only the rows
+// after the prefix are applied, so a candidate costs what its valuation
+// changes; the rows and their order are those of the row-by-row build.
 func (ci *CInstance) Apply(mu Valuation) (*relation.Database, error) {
 	db, _, err := ci.ApplyKeyed(mu)
 	return db, err
@@ -234,7 +211,7 @@ func (ci *CInstance) groundPrefix() *groundPrefix {
 	if pre := ci.prefix.Load(); pre != nil && pre.current() {
 		return pre
 	}
-	pre := &groundPrefix{db: relation.NewDatabaseWith(ci.schema, ci.applyInterner())}
+	pre := &groundPrefix{db: relation.NewDatabase(ci.schema)}
 	for _, r := range ci.schema.Relations() {
 		t, inst := ci.tables[r.Name], pre.db.Relation(r.Name)
 		next := t.applyGroundPrefix(inst)

@@ -48,16 +48,6 @@ type Options struct {
 	// MaxDerived caps the number of facts an FP fixpoint may derive
 	// (0 = no cap); exceeded caps return ErrBudget.
 	MaxDerived int
-	// NaiveFP selects the textbook naive fixpoint iteration instead of
-	// the default semi-naive evaluation (used by the ablation benchmark
-	// and the differential-testing oracle).
-	NaiveFP bool
-	// NaiveJoin disables the compiled indexed-join engine (plan.go) for
-	// positive-existential queries and evaluates with the original
-	// nested-loop map-binding evaluator instead. It is the
-	// differential-testing oracle and the ablation baseline, mirroring
-	// NaiveFP.
-	NaiveJoin bool
 	// Obs receives evaluation metrics (plan compilations and runs, rows
 	// probed/emitted, short circuits, derived FP facts). nil disables
 	// collection at negligible cost.
@@ -123,9 +113,10 @@ type env struct {
 
 // Answers evaluates q on db and returns the set of answer tuples in
 // deterministic order. Positive-existential queries go through the
-// compiled indexed-join engine (see plan.go) unless Options.NaiveJoin
-// asks for the original evaluator; callers that evaluate the same query
-// against many databases should Compile once and reuse the Plan.
+// compiled indexed-join engine (see plan.go); FO queries, and any query
+// Compile rejects, through the nested-loop evaluator. Callers that
+// evaluate the same query against many databases should Compile once
+// and reuse the Plan.
 func Answers(db *relation.Database, q *query.Query, opts Options) ([]relation.Tuple, error) {
 	if err := opts.Fault.Visit(fault.SiteEvalAnswers); err != nil {
 		return nil, err
@@ -133,13 +124,19 @@ func Answers(db *relation.Database, q *query.Query, opts Options) ([]relation.Tu
 	if err := opts.interrupted(); err != nil {
 		return nil, err
 	}
-	if !opts.NaiveJoin && query.IsPositiveExistential(q) {
-		plan, err := Compile(q)
-		if err == nil {
+	if query.IsPositiveExistential(q) {
+		if plan, err := Compile(q); err == nil {
 			opts.Obs.Inc(obs.PlanCompilations)
 			return plan.Answers(db, opts)
 		}
 	}
+	return answersNested(db, q, opts)
+}
+
+// answersNested evaluates q with the nested-loop map-binding evaluator:
+// Answers' path for FO, and the reference the compiled plans are tested
+// against.
+func answersNested(db *relation.Database, q *query.Query, opts Options) ([]relation.Tuple, error) {
 	opts.Obs.Inc(obs.NaiveEvaluations)
 	e := &env{src: dbSource{db}, opts: opts}
 	e.adom = evalDomain(db, q, opts)
@@ -147,7 +144,7 @@ func Answers(db *relation.Database, q *query.Query, opts Options) ([]relation.Tu
 }
 
 // Bool evaluates a Boolean query, reporting whether the answer is {()}.
-// The compiled engine stops at the first witness; the naive oracle path
+// The compiled engine stops at the first witness; the nested-loop path
 // still joins level by level but skips materialising, projecting and
 // sorting the answer set.
 func Bool(db *relation.Database, q *query.Query, opts Options) (bool, error) {
@@ -157,13 +154,18 @@ func Bool(db *relation.Database, q *query.Query, opts Options) (bool, error) {
 	if !q.IsBoolean() {
 		return false, fmt.Errorf("eval: query %s is not Boolean", q.Name)
 	}
-	if !opts.NaiveJoin && query.IsPositiveExistential(q) {
-		plan, err := Compile(q)
-		if err == nil {
+	if query.IsPositiveExistential(q) {
+		if plan, err := Compile(q); err == nil {
 			opts.Obs.Inc(obs.PlanCompilations)
 			return plan.Bool(db, opts)
 		}
 	}
+	return boolNested(db, q, opts)
+}
+
+// boolNested is Bool on the nested-loop evaluator, as answersNested is
+// Answers.
+func boolNested(db *relation.Database, q *query.Query, opts Options) (bool, error) {
 	opts.Obs.Inc(obs.NaiveEvaluations)
 	e := &env{src: dbSource{db}, opts: opts}
 	e.adom = evalDomain(db, q, opts)
@@ -543,10 +545,16 @@ func (e *env) extendCompare(acc []binding, c *query.Compare) ([]binding, error) 
 			out = append(out, e.bindAgainst(b, c.L.Name, rv, c.Op)...)
 		default:
 			// Both sides unbound variables: range both over the domain.
+			// One variable on both sides is bound by the left: x = x
+			// holds for every value, x ≠ x for none.
 			for _, v := range e.adom {
 				nb := b.clone()
 				nb[c.L.Name] = v
-				out = append(out, e.bindAgainst(nb, c.R.Name, v, c.Op)...)
+				if c.R.Name != c.L.Name {
+					out = append(out, e.bindAgainst(nb, c.R.Name, v, c.Op)...)
+				} else if c.Op == query.Eq {
+					out = append(out, nb)
+				}
 			}
 		}
 	}

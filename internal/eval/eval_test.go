@@ -64,6 +64,10 @@ func TestEvalCQInequality(t *testing.T) {
 	db := mkDB(t)
 	got := answersOf(t, db, "Q(x, y) := R(x, y) & x != y")
 	wantAnswers(t, got, relation.T("1", "2"), relation.T("2", "3"))
+	// z is unbound when it meets itself: z ≠ z holds for no value, so
+	// only the S(x) disjunct contributes.
+	got = answersOf(t, db, "Q(x) := R(x, y) & (S(x) | z != z)")
+	wantAnswers(t, got, relation.T("2"), relation.T("3"))
 }
 
 func TestEvalCQSelfJoin(t *testing.T) {

@@ -18,12 +18,11 @@ import (
 // predicate. Facts are only ever added, so the operator is inflational
 // and the semantics monotone in the EDB.
 //
-// Evaluation is semi-naive by default: after the first round, a rule
-// with IDB body atoms only fires with at least one of them bound to the
-// facts derived in the previous round, which avoids re-deriving the
-// whole fixpoint every iteration. Options.NaiveFP selects the textbook
-// naive iteration instead (kept for the ablation benchmark and as a
-// differential-testing oracle).
+// Evaluation is semi-naive: after the first round, a rule with IDB body
+// atoms only fires with at least one of them bound to the facts derived
+// in the previous round, which avoids re-deriving the whole fixpoint
+// every iteration. The textbook naive iteration lives with the tests,
+// as their reference and as the ablation baseline.
 
 // idbStore holds derived facts per IDB predicate.
 type idbStore struct {
@@ -70,7 +69,7 @@ const deltaPrefix = "Δ·"
 type fpSource struct {
 	db    *relation.Database
 	idb   *idbStore
-	delta *idbStore // may be nil (naive mode)
+	delta *idbStore // nil in the naive reference iteration
 }
 
 func (s fpSource) tuples(rel string) ([]relation.Tuple, error) {
@@ -95,9 +94,6 @@ func FPAnswers(db *relation.Database, p *query.Program, opts Options) ([]relatio
 	}
 	if sp := opts.Span.StartChild("eval.fp"); sp != nil {
 		defer sp.End()
-	}
-	if opts.NaiveFP {
-		return fpNaive(db, p, opts)
 	}
 	return fpSemiNaive(db, p, opts)
 }
@@ -140,25 +136,6 @@ func deriveRule(e *env, idb *idbStore, delta *idbStore, r *query.Rule, opts Opti
 		}
 	}
 	return nil
-}
-
-// fpNaive is the textbook inflational iteration: every rule against the
-// full store, until a round derives nothing.
-func fpNaive(db *relation.Database, p *query.Program, opts Options) ([]relation.Tuple, error) {
-	idb := newIDBStore(p.IDBArity())
-	e := fpEnv(db, p, opts, fpSource{db: db, idb: idb})
-	for {
-		before := idb.count
-		for ri := range p.Rules {
-			if err := deriveRule(e, idb, nil, &p.Rules[ri], opts, p.Name); err != nil {
-				return nil, err
-			}
-		}
-		if idb.count == before {
-			break
-		}
-	}
-	return idb.tuples(p.Output), nil
 }
 
 // fpSemiNaive fires every rule once to seed the store, then iterates

@@ -20,9 +20,6 @@ package eval
 //
 // A Plan is immutable after Compile and safe for concurrent Run/Answers
 // /Bool calls: all execution state lives in a per-call planRun.
-//
-// Options.NaiveJoin bypasses this path entirely and keeps the original
-// evaluator as a differential-testing oracle, mirroring Options.NaiveFP.
 
 import (
 	"fmt"
@@ -508,18 +505,15 @@ func (rt *planRun) strategyFor(a *atomNode) *atomStrategy {
 
 // estimateRows is the shared selectivity model of the planner: the
 // instance's cardinality scaled by the per-position selectivity of each
-// entry-known column. Interned instances supply measured distinct
-// counts (a uniform-distribution estimate: binding a column with d
-// distinct values keeps 1/d of the rows); boxed instances have no
-// statistics and fall back to the historical guess of 1/8 per bound
-// column.
+// entry-known column, from the instance's distinct counts (a
+// uniform-distribution estimate: binding a column with d distinct
+// values keeps 1/d of the rows). An empty instance has no counts and
+// estimates 0 rows.
 func estimateRows(inst *relation.Instance, boundPos []int) float64 {
 	est := float64(inst.Len())
 	for _, p := range boundPos {
 		if d := inst.DistinctAt(p); d > 0 {
 			est /= float64(d)
-		} else {
-			est /= 8
 		}
 	}
 	return est
@@ -715,10 +709,17 @@ func (c *cmpNode) exec(rt *planRun, k cont) error {
 	default:
 		// Both sides unbound variables: range the left over the domain,
 		// then bind the right against it (the naive evaluator's rule).
+		// One variable on both sides is bound by the left: x = x holds
+		// for every value, x ≠ x for none.
 		for _, v := range rt.domain() {
 			rt.frame[c.l.slot] = v
 			rt.bound[c.l.slot] = true
-			err := c.bindAgainst(rt, c.r.slot, v, k)
+			var err error
+			if c.r.slot != c.l.slot {
+				err = c.bindAgainst(rt, c.r.slot, v, k)
+			} else if c.op == query.Eq {
+				err = k()
+			}
 			rt.bound[c.l.slot] = false
 			if err != nil {
 				return err

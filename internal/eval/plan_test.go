@@ -13,7 +13,7 @@ import (
 
 // ---------------------------------------------------------------------------
 // Randomized differential testing: the compiled indexed engine must be
-// bit-identical to the naive evaluator (Options.NaiveJoin) on random
+// bit-identical to the nested-loop evaluator (answersNested) on random
 // databases and random CQ/UCQ/∃FO+ queries.
 // ---------------------------------------------------------------------------
 
@@ -127,6 +127,28 @@ func sameTuples(a, b []relation.Tuple) bool {
 	return true
 }
 
+// sameForEachRows checks that plan.ForEach over db emits exactly the
+// rows of want. ForEach emits in join order, possibly with repeats; its
+// row set is the answer set.
+func sameForEachRows(t *testing.T, what string, plan *Plan, db *relation.Database, opts Options, want []relation.Tuple) {
+	t.Helper()
+	emitted := map[string]bool{}
+	if err := plan.ForEach(db, opts, func(tup relation.Tuple) error {
+		emitted[tup.Key()] = true
+		return nil
+	}); err != nil {
+		t.Fatalf("%s: ForEach: %v", what, err)
+	}
+	if len(emitted) != len(want) {
+		t.Fatalf("%s on %s: ForEach emitted %d distinct rows, want %d", what, db, len(emitted), len(want))
+	}
+	for _, tup := range want {
+		if !emitted[tup.Key()] {
+			t.Fatalf("%s on %s: ForEach never emitted %v", what, db, tup)
+		}
+	}
+}
+
 func TestPlanDifferentialRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	g := &qgen{r: r}
@@ -142,10 +164,8 @@ func TestPlanDifferentialRandom(t *testing.T) {
 			// flow identically through both engines.
 			opts.ExtraDomain = extra
 		}
-		naive := opts
-		naive.NaiveJoin = true
 		got, errC := Answers(db, q, opts)
-		want, errN := Answers(db, q, naive)
+		want, errN := answersNested(db, q, opts)
 		if (errC != nil) != (errN != nil) {
 			t.Fatalf("#%d %s: error divergence: compiled=%v naive=%v", i, q, errC, errN)
 		}
@@ -155,12 +175,17 @@ func TestPlanDifferentialRandom(t *testing.T) {
 		if !sameTuples(got, want) {
 			t.Fatalf("#%d %s on %s:\ncompiled %v\nnaive    %v", i, q, db, got, want)
 		}
+		plan, err := Compile(q)
+		if err != nil {
+			t.Fatalf("#%d %s: compile: %v", i, q, err)
+		}
+		sameForEachRows(t, fmt.Sprintf("#%d %s", i, q), plan, db, opts, want)
 		if q.IsBoolean() {
 			bc, err := Bool(db, q, opts)
 			if err != nil {
 				t.Fatalf("#%d compiled Bool: %v", i, err)
 			}
-			bn, err := Bool(db, q, naive)
+			bn, err := boolNested(db, q, opts)
 			if err != nil {
 				t.Fatalf("#%d naive Bool: %v", i, err)
 			}
@@ -171,90 +196,69 @@ func TestPlanDifferentialRandom(t *testing.T) {
 	}
 }
 
-// boxedCopy rebuilds db with boxed (non-interned) oracle storage.
-func boxedCopy(t *testing.T, db *relation.Database) *relation.Database {
-	t.Helper()
-	c := relation.NewBoxedDatabase(db.Schema())
+// copyValues rebuilds db row by row, passing every value through val.
+func copyValues(db *relation.Database, val func(relation.Value) relation.Value) *relation.Database {
+	c := relation.NewDatabase(db.Schema())
 	for _, lt := range db.AllTuples() {
-		c.MustInsert(lt.Rel, lt.Tuple)
-	}
-	if !c.Boxed() || db.Boxed() {
-		t.Fatal("storage modes not as constructed")
+		tup := make(relation.Tuple, len(lt.Tuple))
+		for i, v := range lt.Tuple {
+			tup[i] = val(v)
+		}
+		c.MustInsert(lt.Rel, tup)
 	}
 	return c
 }
 
-// rowSet folds tuples into an order-independent set: the greedy
-// conjunct order may legitimately differ between storage modes (the
-// interned instance feeds measured statistics into conjCost), so
-// ForEach emission order is not comparable — the row set is.
-func rowSet(rows []relation.Tuple) map[string]int {
-	set := make(map[string]int, len(rows))
-	for _, r := range rows {
-		set[r.Key()]++
-	}
-	return set
-}
-
-func sameRowSet(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, n := range a {
-		if b[k] != n {
-			return false
-		}
-	}
-	return true
-}
-
-// The interned storage layer is a pure representation change: on random
-// databases and random ∃FO+ queries, interned and boxed instances must
-// produce identical answer sets and identical Plan.ForEach row sets.
+// Storage keys rows by their values' content alone. On random databases
+// and random ∃FO+ queries, a database whose equal values share one
+// string with each other and with the query's constants (interned) and
+// a copy where every value has an allocation of its own (boxed) must
+// give the nested-loop reference's answers and Plan.ForEach row sets.
 func TestPlanDifferentialInternedBoxed(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	g := &qgen{r: r}
 	extra := relation.NewValueSet()
 	extra.Add("7")
 	extra.Add("8")
+	pool := map[relation.Value]relation.Value{}
+	for _, c := range genConsts {
+		pool[c] = c
+	}
+	intern := func(v relation.Value) relation.Value {
+		if c, ok := pool[v]; ok {
+			return c
+		}
+		pool[v] = v
+		return v
+	}
+	box := func(v relation.Value) relation.Value { return relation.Value(strings.Clone(string(v))) }
 	for i := 0; i < 400; i++ {
 		db := randPlanDB(r)
-		boxed := boxedCopy(t, db)
+		interned, boxed := copyValues(db, intern), copyValues(db, box)
 		q := g.query(fmt.Sprintf("Q%d", i))
 		opts := Options{}
 		if i%5 == 0 {
 			opts.ExtraDomain = extra
 		}
-		got, errI := Answers(db, q, opts)
-		want, errB := Answers(boxed, q, opts)
-		if (errI != nil) != (errB != nil) {
-			t.Fatalf("#%d %s: error divergence: interned=%v boxed=%v", i, q, errI, errB)
+		want, errN := answersNested(boxed, q, opts)
+		gotI, errI := Answers(interned, q, opts)
+		gotB, errB := Answers(boxed, q, opts)
+		if (errI != nil) != (errN != nil) || (errB != nil) != (errN != nil) {
+			t.Fatalf("#%d %s: error divergence: interned=%v boxed=%v naive=%v", i, q, errI, errB, errN)
 		}
-		if errI != nil {
+		if errN != nil {
 			continue
 		}
 		// Answers are sorted, so the comparison can be positional.
-		if !sameTuples(got, want) {
-			t.Fatalf("#%d %s on %s:\ninterned %v\nboxed    %v", i, q, db, got, want)
+		if !sameTuples(gotI, want) || !sameTuples(gotB, want) {
+			t.Fatalf("#%d %s on %s:\ninterned %v\nboxed    %v\nnaive    %v", i, q, db, gotI, gotB, want)
 		}
 		plan, err := Compile(q)
 		if err != nil {
 			t.Fatalf("#%d %s: compile: %v", i, q, err)
 		}
-		collect := func(d *relation.Database) []relation.Tuple {
-			var rows []relation.Tuple
-			err := plan.ForEach(d, opts, func(tup relation.Tuple) error {
-				rows = append(rows, tup.Clone())
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("#%d %s: ForEach: %v", i, q, err)
-			}
-			return rows
-		}
-		if !sameRowSet(rowSet(collect(db)), rowSet(collect(boxed))) {
-			t.Fatalf("#%d %s: ForEach row sets diverge between interned and boxed storage", i, q)
-		}
+		sameForEachRows(t, fmt.Sprintf("#%d %s interned", i, q), plan, interned, opts, want)
+		sameForEachRows(t, fmt.Sprintf("#%d %s boxed", i, q), plan, boxed, opts, want)
 	}
 }
 
@@ -276,13 +280,15 @@ func TestPlanDifferentialCorpus(t *testing.T) {
 		"Q() := exists x: R(x, x)", // Boolean semi-join
 		"Q() := exists x, y: R(x, y) & x != y & S(y)",
 		"Q(x) := (S(x) | R(x, '2')) & exists y: R(x, y)",
+		"Q(x) := R(x, y) & (S(x) | z != z)", // z ≠ z holds for no z
+		"Q(x) := S(x) & (R(x, x) | z = z)",  // z = z holds for every z
 	} {
 		q := query.MustParseQuery(src)
 		got, err := Answers(db, q, Options{})
 		if err != nil {
 			t.Fatalf("%s: compiled: %v", src, err)
 		}
-		want, err := Answers(db, q, Options{NaiveJoin: true})
+		want, err := answersNested(db, q, Options{})
 		if err != nil {
 			t.Fatalf("%s: naive: %v", src, err)
 		}
@@ -299,7 +305,7 @@ func TestPlanUnknownRelationParity(t *testing.T) {
 	if _, err := Answers(db, q, Options{}); err == nil {
 		t.Fatal("compiled: unknown relation should error")
 	}
-	if _, err := Answers(db, q, Options{NaiveJoin: true}); err == nil {
+	if _, err := answersNested(db, q, Options{}); err == nil {
 		t.Fatal("naive: unknown relation should error")
 	}
 }
@@ -390,7 +396,7 @@ func TestCompileRejectsFullFO(t *testing.T) {
 // Boolean evaluation through the public entry must short-circuit: on a
 // database where the first witness is immediate, Bool must not pay for
 // the full answer set. This is a semantic test (the perf claim lives in
-// the benchmarks): it pins that both modes agree with Answers.
+// the benchmarks): it pins that both engines agree with Answers.
 func TestBoolAgreesWithAnswers(t *testing.T) {
 	db := mkDB(t)
 	for _, src := range []string{
@@ -401,13 +407,15 @@ func TestBoolAgreesWithAnswers(t *testing.T) {
 	} {
 		q := query.MustParseQuery(src)
 		want := len(answersOf(t, db, src)) > 0
-		for _, naive := range []bool{false, true} {
-			got, err := Bool(db, q, Options{NaiveJoin: naive})
+		for name, boolFn := range map[string]func(*relation.Database, *query.Query, Options) (bool, error){
+			"compiled": Bool, "nested": boolNested,
+		} {
+			got, err := boolFn(db, q, Options{})
 			if err != nil {
-				t.Fatalf("%s naive=%v: %v", src, naive, err)
+				t.Fatalf("%s %s: %v", src, name, err)
 			}
 			if got != want {
-				t.Fatalf("%s naive=%v: Bool=%v, answers say %v", src, naive, got, want)
+				t.Fatalf("%s %s: Bool=%v, answers say %v", src, name, got, want)
 			}
 		}
 	}

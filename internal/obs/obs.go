@@ -53,9 +53,10 @@ const (
 	IndexProbeHits   // probes that found at least one row
 	IndexProbeMisses // probes that found none
 
-	// relation: the interned value domain.
-	ValuesInterned // distinct values admitted into an interner
-	InternHits     // intern calls answered by an existing id
+	// relation: retired with the value interner; always 0, kept so
+	// readers of these names still resolve.
+	ValuesInterned
+	InternHits
 
 	// cc: memoised RHS answer sets.
 	RHSCacheHits          // RHS answer-set reuses

@@ -120,8 +120,8 @@ var counterHelp = [numCounters]string{
 	IndexProbes:           "LookupIndexed probes answered from an index",
 	IndexProbeHits:        "probes that found at least one row",
 	IndexProbeMisses:      "probes that found none",
-	ValuesInterned:        "distinct values admitted into an interner",
-	InternHits:            "intern calls answered by an existing id",
+	ValuesInterned:        "retired with the value interner; always 0",
+	InternHits:            "retired with the value interner; always 0",
 	RHSCacheHits:          "RHS answer-set reuses",
 	RHSCacheMisses:        "RHS answer sets computed fresh",
 	RHSCacheInvalidations: "cached RHS answer sets dropped as stale",

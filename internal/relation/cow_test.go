@@ -4,39 +4,52 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
-// storageModes builds an empty instance of s in each storage mode.
-var storageModes = []struct {
+// Storage keys rows by their values' content alone, whatever memory the
+// values occupy. The copy-on-write tests run in two value modes:
+// interned, where equal values share one string, as the constants of a
+// query or a c-table do, and boxed, where every value is a copy of its
+// own, as a decoder produces them.
+var valueModes = []struct {
 	name string
-	make func(s *Schema) *Instance
+	val  func(Value) Value
 }{
-	{"interned", func(s *Schema) *Instance { return NewInternedInstance(s, NewInterner()) }},
-	{"boxed", NewBoxedInstance},
+	{"interned", func(v Value) Value { return v }},
+	{"boxed", boxValue},
 }
 
-// flatCopy re-inserts in's rows into a fresh instance of the same
-// storage: the reference a copy-on-write clone must be
-// indistinguishable from.
+// boxValue copies v into an allocation of its own.
+func boxValue(v Value) Value { return Value(strings.Clone(string(v))) }
+
+// boxTuple copies every value of t into an allocation of its own.
+func boxTuple(t Tuple) Tuple {
+	c := make(Tuple, len(t))
+	for i, v := range t {
+		c[i] = boxValue(v)
+	}
+	return c
+}
+
+// flatCopy re-inserts in's rows, boxed, into a fresh instance: the
+// reference a copy-on-write clone must be indistinguishable from.
 func flatCopy(in *Instance) *Instance {
-	c := in.emptyLike(in.Len())
+	c := NewInstance(in.Schema())
 	for _, t := range in.Tuples() {
-		c.insertUnchecked(t)
+		c.insertUnchecked(boxTuple(t))
 	}
 	return c
 }
 
 // sameAsFlat checks that in and a flat copy of it agree on Tuples (in
-// order), ids, Contains over probe, Equal and ResidentBytes.
+// order), Contains over probe, Equal and ResidentBytes.
 func sameAsFlat(t *testing.T, what string, in *Instance, probe []Tuple) {
 	t.Helper()
 	flat := flatCopy(in)
 	if !slices.EqualFunc(in.Tuples(), flat.Tuples(), Tuple.Equal) {
 		t.Fatalf("%s: Tuples %v, flat copy %v", what, in.Tuples(), flat.Tuples())
-	}
-	if !slices.Equal(in.ids, flat.ids) {
-		t.Fatalf("%s: ids %v, flat copy %v", what, in.ids, flat.ids)
 	}
 	for _, p := range probe {
 		if in.Contains(p) != flat.Contains(p) {
@@ -51,15 +64,19 @@ func sameAsFlat(t *testing.T, what string, in *Instance, probe []Tuple) {
 	}
 }
 
-func randTuple(rng *rand.Rand) Tuple {
-	return T(Value(fmt.Sprint(rng.Intn(6))), Value(fmt.Sprint(rng.Intn(6))))
+// digits are the values randTuple draws.
+var digits = []Value{"0", "1", "2", "3", "4", "5"}
+
+// randTuple draws a pair of digits, each passed through val.
+func randTuple(rng *rand.Rand, val func(Value) Value) Tuple {
+	return T(val(digits[rng.Intn(6)]), val(digits[rng.Intn(6)]))
 }
 
 // Clones of a frozen instance, and clones of those, are independent of
 // the original and of each other, and each is indistinguishable from a
 // flat copy of its rows.
 func TestFrozenCloneCopyOnWrite(t *testing.T) {
-	for _, mode := range storageModes {
+	for _, mode := range valueModes {
 		t.Run(mode.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
 			var probe []Tuple
@@ -68,26 +85,26 @@ func TestFrozenCloneCopyOnWrite(t *testing.T) {
 			}
 			probe = append(probe, T("never", "seen"))
 			for round := 0; round < 20; round++ {
-				base := mode.make(pairSchema(t))
+				base := NewInstance(pairSchema(t))
 				for i := rng.Intn(8); i > 0; i-- {
-					base.MustInsert(randTuple(rng))
+					base.MustInsert(randTuple(rng, mode.val))
 				}
 				base.Freeze()
 				before := flatCopy(base)
 
 				a, b := base.Clone(), base.Clone()
 				for i := rng.Intn(5); i > 0; i-- {
-					a.MustInsert(randTuple(rng))
+					a.MustInsert(randTuple(rng, mode.val))
 				}
 				a2 := a.Clone()
 				for i := rng.Intn(5); i > 0; i-- {
-					a2.MustInsert(randTuple(rng))
+					a2.MustInsert(randTuple(rng, mode.val))
 				}
 				for i := rng.Intn(5); i > 0; i-- {
-					a.MustInsert(randTuple(rng)) // after a2 was cloned from it
+					a.MustInsert(randTuple(rng, mode.val)) // after a2 was cloned from it
 				}
 				for i := rng.Intn(5); i > 0; i-- {
-					b.MustInsert(randTuple(rng))
+					b.MustInsert(randTuple(rng, mode.val))
 				}
 				sameAsFlat(t, "frozen", base, probe)
 				if !slices.EqualFunc(base.Tuples(), before.Tuples(), Tuple.Equal) {
@@ -110,48 +127,51 @@ func TestFrozenCloneCopyOnWrite(t *testing.T) {
 }
 
 func TestInsertIntoFrozenPanics(t *testing.T) {
-	for _, mode := range storageModes {
+	for _, mode := range valueModes {
 		t.Run(mode.name, func(t *testing.T) {
-			in := mode.make(pairSchema(t))
-			in.MustInsert(T("1", "2"))
+			in := NewInstance(pairSchema(t))
+			in.MustInsert(T(mode.val("1"), mode.val("2")))
 			in.Freeze()
 			defer func() {
 				if recover() == nil {
 					t.Fatal("insert into a frozen instance did not panic")
 				}
 			}()
-			in.MustInsert(T("3", "4"))
+			in.MustInsert(T(mode.val("3"), mode.val("4")))
 		})
 	}
 }
 
-// WithoutTuple equals re-inserting every other row, in order and in
-// ids, on flat instances and copy-on-write clones alike.
+// WithoutTuple equals re-inserting every other row, in order, on flat
+// instances and copy-on-write clones alike. The dropped row is passed
+// through the mode too, so a boxed drop shares no memory with the row
+// it removes.
 func TestWithoutTupleMatchesReinsertion(t *testing.T) {
-	for _, mode := range storageModes {
+	for _, mode := range valueModes {
 		t.Run(mode.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(2))
 			for round := 0; round < 30; round++ {
-				in := mode.make(pairSchema(t))
+				in := NewInstance(pairSchema(t))
 				for i := 1 + rng.Intn(8); i > 0; i-- {
-					in.MustInsert(randTuple(rng))
+					in.MustInsert(randTuple(rng, mode.val))
 				}
 				if round%2 == 1 {
 					in.Freeze()
 					in = in.Clone()
-					in.MustInsert(randTuple(rng))
+					in.MustInsert(randTuple(rng, mode.val))
 				}
-				for _, drop := range append(slices.Clone(in.Tuples()), T("absent", "row")) {
+				for _, row := range append(slices.Clone(in.Tuples()), T("absent", "row")) {
+					drop := T(mode.val(row[0]), mode.val(row[1]))
 					got := in.WithoutTuple(drop)
-					want := in.emptyLike(in.Len())
+					want := NewInstance(in.Schema())
 					for _, u := range in.Tuples() {
 						if !u.Equal(drop) {
 							want.insertUnchecked(u)
 						}
 					}
-					if !slices.EqualFunc(got.Tuples(), want.Tuples(), Tuple.Equal) || !slices.Equal(got.ids, want.ids) {
-						t.Fatalf("WithoutTuple(%v) of %v = %v (ids %v), want %v (ids %v)",
-							drop, in.Tuples(), got.Tuples(), got.ids, want.Tuples(), want.ids)
+					if !slices.EqualFunc(got.Tuples(), want.Tuples(), Tuple.Equal) {
+						t.Fatalf("WithoutTuple(%v) of %v = %v, want %v",
+							drop, in.Tuples(), got.Tuples(), want.Tuples())
 					}
 					sameAsFlat(t, "without "+drop.String(), got, append(in.Tuples(), drop))
 					if got.Contains(drop) {

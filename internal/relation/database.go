@@ -11,104 +11,29 @@ import (
 type Database struct {
 	schema *DBSchema
 	insts  map[string]*Instance
-	intern *Interner // shared by the database's instances; nil in boxed mode
 }
 
 // NewDatabase returns an empty database of the given schema (each
-// relation present and empty). Unless SetDefaultBoxed selects the boxed
-// oracle mode, all relations share one interner — values are interned
-// once per database, and clones (the decider's candidate instances)
-// keep sharing it.
+// relation present and empty).
 func NewDatabase(schema *DBSchema) *Database {
-	if boxedDefault.Load() {
-		return NewBoxedDatabase(schema)
-	}
-	db := &Database{
-		schema: schema,
-		insts:  make(map[string]*Instance, schema.Len()),
-		intern: NewInterner(),
-	}
-	for _, r := range schema.Relations() {
-		db.insts[r.Name] = NewInternedInstance(r, db.intern)
-	}
-	return db
-}
-
-// NewDatabaseWith returns an empty database whose relations intern
-// into it rather than a fresh interner — the constructor for the
-// decider hot paths, where candidate databases are built per
-// enumerated model and would otherwise re-intern the same small active
-// domain each time. A nil interner selects boxed storage.
-func NewDatabaseWith(schema *DBSchema, it *Interner) *Database {
-	if it == nil {
-		return NewBoxedDatabase(schema)
-	}
-	db := &Database{
-		schema: schema,
-		insts:  make(map[string]*Instance, schema.Len()),
-		intern: it,
-	}
-	for _, r := range schema.Relations() {
-		db.insts[r.Name] = NewInternedInstance(r, it)
-	}
-	return db
-}
-
-// NewBoxedDatabase returns an empty database whose relations use the
-// boxed (non-interned) oracle storage, regardless of the process-wide
-// default.
-func NewBoxedDatabase(schema *DBSchema) *Database {
 	db := &Database{schema: schema, insts: make(map[string]*Instance, schema.Len())}
 	for _, r := range schema.Relations() {
-		db.insts[r.Name] = NewBoxedInstance(r)
+		db.insts[r.Name] = NewInstance(r)
 	}
 	return db
 }
 
-// Boxed reports whether the database was built in boxed oracle mode.
-func (db *Database) Boxed() bool { return db != nil && db.intern == nil }
-
-// Interner returns the interner shared by the database's relations, or
-// nil in boxed mode.
-func (db *Database) Interner() *Interner {
-	if db == nil {
-		return nil
-	}
-	return db.intern
-}
-
-// CloneBoxed returns a copy of the database rebuilt with boxed storage,
-// sharing schemas. It is the entry point of the storage ablation: a
-// problem flagged Boxed rebuilds its master data through it so every
-// derived candidate instance inherits the oracle representation.
-func (db *Database) CloneBoxed() *Database {
-	c := NewBoxedDatabase(db.schema)
-	for _, r := range db.schema.Relations() {
-		for _, t := range db.insts[r.Name].Tuples() {
-			c.insts[r.Name].insertUnchecked(t)
-		}
-	}
-	return c
-}
-
-// ResidentBytes estimates the heap bytes the database retains: each
-// relation's own storage plus each distinct interner, counted once no
-// matter how many relations share it. The charges use the fixed
-// constants of intern.go, so the estimate is identical on every
-// platform — it is what the rcserved registry cap accounts.
+// ResidentBytes estimates the heap bytes the database retains: the sum
+// of its relations' own storage. The charges use the fixed constants of
+// instance.go, so the estimate is identical on every platform — it is
+// what the rcserved registry cap accounts.
 func (db *Database) ResidentBytes() int64 {
 	if db == nil {
 		return 0
 	}
 	var b int64
-	counted := make(map[*Interner]bool, 1)
 	for _, r := range db.schema.Relations() {
-		in := db.insts[r.Name]
-		b += in.ResidentBytes()
-		if it := in.Interner(); it != nil && !counted[it] {
-			counted[it] = true
-			b += it.ResidentBytes()
-		}
+		b += db.insts[r.Name].ResidentBytes()
 	}
 	return b
 }
@@ -171,10 +96,9 @@ func (db *Database) Size() int {
 	return n
 }
 
-// Clone returns an independent copy sharing schemas (and, in interned
-// mode, the interner).
+// Clone returns an independent copy sharing schemas.
 func (db *Database) Clone() *Database {
-	c := &Database{schema: db.schema, insts: make(map[string]*Instance, len(db.insts)), intern: db.intern}
+	c := &Database{schema: db.schema, insts: make(map[string]*Instance, len(db.insts))}
 	for _, r := range db.schema.Relations() {
 		c.insts[r.Name] = db.insts[r.Name].Clone()
 	}
@@ -223,7 +147,7 @@ func (db *Database) WithTuple(rel string, t Tuple) *Database {
 // WithoutTuple returns a copy of the database with t removed from rel.
 // Every other relation is cloned; rel is rebuilt without t.
 func (db *Database) WithoutTuple(rel string, t Tuple) *Database {
-	c := &Database{schema: db.schema, insts: make(map[string]*Instance, len(db.insts)), intern: db.intern}
+	c := &Database{schema: db.schema, insts: make(map[string]*Instance, len(db.insts))}
 	for _, r := range db.schema.Relations() {
 		if r.Name != rel {
 			c.insts[r.Name] = db.insts[r.Name].Clone()

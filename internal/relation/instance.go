@@ -68,15 +68,10 @@ func T(vals ...Value) Tuple { return Tuple(vals) }
 // Iteration order is insertion order, which makes every derived
 // computation deterministic.
 //
-// Instances come in two storage modes. The default, interned mode keys
-// its membership set and hash indexes by dense value ids (4 bytes per
-// column, see Interner) and additionally keeps the rows as a flat
-// []uint32 id array plus per-position distinct-value statistics that
-// feed the query planner's cost estimates. Boxed mode is the original
-// representation — variable-width value-encoded keys, no id storage,
-// no statistics — kept behind NewBoxedInstance / SetDefaultBoxed as a
-// differential oracle and ablation baseline, exactly like the
-// NaiveJoin evaluator. Both modes expose identical semantics.
+// An instance keeps its rows, a membership set keyed by the rows'
+// value encodings (Tuple.AppendKey), hash indexes on those encodings
+// built lazily per position set, and per-position distinct-value
+// statistics that feed the query planner's cost estimates.
 type Instance struct {
 	schema *Schema
 	rows   []Tuple
@@ -90,13 +85,8 @@ type Instance struct {
 	base   map[string]int
 	frozen bool
 
-	// Interned storage. intern == nil means boxed mode; otherwise ids
-	// holds the rows flattened as len(rows)×arity interned ids.
-	intern *Interner
-	ids    []uint32
-
-	// Per-position distinct-value statistics, computed lazily from ids
-	// on the first DistinctAt/indexSizeHint call and cached until the
+	// Per-position distinct-value statistics, computed lazily from the
+	// rows on the first DistinctAt/indexSizeHint call and cached until the
 	// row count changes. Guarded by idxMu (the planner reads statistics
 	// from instances shared across parallel workers).
 	statRows     int
@@ -123,27 +113,18 @@ type Instance struct {
 
 // posIndex is a hash index of the instance on a fixed set of column
 // positions: the encoded values at those positions map to the rows that
-// carry them, in insertion order. Interned instances key buckets by
-// fixed-width ids; boxed instances by the value encoding.
+// carry them, in insertion order.
 type posIndex struct {
 	positions []int // ascending
 	buckets   map[string][]Tuple
 }
 
-// add indexes the row at rowIdx. The instance supplies the id row in
-// interned mode; t is the boxed view either way.
-func (ix *posIndex) add(in *Instance, rowIdx int, t Tuple) {
+// add indexes row t.
+func (ix *posIndex) add(t Tuple) {
 	var arr [scratchKeyBytes]byte
 	key := arr[:0]
-	if in.intern != nil {
-		base := rowIdx * in.schema.Arity()
-		for _, p := range ix.positions {
-			key = AppendIDKey(key, in.ids[base+p])
-		}
-	} else {
-		for _, p := range ix.positions {
-			key = AppendValueKey(key, t[p])
-		}
+	for _, p := range ix.positions {
+		key = AppendValueKey(key, t[p])
 	}
 	ix.buckets[string(key)] = append(ix.buckets[string(key)], t)
 }
@@ -153,9 +134,20 @@ func (ix *posIndex) add(in *Instance, rowIdx int, t Tuple) {
 const maxIndexedArity = 64
 
 // scratchKeyBytes sizes the stack scratch buffers of the key-building
-// hot paths: 64 bytes hold 16 id-encoded columns, far beyond any key
-// the paper's reductions build. Longer keys silently spill to the heap.
+// hot paths: 64 bytes hold the keys of the short constants the paper's
+// reductions build. Longer keys silently spill to the heap.
 const scratchKeyBytes = 64
+
+// Resident-size accounting constants. These are deliberately fixed
+// (not unsafe.Sizeof probes) so the byte charges that feed the rcserved
+// registry cap are identical on every platform and can be pinned by
+// tests: a slice header, a string header, and a flat per-map-entry
+// bookkeeping charge covering bucket space and the hash seed share.
+const (
+	sliceHeaderBytes  = 24
+	stringHeaderBytes = 16
+	mapEntryBytes     = 48
+)
 
 // posMask folds ascending positions into a bitmask key.
 func posMask(positions []int) uint64 {
@@ -167,22 +159,21 @@ func posMask(positions []int) uint64 {
 }
 
 // statsLocked returns the per-position distinct counts, recomputing
-// them from the flat id array when the cache is stale. Callers must
-// hold idxMu; the result is nil in boxed mode.
+// them from the rows when the cache is stale. Callers must hold idxMu;
+// the result is nil for an empty instance.
 func (in *Instance) statsLocked() []int {
-	if in.intern == nil || len(in.rows) == 0 {
+	if len(in.rows) == 0 {
 		return nil
 	}
-	arity := in.schema.Arity()
 	if in.statDistinct != nil && in.statRows == len(in.rows) {
 		return in.statDistinct
 	}
-	seen := make(map[uint32]struct{}, len(in.rows))
-	counts := make([]int, arity)
-	for p := 0; p < arity; p++ {
+	seen := make(map[Value]struct{}, len(in.rows))
+	counts := make([]int, in.schema.Arity())
+	for p := range counts {
 		clear(seen)
-		for base := p; base < len(in.ids); base += arity {
-			seen[in.ids[base]] = struct{}{}
+		for _, t := range in.rows {
+			seen[t[p]] = struct{}{}
 		}
 		counts[p] = len(seen)
 	}
@@ -192,8 +183,8 @@ func (in *Instance) statsLocked() []int {
 
 // indexSizeHint estimates the bucket count of an index on positions:
 // the product of per-position distinct counts, clamped by the row
-// count. Boxed instances have no statistics and fall back to the row
-// count (one bucket per row is the worst case). Callers hold idxMu.
+// count. An empty instance has no statistics and falls back to the row
+// count. Callers hold idxMu.
 func (in *Instance) indexSizeHint(positions []int) int {
 	stats := in.statsLocked()
 	if stats == nil {
@@ -234,26 +225,8 @@ func (in *Instance) LookupIndexed(positions []int, vals []Value) ([]Tuple, bool)
 	m := metrics.Load()
 	var arr [scratchKeyBytes]byte
 	key := arr[:0]
-	if in.intern != nil {
-		for _, v := range vals {
-			id, ok := in.intern.Lookup(v)
-			if !ok {
-				// v was never interned, so no instance sharing this
-				// interner holds it anywhere: answer the miss without
-				// even building the index.
-				if m != nil {
-					m.Inc(obs.IndexProbes)
-					m.Inc(obs.IndexProbeMisses)
-					m.Observe(obs.IndexProbeRows, 0)
-				}
-				return nil, true
-			}
-			key = AppendIDKey(key, id)
-		}
-	} else {
-		for _, v := range vals {
-			key = AppendValueKey(key, v)
-		}
+	for _, v := range vals {
+		key = AppendValueKey(key, v)
 	}
 	mask := posMask(positions)
 	in.idxMu.Lock()
@@ -263,8 +236,8 @@ func (in *Instance) LookupIndexed(positions []int, vals []Value) ([]Tuple, bool)
 			positions: append([]int(nil), positions...),
 			buckets:   make(map[string][]Tuple, in.indexSizeHint(positions)),
 		}
-		for i, t := range in.rows {
-			ix.add(in, i, t)
+		for _, t := range in.rows {
+			ix.add(t)
 		}
 		if in.indexes == nil {
 			in.indexes = make(map[uint64]*posIndex, 4)
@@ -286,54 +259,9 @@ func (in *Instance) LookupIndexed(positions []int, vals []Value) ([]Tuple, bool)
 	return rows, true
 }
 
-// NewInstance returns an empty instance of the given schema, interned
-// (with its own interner) unless SetDefaultBoxed has selected the boxed
-// oracle mode process-wide. Instances that should share a Database's
-// interner are built by NewDatabase or NewInternedInstance.
+// NewInstance returns an empty instance of the given schema.
 func NewInstance(schema *Schema) *Instance {
-	if boxedDefault.Load() {
-		return NewBoxedInstance(schema)
-	}
-	return NewInternedInstance(schema, NewInterner())
-}
-
-// NewInternedInstance returns an empty interned instance storing its
-// values in it, which must not be nil. Instances meant to share storage
-// (the relations of one database, a clone lineage) pass the same
-// interner.
-func NewInternedInstance(schema *Schema, it *Interner) *Instance {
-	if it == nil {
-		panic("relation: NewInternedInstance with nil interner")
-	}
-	return &Instance{schema: schema, seen: make(map[string]int), intern: it}
-}
-
-// NewBoxedInstance returns an empty instance using the boxed (original,
-// non-interned) storage representation. It is the differential oracle
-// and ablation baseline for the interned path; semantics are identical.
-func NewBoxedInstance(schema *Schema) *Instance {
 	return &Instance{schema: schema, seen: make(map[string]int)}
-}
-
-// emptyLike returns an empty instance with in's schema, storage mode
-// and interner.
-func (in *Instance) emptyLike(sizeHint int) *Instance {
-	return &Instance{
-		schema: in.schema,
-		seen:   make(map[string]int, sizeHint),
-		intern: in.intern,
-	}
-}
-
-// Boxed reports whether the instance uses the boxed oracle storage.
-func (in *Instance) Boxed() bool { return in != nil && in.intern == nil }
-
-// Interner returns the instance's interner (nil in boxed mode).
-func (in *Instance) Interner() *Interner {
-	if in == nil {
-		return nil
-	}
-	return in.intern
 }
 
 // InstanceOf builds an instance of schema containing the given tuples;
@@ -391,51 +319,6 @@ func (in *Instance) insertUnchecked(t Tuple) bool {
 	if in.frozen {
 		panic("relation: insert into a frozen instance of " + in.schema.Name)
 	}
-	if in.intern == nil {
-		return in.insertBoxed(t)
-	}
-	arity := len(t)
-	var keyArr [scratchKeyBytes]byte
-	var idArr [scratchKeyBytes / 4]uint32
-	var rowArr [scratchKeyBytes / 4]Value
-	key := keyArr[:0]
-	ids := idArr[:0]
-	canon := rowArr[:0]
-	var hits, fresh int64
-	for _, v := range t {
-		// The canonical value shares the interner's string backing, so
-		// every occurrence of a value deduplicates its storage.
-		id, cv, isNew := in.intern.internCanonical(v)
-		if isNew {
-			fresh++
-		} else {
-			hits++
-		}
-		ids = append(ids, id)
-		canon = append(canon, cv)
-		key = AppendIDKey(key, id)
-	}
-	m := metrics.Load()
-	if m != nil {
-		m.Add(obs.InternHits, hits)
-		m.Add(obs.ValuesInterned, fresh)
-	}
-	if in.has(key) {
-		return false
-	}
-	in.seen[string(key)] = len(in.rows)
-	row := make(Tuple, arity)
-	copy(row, canon)
-	rowIdx := len(in.rows)
-	in.rows = append(in.rows, row)
-	in.ids = append(in.ids, ids...)
-	in.maintainIndexes(m, rowIdx, row)
-	return true
-}
-
-// insertBoxed is the boxed-mode insert: the original value-encoded
-// membership key and no id or statistics maintenance.
-func (in *Instance) insertBoxed(t Tuple) bool {
 	var arr [scratchKeyBytes]byte
 	k := t.AppendKey(arr[:0])
 	if in.has(k) {
@@ -443,22 +326,21 @@ func (in *Instance) insertBoxed(t Tuple) bool {
 	}
 	in.seen[string(k)] = len(in.rows)
 	row := t.Clone()
-	rowIdx := len(in.rows)
 	in.rows = append(in.rows, row)
-	in.maintainIndexes(metrics.Load(), rowIdx, row)
+	in.maintainIndexes(row)
 	return true
 }
 
 // maintainIndexes keeps live indexes exact after an insert: appending
 // to each bucket is cheaper than invalidating and re-scanning on the
 // next lookup.
-func (in *Instance) maintainIndexes(m *obs.Metrics, rowIdx int, row Tuple) {
+func (in *Instance) maintainIndexes(row Tuple) {
 	in.idxMu.Lock()
 	if len(in.indexes) > 0 {
 		for _, ix := range in.indexes {
-			ix.add(in, rowIdx, row)
+			ix.add(row)
 		}
-		m.Add(obs.IndexInserts, int64(len(in.indexes)))
+		metrics.Load().Add(obs.IndexInserts, int64(len(in.indexes)))
 	}
 	in.idxMu.Unlock()
 }
@@ -479,18 +361,7 @@ func (in *Instance) Contains(t Tuple) bool {
 		return false
 	}
 	var arr [scratchKeyBytes]byte
-	key := arr[:0]
-	if in.intern == nil {
-		return in.has(t.AppendKey(key))
-	}
-	for _, v := range t {
-		id, ok := in.intern.Lookup(v)
-		if !ok {
-			return false // never interned ⇒ occurs in no row
-		}
-		key = AppendIDKey(key, id)
-	}
-	return in.has(key)
+	return in.has(t.AppendKey(arr[:0]))
 }
 
 // Tuples returns the tuples in insertion order. The returned slice is
@@ -503,13 +374,12 @@ func (in *Instance) Tuples() []Tuple {
 }
 
 // DistinctAt returns the number of distinct values at position pos, or
-// 0 when statistics are unavailable (boxed mode, nil or empty
-// instance). The planner treats 0 as "no statistics" and falls back to
-// its guessed selectivities. Statistics are computed on demand and
-// cached until the row count changes, so candidate instances that are
-// never planned against pay nothing for them.
+// 0 for a nil or empty instance or an out-of-range pos. Statistics are
+// computed on demand and cached until the row count changes, so
+// candidate instances that are never planned against pay nothing for
+// them.
 func (in *Instance) DistinctAt(pos int) int {
-	if in == nil || in.intern == nil || pos < 0 || pos >= in.schema.Arity() {
+	if in == nil || pos < 0 || pos >= in.schema.Arity() {
 		return 0
 	}
 	in.idxMu.Lock()
@@ -521,14 +391,10 @@ func (in *Instance) DistinctAt(pos int) int {
 	return stats[pos]
 }
 
-// ResidentBytes estimates the heap bytes of the instance's own storage
-// using the fixed platform-independent charges of intern.go: the boxed
-// row view (a slice header per row, a string header per value), the
-// flat id array, and the membership map (key bytes plus the per-entry
-// charge). Interned instances do not charge value bytes — those live in
-// the interner, which is shared and accounted once per database by
-// Database.ResidentBytes. Boxed instances own their value bytes and
-// charge them here.
+// ResidentBytes estimates the heap bytes of the instance's storage
+// using the fixed platform-independent charges above: the rows (a slice
+// header per row, a string header and the bytes of each value) and the
+// membership map (key bytes plus the per-entry charge).
 func (in *Instance) ResidentBytes() int64 {
 	if in == nil {
 		return 0
@@ -536,17 +402,14 @@ func (in *Instance) ResidentBytes() int64 {
 	arity := int64(in.schema.Arity())
 	rows := int64(len(in.rows))
 	b := rows * (sliceHeaderBytes + arity*stringHeaderBytes)
-	b += int64(len(in.ids)) * 4
 	for _, m := range [...]map[string]int{in.base, in.seen} {
 		for k := range m {
 			b += int64(len(k)) + mapEntryBytes
 		}
 	}
-	if in.intern == nil {
-		for _, t := range in.rows {
-			for _, v := range t {
-				b += int64(len(v))
-			}
+	for _, t := range in.rows {
+		for _, v := range t {
+			b += int64(len(v))
 		}
 	}
 	return b
@@ -554,14 +417,14 @@ func (in *Instance) ResidentBytes() int64 {
 
 // Clone returns an independent copy. Rows are immutable after insert,
 // so the clone shares the tuple backing arrays (as index buckets and
-// Tuples() callers already do) and copies the ids instead of re-keying
-// every row. The membership map is copied on write: the clone of a
-// frozen instance shares its map read-only and starts an empty one of
-// its own, and the clone of such a clone copies only that small map.
+// Tuples() callers already do) instead of re-keying every row. The
+// membership map is copied on write: the clone of a frozen instance
+// shares its map read-only and starts an empty one of its own, and the
+// clone of such a clone copies only that small map.
 // Statistics and indexes are not copied; the clone rebuilds them
 // lazily if queried.
 func (in *Instance) Clone() *Instance {
-	c := &Instance{schema: in.schema, intern: in.intern}
+	c := &Instance{schema: in.schema}
 	c.rows = append([]Tuple(nil), in.rows...)
 	switch {
 	case in.frozen:
@@ -570,9 +433,6 @@ func (in *Instance) Clone() *Instance {
 		c.base, c.seen = in.base, maps.Clone(in.seen)
 	default:
 		c.seen = make(map[string]int)
-	}
-	if in.intern != nil {
-		c.ids = append([]uint32(nil), in.ids...)
 	}
 	return c
 }
@@ -607,35 +467,18 @@ func (in *Instance) WithTuple(t Tuple) *Instance {
 	return c
 }
 
-// WithoutTuple returns a copy of the instance with t removed. Interned
-// instances copy the other rows and their ids and key membership by the
-// ids, without interning again; boxed instances re-insert the rows.
+// WithoutTuple returns a copy of the instance with t removed. The copy
+// shares the other rows, as Clone does, and keys them afresh.
 func (in *Instance) WithoutTuple(t Tuple) *Instance {
-	c := in.emptyLike(len(in.rows))
-	if in.intern == nil {
-		for _, u := range in.rows {
-			if !u.Equal(t) {
-				c.insertUnchecked(u)
-			}
-		}
-		return c
-	}
-	arity := in.schema.Arity()
-	c.rows = make([]Tuple, 0, len(in.rows))
-	c.ids = make([]uint32, 0, len(in.ids))
+	c := &Instance{schema: in.schema, seen: make(map[string]int, len(in.rows)),
+		rows: make([]Tuple, 0, len(in.rows))}
 	var arr [scratchKeyBytes]byte
-	for i, u := range in.rows {
+	for _, u := range in.rows {
 		if u.Equal(t) {
 			continue
 		}
-		ids := in.ids[i*arity : (i+1)*arity]
-		key := arr[:0]
-		for _, id := range ids {
-			key = AppendIDKey(key, id)
-		}
-		c.seen[string(key)] = len(c.rows)
+		c.seen[string(u.AppendKey(arr[:0]))] = len(c.rows)
 		c.rows = append(c.rows, u)
-		c.ids = append(c.ids, ids...)
 	}
 	return c
 }
@@ -665,31 +508,18 @@ func (in *Instance) ProperSubsetOf(other *Instance) bool {
 
 // activeValuesLocked returns the distinct values of the instance in
 // first-occurrence order, recomputing the cache when the row count
-// changed. Interned instances deduplicate by id (integer hashing);
-// boxed instances by value. Callers must hold idxMu and must not
-// mutate the result.
+// changed. Callers must hold idxMu and must not mutate the result.
 func (in *Instance) activeValuesLocked() []Value {
 	if in.adomVals != nil && in.adomRows == len(in.rows) {
 		return in.adomVals
 	}
 	vals := make([]Value, 0, 16)
-	if in.intern != nil {
-		seen := make(map[uint32]struct{}, 16)
-		arity := in.schema.Arity()
-		for i, id := range in.ids {
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
-				vals = append(vals, in.rows[i/arity][i%arity])
-			}
-		}
-	} else {
-		seen := make(map[Value]struct{}, 16)
-		for _, t := range in.rows {
-			for _, v := range t {
-				if _, ok := seen[v]; !ok {
-					seen[v] = struct{}{}
-					vals = append(vals, v)
-				}
+	seen := make(map[Value]struct{}, 16)
+	for _, t := range in.rows {
+		for _, v := range t {
+			if _, ok := seen[v]; !ok {
+				seen[v] = struct{}{}
+				vals = append(vals, v)
 			}
 		}
 	}

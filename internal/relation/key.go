@@ -31,13 +31,3 @@ func (t Tuple) AppendKey(dst []byte) []byte {
 func (t Tuple) Key() string {
 	return string(t.AppendKey(make([]byte, 0, 8*len(t)+16)))
 }
-
-// AppendIDKey appends the fixed-width (4-byte big-endian) encoding of
-// one interned value id. Id keys are collision-free by construction —
-// the interner is a bijection and every column contributes exactly four
-// bytes — and hash faster than the variable-width value encoding, which
-// is why interned instances key their membership sets and index buckets
-// with them.
-func AppendIDKey(dst []byte, id uint32) []byte {
-	return binary.BigEndian.AppendUint32(dst, id)
-}

@@ -116,20 +116,11 @@ func (m *Merger) DecodeTuple(t Tuple) (string, Tuple, error) {
 
 // Encode maps a source database to a merged single-relation instance
 // (the paper's fD). It is a bijection onto well-formed merged instances.
-// The merged instance inherits the source database's storage: it shares
-// db's interner when there is one (the tag and pad constants intern
-// alongside the data) and stays boxed when db is boxed, so the ablation
-// modes never mix within one encoded problem.
 func (m *Merger) Encode(db *Database) (*Instance, error) {
 	if db.Schema() != m.src {
 		return nil, fmt.Errorf("relation: merge: database has a different schema")
 	}
-	var out *Instance
-	if it := db.Interner(); it != nil {
-		out = NewInternedInstance(m.merged, it)
-	} else {
-		out = NewBoxedInstance(m.merged)
-	}
+	out := NewInstance(m.merged)
 	for _, r := range m.src.Relations() {
 		for _, t := range db.Relation(r.Name).Tuples() {
 			et, err := m.EncodeTuple(r.Name, t)

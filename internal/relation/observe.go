@@ -39,21 +39,3 @@ func SetFaultPlan(p *fault.Plan) { faultPlan.Store(p) }
 
 // FaultPlan returns the currently armed plan (nil when disarmed).
 func FaultPlan() *fault.Plan { return faultPlan.Load() }
-
-// boxedDefault selects the storage mode of instances whose constructor
-// does not choose one: false (the default, always in production) builds
-// interned instances; true builds boxed ones. Like the metrics and
-// fault hooks it is process-global because instances are created
-// ubiquitously — the flag exists so `rcbench -boxed` and the
-// RELCOMPLETE_BOXED bench environment can run the whole system on the
-// boxed oracle path, mirroring the -naivejoin convention.
-var boxedDefault atomic.Bool
-
-// SetDefaultBoxed selects boxed (true) or interned (false) storage for
-// subsequently created instances and databases. Tests that set it must
-// restore it (defer SetDefaultBoxed(false)) — the flag is
-// process-global.
-func SetDefaultBoxed(boxed bool) { boxedDefault.Store(boxed) }
-
-// DefaultBoxed reports the current process-wide default storage mode.
-func DefaultBoxed() bool { return boxedDefault.Load() }

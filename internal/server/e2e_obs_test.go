@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"relcomplete/internal/fault"
 	"relcomplete/internal/httpx"
 	"relcomplete/internal/obs"
 )
@@ -36,16 +35,20 @@ func TestObsIdentityEndToEnd(t *testing.T) {
 	}
 	exporter := obs.NewSpanExporter(sink, obs.ExporterConfig{})
 
-	metrics := obs.NewMetrics()
-	s := New(Config{
-		Metrics: metrics,
-		// Deterministically slow every query evaluation a little, so the
-		// decide stays in flight long enough for the goroutine-profile
-		// poller to observe its pprof labels.
-		FaultPlan: fault.NewPlan(fault.Rule{
-			Site: fault.SiteEvalAnswers, Kind: fault.KindDelay, Every: 1, Delay: 2 * time.Millisecond,
-		}),
+	// Every decider call is "slow", and the slow-op sink holds the
+	// decide, still inside its pprof label scope, until the
+	// goroutine-profile poller below has seen the trace id (at most
+	// 10 s), so the poller cannot miss a short decide.
+	seen := make(chan struct{})
+	hold := writerFunc(func(p []byte) (int, error) {
+		select {
+		case <-seen:
+		case <-time.After(10 * time.Second):
+		}
+		return len(p), nil
 	})
+	metrics := obs.NewMetrics()
+	s := New(Config{Metrics: metrics, SlowOpThreshold: time.Nanosecond, SlowOpSink: hold})
 	ts := httptest.NewServer(httpx.AccessLogExport(nil, exporter, s))
 	defer ts.Close()
 	putOrders(t, ts.URL, "orders")
@@ -65,10 +68,8 @@ func TestObsIdentityEndToEnd(t *testing.T) {
 			pprof.Lookup("goroutine").WriteTo(&buf, 1)
 			for _, line := range strings.Split(buf.String(), "\n") {
 				if strings.Contains(line, wantID) {
-					select {
-					case labelLine <- line:
-					default:
-					}
+					labelLine <- line
+					close(seen)
 					return
 				}
 			}
@@ -160,6 +161,11 @@ func TestObsIdentityEndToEnd(t *testing.T) {
 		t.Error("per-tenant wall-time series missing the request's exemplar")
 	}
 }
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // /debug/plans serves the sampled plan profiles of resident problems,
 // tagged with the tenant name and ranked by estimated wall time.

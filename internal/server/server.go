@@ -643,9 +643,8 @@ func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest, vi
 	ci := e.CInstance
 	if req.Query != "" {
 		// A query override builds a private problem rather than a view:
-		// its constants and variable names would otherwise be interned
-		// into the resident master's interner, which only grows and is
-		// not charged against the registry cap.
+		// a view shares the resident memo, whose plan and domains are
+		// derived from the resident query.
 		doc := *e.Doc
 		doc.Query = probjson.QueryDoc{Calc: req.Query}
 		var err error

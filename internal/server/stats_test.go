@@ -16,7 +16,7 @@ import (
 // relation layer, whose counters go to one process-wide sink
 // (relation.SetMetrics) rather than to a decide's metrics view.
 func relationLayer(name string) bool {
-	return strings.HasPrefix(name, "index_") || name == "values_interned" || name == "intern_hits"
+	return strings.HasPrefix(name, "index_")
 }
 
 // serverLayer reports whether counter name is recorded by the server

@@ -46,15 +46,15 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 	}
 	b.Run("disabled", func(b *testing.B) {
-		run(b, benchCoreOpts())
+		run(b, core.Options{})
 	})
 	b.Run("counters", func(b *testing.B) {
-		opts := benchCoreOpts()
+		opts := core.Options{}
 		opts.Obs = relcomplete.NewMetrics()
 		run(b, opts)
 	})
 	b.Run("traced", func(b *testing.B) {
-		opts := benchCoreOpts()
+		opts := core.Options{}
 		opts.Obs = relcomplete.NewMetrics()
 		opts.Trace = relcomplete.NewTextTracer(io.Discard)
 		opts.Parallelism = 1
@@ -63,7 +63,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("ring", func(b *testing.B) {
 		// The always-on configuration the CLIs ship: metrics +
 		// histograms + non-verbose flight recorder.
-		opts := benchCoreOpts()
+		opts := core.Options{}
 		opts.Obs = relcomplete.NewMetrics()
 		ring := relcomplete.NewRingSink(0)
 		opts.Trace = relcomplete.NewFlightTracer(ring)
@@ -102,7 +102,7 @@ func BenchmarkObsHistogram(b *testing.B) {
 		// RCDP decide, as the request-scoped view holds them when the
 		// response is built.
 		s := paperex.Reduced()
-		opts := benchCoreOpts()
+		opts := core.Options{}
 		opts.Obs = relcomplete.NewMetrics()
 		p, err := s.Problem(s.Q1, opts)
 		if err != nil {
@@ -135,7 +135,6 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g.Problem.Options.NaiveJoin = naiveJoinEnv
 		g.Problem.Options.Parallelism = 1
 		return g
 	}
