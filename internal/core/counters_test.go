@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"relcomplete/internal/core"
 	"relcomplete/internal/ctable"
 	"relcomplete/internal/obs"
 	"relcomplete/internal/probjson"
+	"relcomplete/internal/query"
 	"relcomplete/internal/relation"
 )
 
@@ -65,6 +67,20 @@ func TestDecideCountersPinned(t *testing.T) {
 			_, err := p.RCDP(ci, core.Weak)
 			return err
 		}, []int64{22, 20, 2, 9, 0, 29, 26, 3, 31, 0, 2, 2, 0, 0}},
+		// The document's inputs with Q(q) := Order('widget', q): widget
+		// is a catalogue item, so extending the first model by a widget
+		// order with a new quantity gains an answer, and strong RCDP
+		// stops at that counterexample.
+		{"rcdp_strong_counterexample", func(p *core.Problem, ci *ctable.CInstance) error {
+			p, err := core.NewProblem(p.Schema, core.CalcQuery(query.MustParseQuery("Q(q) := Order('widget', q)")), p.Master, p.CCs, p.Options)
+			if err != nil {
+				return err
+			}
+			if ok, err := p.RCDP(ci, core.Strong); err != nil || ok {
+				return fmt.Errorf("RCDP = %v, %v; want a counterexample", ok, err)
+			}
+			return nil
+		}, []int64{1, 1, 1, 1, 1, 8, 0, 3, 10, 0, 2, 2, 0, 0}},
 		{"extensibility", func(p *core.Problem, ci *ctable.CInstance) error {
 			db, err := p.AnyModel(ci)
 			if err != nil {

@@ -291,18 +291,9 @@ func (v *HistogramVec) seriesFor(labelValues []string) *histoSeries {
 }
 
 // write emits every series' _bucket/_sum/_count samples for family
-// name, series sorted by label key.
-func (v *HistogramVec) write(w *errWriter, name string) {
-	v.writeSeries(w, name, false)
-}
-
-// writeExemplars is write for the OpenMetrics exposition: bucket
-// samples trail their recorded exemplar, when one exists.
-func (v *HistogramVec) writeExemplars(w *errWriter, name string) {
-	v.writeSeries(w, name, true)
-}
-
-func (v *HistogramVec) writeSeries(w *errWriter, name string, exemplars bool) {
+// name, series sorted by label key; with exemplars (the OpenMetrics
+// exposition), bucket samples trail their recorded exemplar.
+func (v *HistogramVec) write(w *errWriter, name string, exemplars bool) {
 	if v == nil {
 		return
 	}

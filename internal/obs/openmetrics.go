@@ -26,59 +26,7 @@ const ContentTypeOpenMetrics = "application/openmetrics-text; version=1.0.0; cha
 // histograms (with their bucket exemplars, where recorded) in the
 // OpenMetrics text exposition format, terminated by `# EOF`. A nil
 // receiver renders the full all-zero inventory, like WritePrometheus.
-func (m *Metrics) WriteOpenMetrics(w io.Writer) error {
-	bw := &errWriter{w: w}
-	for c := Counter(0); c < numCounters; c++ {
-		// OpenMetrics counters: the family is the bare name, the
-		// samples carry the _total suffix.
-		fam := MetricPrefix + c.String()
-		fmt.Fprintf(bw, "# HELP %s %s\n", fam, counterHelp[c])
-		fmt.Fprintf(bw, "# TYPE %s counter\n", fam)
-		fmt.Fprintf(bw, "%s_total %d\n", fam, m.Get(c))
-		m.counterVec(c).write(bw, fam+"_total")
-	}
-
-	var phases []PhaseStat
-	if m != nil {
-		phases = m.Snapshot().Phases // sorted by name
-	}
-	secs := MetricPrefix + "phase_seconds"
-	fmt.Fprintf(bw, "# HELP %s accumulated wall time per solver phase\n", secs)
-	fmt.Fprintf(bw, "# TYPE %s counter\n", secs)
-	for _, ph := range phases {
-		fmt.Fprintf(bw, "%s_total{phase=%q} %s\n", secs, ph.Name, formatBound(ph.Ms/1e3))
-	}
-	calls := MetricPrefix + "phase_calls"
-	fmt.Fprintf(bw, "# HELP %s calls per solver phase\n", calls)
-	fmt.Fprintf(bw, "# TYPE %s counter\n", calls)
-	for _, ph := range phases {
-		fmt.Fprintf(bw, "%s_total{phase=%q} %d\n", calls, ph.Name, ph.Count)
-	}
-
-	for h := Histo(0); h < numHistos; h++ {
-		d := &histoDefs[h]
-		name := MetricPrefix + d.name
-		fmt.Fprintf(bw, "# HELP %s %s\n", name, d.help)
-		fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
-		st := histoExposition(m, h)
-		for i, b := range st.Buckets {
-			fmt.Fprintf(bw, "%s_bucket{le=%q} %d", name, b.LE, b.Count)
-			if m != nil {
-				if ex, ok := loadExemplar(&m.histos[h].exemplars[i]); ok {
-					writeExemplar(bw, ex)
-				}
-			}
-			io.WriteString(bw, "\n")
-		}
-		fmt.Fprintf(bw, "%s_sum %s\n", name, formatBound(st.Sum))
-		fmt.Fprintf(bw, "%s_count %d\n", name, st.Count)
-		m.histoVec(h).writeExemplars(bw, name)
-	}
-
-	writeRuntimeGauges(bw)
-	io.WriteString(bw, "# EOF\n")
-	return bw.err
-}
+func (m *Metrics) WriteOpenMetrics(w io.Writer) error { return m.writeExposition(w, true) }
 
 // OpenMetricsText is WriteOpenMetrics into a string.
 func (m *Metrics) OpenMetricsText() string {

@@ -26,16 +26,30 @@ const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"
 // histograms in the Prometheus text exposition format. A nil receiver
 // renders the full (all-zero) counter inventory, so a scrape endpoint
 // stays well-formed before solving starts.
-func (m *Metrics) WritePrometheus(w io.Writer) error {
+func (m *Metrics) WritePrometheus(w io.Writer) error { return m.writeExposition(w, false) }
+
+// writeExposition renders the classic text format, or with om the
+// OpenMetrics one (openmetrics.go), which differs in three places:
+// counter families are declared under their bare name, bucket samples
+// carry their exemplars, and the document ends with # EOF.
+func (m *Metrics) writeExposition(w io.Writer, om bool) error {
 	bw := &errWriter{w: w}
-	for c := Counter(0); c < numCounters; c++ {
-		name := MetricPrefix + c.String() + "_total"
-		fmt.Fprintf(bw, "# HELP %s %s\n", name, counterHelp[c])
+	// counterFamily declares a counter family whose samples are
+	// name_total.
+	counterFamily := func(name, help string) {
+		if !om {
+			name += "_total"
+		}
+		fmt.Fprintf(bw, "# HELP %s %s\n", name, help)
 		fmt.Fprintf(bw, "# TYPE %s counter\n", name)
-		fmt.Fprintf(bw, "%s %d\n", name, m.Get(c))
+	}
+	for c := Counter(0); c < numCounters; c++ {
+		name := MetricPrefix + c.String()
+		counterFamily(name, counterHelp[c])
+		fmt.Fprintf(bw, "%s_total %d\n", name, m.Get(c))
 		// Labelled attribution series share the family block: same
 		// TYPE, samples contiguous after the unlabelled total.
-		m.counterVec(c).write(bw, name)
+		m.counterVec(c).write(bw, name+"_total")
 	}
 
 	// Phase timings: two labelled counter families, mirroring the
@@ -44,17 +58,15 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	if m != nil {
 		phases = m.Snapshot().Phases // sorted by name
 	}
-	secs := MetricPrefix + "phase_seconds_total"
-	fmt.Fprintf(bw, "# HELP %s accumulated wall time per solver phase\n", secs)
-	fmt.Fprintf(bw, "# TYPE %s counter\n", secs)
+	secs := MetricPrefix + "phase_seconds"
+	counterFamily(secs, "accumulated wall time per solver phase")
 	for _, ph := range phases {
-		fmt.Fprintf(bw, "%s{phase=%q} %s\n", secs, ph.Name, formatBound(ph.Ms/1e3))
+		fmt.Fprintf(bw, "%s_total{phase=%q} %s\n", secs, ph.Name, formatBound(ph.Ms/1e3))
 	}
-	calls := MetricPrefix + "phase_calls_total"
-	fmt.Fprintf(bw, "# HELP %s calls per solver phase\n", calls)
-	fmt.Fprintf(bw, "# TYPE %s counter\n", calls)
+	calls := MetricPrefix + "phase_calls"
+	counterFamily(calls, "calls per solver phase")
 	for _, ph := range phases {
-		fmt.Fprintf(bw, "%s{phase=%q} %d\n", calls, ph.Name, ph.Count)
+		fmt.Fprintf(bw, "%s_total{phase=%q} %d\n", calls, ph.Name, ph.Count)
 	}
 
 	for h := Histo(0); h < numHistos; h++ {
@@ -63,15 +75,24 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# HELP %s %s\n", name, d.help)
 		fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
 		st := histoExposition(m, h)
-		for _, b := range st.Buckets {
-			fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", name, b.LE, b.Count)
+		for i, b := range st.Buckets {
+			fmt.Fprintf(bw, "%s_bucket{le=%q} %d", name, b.LE, b.Count)
+			if om && m != nil {
+				if ex, ok := loadExemplar(&m.histos[h].exemplars[i]); ok {
+					writeExemplar(bw, ex)
+				}
+			}
+			io.WriteString(bw, "\n")
 		}
 		fmt.Fprintf(bw, "%s_sum %s\n", name, formatBound(st.Sum))
 		fmt.Fprintf(bw, "%s_count %d\n", name, st.Count)
-		m.histoVec(h).write(bw, name)
+		m.histoVec(h).write(bw, name, om)
 	}
 
 	writeRuntimeGauges(bw)
+	if om {
+		io.WriteString(bw, "# EOF\n")
+	}
 	return bw.err
 }
 

@@ -28,8 +28,9 @@ type DecideRequest struct {
 	Model string `json:"model,omitempty"`
 	// Query, when set, overrides the loaded document's calculus query
 	// for this request only (the resident problem is untouched). The
-	// decide runs on a problem built privately from the document, so it
-	// pays the build and plan compilation once per request.
+	// decide runs on a problem of its own over the resident master
+	// data, CCs and c-instance, so it pays the query's plan compilation
+	// and domains once per request.
 	Query string `json:"query,omitempty"`
 	// TimeoutMS bounds the decision; expiry answers 408 with a deadline
 	// object. 0 means the server's default timeout.

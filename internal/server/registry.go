@@ -18,20 +18,21 @@ import (
 )
 
 // Entry is one resident problem: the decoded probjson document, the
-// built core.Problem (shared by every request that does not override
-// the query or budgets — its plan and lattice caches are what make the
-// hot serving path cheap) and the c-instance. Entries are immutable
-// after load; a PUT on an existing name atomically replaces the entry.
+// built core.Problem and the c-instance. Every decide runs on the
+// problem's master data, CCs and c-instance; one without a query
+// override runs on a view of the problem itself, whose plan and lattice
+// caches are what make the hot serving path cheap. Entries are
+// immutable after load; a PUT on an existing name atomically replaces
+// the entry.
 type Entry struct {
 	Name      string
 	Problem   *core.Problem
 	CInstance *ctable.CInstance
-	Doc       *probjson.Document // retained for per-request rebuilds
+	Doc       *probjson.Document // kept for info and for bench/rcload's traced replay
 	// Bytes is the resident-size charge: the raw document (retained in
-	// Doc for rebuilds) plus the built master data's interned
-	// representation — value table, flat id rows and membership maps —
-	// as measured by relation.Database.ResidentBytes. The charge is
-	// deterministic and platform-independent, so eviction behaviour
+	// Raw) plus the built master data's value-keyed rows and membership
+	// keys, as measured by relation.Database.ResidentBytes. The charge
+	// is deterministic and platform-independent, so eviction behaviour
 	// under a byte cap is reproducible.
 	Bytes  int64
 	Loaded time.Time
@@ -104,8 +105,7 @@ func NewRegistry(maxBytes int64, base func() core.Options, m *obs.Metrics) *Regi
 }
 
 // DecodeDocument parses raw strictly (unknown fields are errors, as in
-// probjson.Decode) but keeps the document so decide-time overrides can
-// rebuild the problem.
+// probjson.Decode) but keeps the document, which Entry.Doc retains.
 func DecodeDocument(raw []byte) (*probjson.Document, error) {
 	var doc probjson.Document
 	dec := json.NewDecoder(strings.NewReader(string(raw)))
@@ -114,28 +114,6 @@ func DecodeDocument(raw []byte) (*probjson.Document, error) {
 		return nil, fmt.Errorf("probjson: %w", err)
 	}
 	return &doc, nil
-}
-
-// build assembles doc into a problem carrying the server-wide options
-// overlay.
-func (r *Registry) build(doc *probjson.Document) (*core.Problem, *ctable.CInstance, error) {
-	p, ci, err := probjson.Build(doc)
-	if err != nil {
-		return nil, nil, err
-	}
-	if r.base != nil {
-		base := r.base()
-		if doc.Options.Parallelism == 0 {
-			p.Options.Parallelism = base.Parallelism
-		}
-		p.Options.Obs = base.Obs
-		p.Options.Trace = base.Trace
-		p.Options.FlightRecorder = base.FlightRecorder
-		p.Options.SlowOpThreshold = base.SlowOpThreshold
-		p.Options.SlowOpSink = base.SlowOpSink
-		p.Options.FaultPlan = base.FaultPlan
-	}
-	return p, ci, nil
 }
 
 // ErrTooLarge reports a document that can never fit under the cap.
@@ -172,9 +150,19 @@ func (r *Registry) put(name string, raw []byte, persist bool) (*Entry, bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	p, ci, err := r.build(doc)
+	p, ci, err := probjson.Build(doc)
 	if err != nil {
 		return nil, false, err
+	}
+	if r.base != nil {
+		base := r.base()
+		if doc.Options.Parallelism == 0 {
+			p.Options.Parallelism = base.Parallelism
+		}
+		p.Options.Obs = base.Obs
+		p.Options.SlowOpThreshold = base.SlowOpThreshold
+		p.Options.SlowOpSink = base.SlowOpSink
+		p.Options.FaultPlan = base.FaultPlan
 	}
 	e := &Entry{
 		Name: name, Problem: p, CInstance: ci, Doc: doc,

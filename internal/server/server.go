@@ -30,7 +30,7 @@ import (
 	"relcomplete/internal/eval"
 	"relcomplete/internal/fault"
 	"relcomplete/internal/obs"
-	"relcomplete/internal/probjson"
+	"relcomplete/internal/query"
 )
 
 // Config tunes one Server.
@@ -67,9 +67,9 @@ type Config struct {
 	// eviction, admission overflow). nil disables logging.
 	Logger *slog.Logger
 	// SlowOpThreshold arms the slow-op dump on every loaded problem: a
-	// decider call exceeding it writes the flight-recorder/histogram
-	// incident record (tagged with the request's trace id) to
-	// SlowOpSink (default os.Stderr). 0 disables.
+	// decider call exceeding it writes an incident record carrying the
+	// request's trace id and histograms to SlowOpSink (default
+	// os.Stderr). 0 disables.
 	SlowOpThreshold time.Duration
 	SlowOpSink      io.Writer
 	// RequestRingSize bounds the /debug/requests recent-request ring
@@ -87,11 +87,6 @@ type Config struct {
 	// Tenant configures per-problem rate limiting and circuit breaking
 	// (zero value: both off).
 	Tenant TenantLimits
-	// TraceExporter, when non-nil, receives every finished request span
-	// tree (rcserved -trace-export). The server only uses it on the
-	// bare-Server path where it owns the root span itself; under
-	// httpx.AccessLog the middleware owns the root and the export.
-	TraceExporter *obs.SpanExporter
 }
 
 func (c *Config) fill() {
@@ -284,12 +279,8 @@ func (s *Server) Draining() bool {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Inc(obs.ServerRequests)
 	if obs.SpanFromContext(r.Context()) == nil {
-		rec := obs.NewSpanRecorder(0)
-		root := rec.Root(r.Method+" "+r.URL.Path, r.Header.Get("traceparent"))
-		defer func() {
-			root.End()
-			s.cfg.TraceExporter.Enqueue(rec.Spans()) // nil exporter is inert
-		}()
+		root := obs.NewSpanRecorder(0).Root(r.Method+" "+r.URL.Path, r.Header.Get("traceparent"))
+		defer root.End()
 		w.Header().Set("traceparent", root.Traceparent())
 		r = r.WithContext(obs.ContextWithSpan(r.Context(), root))
 	}
@@ -627,11 +618,11 @@ func (e *panicError) Error() string {
 	return fmt.Sprintf("decide panicked: %v", e.val)
 }
 
-// runDecide resolves the problem (a view of the shared resident
-// instance, or a private build for a query override), installs the
-// request-scoped metrics view on it, applies the deadline and
-// dispatches the property. Everything the decide records lands in
-// view, which is folded into the server totals when runDecide returns.
+// runDecide resolves the problem, installs the request-scoped metrics
+// view and budgets on it, applies the deadline and dispatches the
+// property. Every decide runs on the resident master data, CCs and
+// c-instance. Everything the decide records lands in view, which is
+// folded into the server totals when runDecide returns.
 func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest, view *obs.Metrics) (res decideResult, err error) {
 	defer s.metrics.Merge(view)
 	defer func() {
@@ -639,26 +630,23 @@ func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest, vi
 			err = &panicError{val: r, stack: debug.Stack()}
 		}
 	}()
-	var p *core.Problem
-	ci := e.CInstance
+	p := e.Problem
 	if req.Query != "" {
-		// A query override builds a private problem rather than a view:
-		// a view shares the resident memo, whose plan and domains are
-		// derived from the resident query.
-		doc := *e.Doc
-		doc.Query = probjson.QueryDoc{Calc: req.Query}
-		var err error
-		p, ci, err = s.registry.build(&doc)
+		// A query override gets a problem of its own over the resident
+		// inputs: the resident memo's plan, tableaux and domains derive
+		// from the resident query.
+		q, err := query.ParseQuery(req.Query)
 		if err != nil {
+			return res, &badRequestError{msg: fmt.Sprintf("query: %v", err)}
+		}
+		if p, err = core.NewProblem(p.Schema, core.CalcQuery(q), p.Master, p.CCs, p.Options); err != nil {
 			return res, &badRequestError{msg: err.Error()}
 		}
-		p.Options = req.Budget.apply(p.Options)
-		p.Options.Obs = view
-	} else {
-		opts := req.Budget.apply(e.Problem.Options)
-		opts.Obs = view
-		p = e.Problem.WithOptions(opts)
 	}
+	opts := req.Budget.apply(p.Options)
+	opts.Obs = view
+	p = p.WithOptions(opts)
+	ci := e.CInstance
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {

@@ -7,7 +7,10 @@ import (
 	"net/http"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"relcomplete/internal/probjson"
 )
 
 // everyProperty lists one decide request per property and model.
@@ -47,15 +50,39 @@ func (o outcome) String() string {
 		o.Status, v, o.Kind, o.Budget, o.Counterexample, o.CertainAnswers)
 }
 
-// ordersQuery is the query of the orders document. A query override
-// with it rebuilds the document privately: the path every override
-// took before budget-only overrides were served from a view, and the
-// reference the view must match.
-const ordersQuery = "Q(i) := Order(i)"
+// overrideQueries are the query overrides the tables send: none (a
+// plain or budget-only decide), the orders document's own query, one
+// that no model satisfies, and one whose constant is a master value.
+var overrideQueries = []string{"", "Q(i) := Order(i)", "Q(i) := Order(i) & Order('zzz')", "Q(i) := Order(i) & i != 'widget'"}
 
-func rebuilt(req DecideRequest) DecideRequest {
-	req.Query = ordersQuery
-	return req
+// refSeq names the reference problems.
+var refSeq atomic.Int64
+
+// reference is the outcome req must have, from a decide that shares
+// nothing with any other: a fresh PUT of the orders document with req's
+// query and budget written into it, decided cold with no override.
+func reference(t *testing.T, base string, req DecideRequest) outcome {
+	t.Helper()
+	doc, err := DecodeDocument(ordersDoc(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Query != "" {
+		doc.Query = probjson.QueryDoc{Calc: req.Query}
+	}
+	if b := req.Budget; b != nil {
+		doc.Options = probjson.OptionsDoc{MaxValuations: b.MaxValuations, MaxSubsets: b.MaxSubsets,
+			RCQPSizeBound: b.RCQPSizeBound, MaxDerived: b.MaxDerived}
+	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("ref-%d", refSeq.Add(1))
+	if resp := doJSON(t, http.MethodPut, base+"/v1/problems/"+name, raw, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT %s: status %d", name, resp.StatusCode)
+	}
+	return outcomeOf(t, base, name, DecideRequest{Property: req.Property, Model: req.Model})
 }
 
 func outcomeOf(t *testing.T, base, name string, req DecideRequest) outcome {
@@ -88,82 +115,120 @@ func tryOutcome(base, name string, req DecideRequest) (outcome, error) {
 }
 
 // A budget-only override decides on a view of the resident problem,
-// which shares the memoised state earlier decides left behind. Its
-// outcome must still be the one a private rebuild gives — the same
-// verdict, or the same budget error with the same detail — for every
-// property at every budget, on a cold resident problem and on a warm
-// one.
+// which shares the memoised state earlier decides left behind; a query
+// override decides on the resident master data, CCs and c-instance,
+// which earlier decides have warmed too. Either outcome must be the
+// reference's — the same verdict, or the same budget error with the
+// same detail — for every property at every budget, on a cold resident
+// problem and on a warm one. The overrides must leave the resident
+// state as the PUTs left it.
 func TestBudgetOverrideIndependentOfWarmth(t *testing.T) {
 	// One worker: the budget detail of a parallel search may shift by
 	// the dispatch window, and this table compares it exactly.
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
+	_, ref := newTestServer(t, Config{Workers: 1})
 	putOrders(t, ts.URL, "warm")
 	for _, req := range everyProperty {
 		outcomeOf(t, ts.URL, "warm", req)
 	}
-	sawBudget := false
+	budgets := []*BudgetRequest{nil}
 	for _, mv := range []int{1, 2, 3, 5, 8, 13} {
-		for i, req := range everyProperty {
-			req.Budget = &BudgetRequest{MaxValuations: mv}
-			want := outcomeOf(t, ts.URL, "warm", rebuilt(req))
-			cold := fmt.Sprintf("cold-%d-%d", mv, i)
-			putOrders(t, ts.URL, cold)
-			if got := outcomeOf(t, ts.URL, cold, req); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %s max_valuations=%d:\n cold view %v\n rebuild   %v", req.Property, req.Model, mv, got, want)
+		budgets = append(budgets, &BudgetRequest{MaxValuations: mv})
+	}
+	type cell struct {
+		req  DecideRequest
+		cold string
+	}
+	var cells []cell
+	for qi, q := range overrideQueries {
+		for bi, budget := range budgets {
+			if q == "" && budget == nil {
+				continue // no override
 			}
-			if got := outcomeOf(t, ts.URL, "warm", req); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %s max_valuations=%d:\n warm view %v\n rebuild   %v", req.Property, req.Model, mv, got, want)
+			for i, req := range everyProperty {
+				req.Query, req.Budget = q, budget
+				cold := fmt.Sprintf("cold-%d-%d-%d", qi, bi, i)
+				putOrders(t, ts.URL, cold)
+				cells = append(cells, cell{req, cold})
 			}
-			sawBudget = sawBudget || want.Kind == KindBudget
 		}
+	}
+	warm, _ := s.Registry().Get("warm")
+	resident := s.Registry().ResidentBytes()
+	masterSize, masterBytes := warm.Problem.Master.Size(), warm.Problem.Master.ResidentBytes()
+
+	sawBudget := false
+	for _, c := range cells {
+		want := reference(t, ref.URL, c.req)
+		if got := outcomeOf(t, ts.URL, c.cold, c.req); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %s query=%q budget=%+v:\n cold      %v\n reference %v", c.req.Property, c.req.Model, c.req.Query, c.req.Budget, got, want)
+		}
+		if got := outcomeOf(t, ts.URL, "warm", c.req); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %s query=%q budget=%+v:\n warm      %v\n reference %v", c.req.Property, c.req.Model, c.req.Query, c.req.Budget, got, want)
+		}
+		sawBudget = sawBudget || want.Kind == KindBudget
 	}
 	if !sawBudget {
 		t.Fatal("no decide hit its budget: the table checks nothing")
 	}
+	if got := s.Registry().ResidentBytes(); got != resident {
+		t.Errorf("registry resident bytes %d after the overrides, %d before", got, resident)
+	}
+	if got := warm.Problem.Master.Size(); got != masterSize {
+		t.Errorf("warm master has %d rows after the overrides, %d before", got, masterSize)
+	}
+	if got := warm.Problem.Master.ResidentBytes(); got != masterBytes {
+		t.Errorf("warm master resident bytes %d after the overrides, %d before", got, masterBytes)
+	}
 }
 
-// Resident decides and budget-override decides run against one problem
-// at the same time and must return what a private rebuild returns. The
-// race detector watches the state the views share with the resident
-// problem.
+// Resident decides, budget overrides and query overrides run against
+// one problem at the same time and must return the reference's outcome.
+// The race detector watches the state they share with the resident
+// problem: the memo for views, the master data, CCs and c-instance for
+// every decide.
 func TestConcurrentViewsAgreeWithRebuild(t *testing.T) {
 	budgets := []*BudgetRequest{nil, {MaxValuations: 1 << 20, MaxSubsets: 1 << 20}, {MaxValuations: 1}}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			_, ts := newTestServer(t, Config{Workers: workers, MaxConcurrent: 4, MaxQueue: 256})
 			putOrders(t, ts.URL, "shared")
-			type key struct{ prop, budget int }
+			type key struct{ prop, budget, query int }
 			want := map[key]outcome{}
-			for b, budget := range budgets {
-				if workers > 1 && budget != nil && budget.MaxValuations == 1 {
-					continue // where a parallel search trips its budget may vary
-				}
-				for i, req := range everyProperty {
-					req.Budget = budget
-					want[key{i, b}] = outcomeOf(t, ts.URL, "shared", rebuilt(req))
+			for q, query := range overrideQueries {
+				for b, budget := range budgets {
+					if workers > 1 && budget != nil && budget.MaxValuations == 1 {
+						continue // where a parallel search trips its budget may vary
+					}
+					for i, req := range everyProperty {
+						req.Query, req.Budget = query, budget
+						want[key{i, b, q}] = reference(t, ts.URL, req)
+					}
 				}
 			}
+			cells := len(everyProperty) * len(budgets) * len(overrideQueries)
 			var wg sync.WaitGroup
-			errs := make(chan string, 4*len(want))
+			errs := make(chan string, 4*cells)
 			for g := 0; g < 4; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					for n := 0; n < len(want); n++ {
-						// Each goroutine walks the table from its own offset.
-						i := (g*5 + n) % len(everyProperty)
-						b := (g + n) % len(budgets)
-						w, ok := want[key{i, b}]
+					for n := 0; n < cells; n++ {
+						// Each goroutine walks the whole table from its own
+						// offset.
+						c := (g*cells/4 + n) % cells
+						k := key{c % len(everyProperty), c / len(everyProperty) % len(budgets), c / len(everyProperty) / len(budgets)}
+						w, ok := want[k]
 						if !ok {
 							continue
 						}
-						req := everyProperty[i]
-						req.Budget = budgets[b]
+						req := everyProperty[k.prop]
+						req.Budget, req.Query = budgets[k.budget], overrideQueries[k.query]
 						got, err := tryOutcome(ts.URL, "shared", req)
 						if err != nil {
 							errs <- err.Error()
 						} else if !reflect.DeepEqual(got, w) {
-							errs <- fmt.Sprintf("%s %s budget=%+v:\n got     %v\n rebuild %v", req.Property, req.Model, req.Budget, got, w)
+							errs <- fmt.Sprintf("%s %s query=%q budget=%+v:\n got       %v\n reference %v", req.Property, req.Model, req.Query, req.Budget, got, w)
 						}
 					}
 				}(g)
