@@ -42,12 +42,16 @@ var pinnedCounters = []string{
 	"extensions_tested", "counterexamples_found", "cc_checks", "cc_violations",
 	"plan_compilations", "plan_runs", "naive_evaluations",
 	"index_builds", "index_probes", "values_interned", "intern_hits",
+	"search_items", "search_cancellations", "search_races_resolved",
 }
 
-// TestDecideCountersPinned pins the exact values of the solver, eval
-// and relation counters for one fixed sequential decide per property
-// on counterDoc. The index counters count the hash indexes the decide
-// builds and probes on candidates, extensions and probe databases.
+// TestDecideCountersPinned pins the exact values of the solver, eval,
+// relation and search counters for one fixed sequential decide per
+// property on counterDoc. The index counters count the hash indexes the
+// decide builds and probes on candidates, extensions and probe
+// databases. search_items counts the candidates the search engine
+// probes; the sequential engine issues no stop signal and resolves no
+// race, so search_cancellations and search_races_resolved stay 0.
 // values_interned and intern_hits are retired and must stay 0.
 func TestDecideCountersPinned(t *testing.T) {
 	cases := []struct {
@@ -58,15 +62,15 @@ func TestDecideCountersPinned(t *testing.T) {
 		{"consistency", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.Consistent(ci)
 			return err
-		}, []int64{9, 8, 1, 0, 0, 8, 7, 2, 8, 0, 0, 0, 0, 0}},
+		}, []int64{9, 8, 1, 0, 0, 8, 7, 2, 8, 0, 0, 0, 0, 0, 8, 0, 0}},
 		{"rcdp_strong", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.RCDP(ci, core.Strong)
 			return err
-		}, []int64{49, 28, 3, 0, 0, 34, 31, 3, 37, 0, 3, 3, 0, 0}},
+		}, []int64{49, 28, 3, 0, 0, 34, 31, 3, 37, 0, 3, 3, 0, 0, 28, 0, 0}},
 		{"rcdp_weak", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.RCDP(ci, core.Weak)
 			return err
-		}, []int64{22, 20, 2, 9, 0, 29, 26, 3, 31, 0, 2, 2, 0, 0}},
+		}, []int64{22, 20, 2, 9, 0, 29, 26, 3, 31, 0, 2, 2, 0, 0, 8, 0, 0}},
 		// The document's inputs with Q(q) := Order('widget', q): widget
 		// is a catalogue item, so extending the first model by a widget
 		// order with a new quantity gains an answer, and strong RCDP
@@ -80,7 +84,7 @@ func TestDecideCountersPinned(t *testing.T) {
 				return fmt.Errorf("RCDP = %v, %v; want a counterexample", ok, err)
 			}
 			return nil
-		}, []int64{1, 1, 1, 1, 1, 8, 0, 3, 10, 0, 2, 2, 0, 0}},
+		}, []int64{1, 1, 1, 1, 1, 8, 0, 3, 10, 0, 2, 2, 0, 0, 1, 0, 0}},
 		{"extensibility", func(p *core.Problem, ci *ctable.CInstance) error {
 			db, err := p.AnyModel(ci)
 			if err != nil {
@@ -88,7 +92,7 @@ func TestDecideCountersPinned(t *testing.T) {
 			}
 			_, err = p.Extensible(db)
 			return err
-		}, []int64{9, 8, 1, 9, 0, 17, 15, 2, 17, 0, 0, 0, 0, 0}},
+		}, []int64{9, 8, 1, 9, 0, 17, 15, 2, 17, 0, 0, 0, 0, 0, 0, 0, 0}},
 	}
 	for _, c := range cases {
 		t.Run(c.property, func(t *testing.T) {
@@ -111,5 +115,45 @@ func TestDecideCountersPinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// twoModelDoc has one variable row whose two models answer Q
+// differently (widget and gadget), so the certain answers over the
+// models are empty and weak RCDP's extension stream stops as soon as
+// the intersection over (model, extension) pairs is empty.
+const twoModelDoc = `{
+  "schema": {"relations": [
+    {"name": "Order", "attrs": [{"name": "item"}, {"name": "qty"}]}]},
+  "master": {
+    "relations": [{"name": "Catalog", "attrs": [{"name": "item"}]}],
+    "rows": {"Catalog": [["widget"], ["gadget"]]}},
+  "ccs": [{"name": "order_in_catalog",
+           "left":  "q(i) := Order(i, q)",
+           "right": "p(i) := Catalog(i)"}],
+  "query": {"calc": "Q(i) := exists q: Order(i, q)"},
+  "cinstance": {"rows": [{"rel": "Order", "terms": ["?x", "1"]}]}
+}`
+
+// TestWeakStreamEarlyStopPinned pins where the sequential extension
+// stream stops. The second model's scan starts from the intersection
+// folded over the first model's extensions ({widget}), so it stops on
+// its first extension that lacks widget; a scan of the second model on
+// its own would never empty its intersection and would test every one
+// of its extensions.
+func TestWeakStreamEarlyStopPinned(t *testing.T) {
+	p, ci, err := probjson.Decode([]byte(twoModelDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewMetrics()
+	p.Options.Parallelism = 1
+	p.Options.Obs = m
+	ok, err := p.RCDP(ci, core.Weak)
+	if err != nil || !ok {
+		t.Fatalf("weak RCDP = %v, %v; want weakly complete", ok, err)
+	}
+	if got := m.Get(obs.ExtensionsTested); got != 45 {
+		t.Errorf("extensions_tested = %d, want 45", got)
 	}
 }
