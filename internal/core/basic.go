@@ -29,50 +29,36 @@ func (p *Problem) PartiallyClosedCtx(ctx context.Context, db *relation.Database)
 	return ok, g.wrap(err)
 }
 
-// forEachModel enumerates ModAdom(T, Dm, V): for every valuation µ of
-// T's variables over the active domain with (µ(T), Dm) ⊨ V, fn is
-// called with µ(T). Distinct valuations yielding the same ground
-// instance are deduplicated by the tuples each adds beyond T's ground
-// prefix (ApplyKeyed). Enumeration stops when fn returns false.
-// The context is consulted per valuation, so a deadline interrupts the
-// enumeration itself, not just the work between candidates.
+// forEachModel enumerates ModAdom(T, Dm, V): for every candidate of
+// modelCandidates with (µ(T), Dm) ⊨ V, fn is called with µ(T), until fn
+// returns false. The context is consulted per valuation, so a deadline
+// interrupts the enumeration itself, not just the work between
+// candidates.
 func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *domains,
-	fn func(db *relation.Database, mu ctable.Valuation) (bool, error)) error {
-	seen := map[string]bool{}
-	visit := func(mu ctable.Valuation) (bool, error) {
-		if err := ctx.Err(); err != nil {
-			return false, err
+	fn func(db *relation.Database) (bool, error)) error {
+	var genErr, err error
+	cont := true
+	p.modelCandidates(ctx, ci, d, &genErr)(func(db *relation.Database) bool {
+		var model bool
+		if model, err = p.checkModel(ctx, db); model {
+			cont, err = fn(db)
 		}
-		p.Options.Obs.Inc(obs.ValuationsEnumerated)
-		db, key, err := ci.ApplyKeyed(mu)
-		if err != nil {
-			return false, err
-		}
-		if seen[key] {
-			return true, nil
-		}
-		seen[key] = true
-		ok, err := p.checkModel(ctx, db)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return true, nil
-		}
-		return fn(db, mu)
+		return cont && err == nil
+	})
+	if err != nil {
+		return err
 	}
-	if d.ty != nil {
-		return p.enumerateTyped(ci, d.a, d.ty, visit)
-	}
-	return d.a.Enumerate(ci.Vars(), ci.VarDomains(), p.Options.MaxValuations, visit)
+	return genErr
 }
 
 // modelCandidates adapts the ModAdom candidate enumeration to a
 // search.Generator for the parallel deciders. Valuations are applied
 // and deduplicated on the generator goroutine — the enumerators reuse
 // one mutable valuation map, so ci.Apply must not escape to workers —
-// and each yielded database is fresh and immutable thereafter. The CC
-// check of forEachModel moves into the probes (it is part of the
+// and each yielded database is fresh and immutable thereafter.
+// Distinct valuations yielding the same ground instance are
+// deduplicated by the tuples each adds beyond T's ground prefix
+// (ApplyKeyed). The CC check is left to the probes (it is part of the
 // per-candidate work worth parallelising), so candidates here are
 // "potential models": deduplicated ground instances not yet filtered
 // by V.
@@ -163,7 +149,7 @@ func (p *Problem) AnyModelCtx(ctx context.Context, ci *ctable.CInstance) (_ *rel
 		return nil, err
 	}
 	var out *relation.Database
-	err = p.forEachModel(ctx, ci, d, func(db *relation.Database, mu ctable.Valuation) (bool, error) {
+	err = p.forEachModel(ctx, ci, d, func(db *relation.Database) (bool, error) {
 		out = db
 		return false, nil
 	})
@@ -184,7 +170,7 @@ func (p *Problem) ModelsCtx(ctx context.Context, ci *ctable.CInstance, max int) 
 		return nil, err
 	}
 	var out []*relation.Database
-	err = p.forEachModel(ctx, ci, d, func(db *relation.Database, mu ctable.Valuation) (bool, error) {
+	err = p.forEachModel(ctx, ci, d, func(db *relation.Database) (bool, error) {
 		out = append(out, db)
 		return max == 0 || len(out) < max, nil
 	})

@@ -289,7 +289,7 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 			return false, p.budgetErr("RCQP search", "MaxValuations",
 				int64(p.Options.MaxValuations), n)
 		}
-		closed, err := p.satisfiesCCs(ctx, db)
+		closed, err := p.satisfiesCCs(cctx, db)
 		if err != nil || !closed {
 			return false, err
 		}

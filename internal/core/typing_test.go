@@ -169,11 +169,11 @@ func TestTypedDomainsCertainAnswersAgree(t *testing.T) {
 
 // The payoff: the FULL eight-attribute Figure 1 becomes decidable. The
 // scenario mirrors internal/paperex.Full (not imported: paperex depends
-// on core). The strong-model check still exhausts an extension space of
-// a few hundred thousand candidates (~2 min); skipped under -short.
+// on core). Q4's weak-model check still tests millions of single-tuple
+// extensions, so the test takes ~40 s on 2 CPUs; skipped under -short.
 func TestTypedDomainsFullFigure1(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-schema strong check takes ~2 minutes")
+		t.Skip("full Figure 1 takes ~40 s on 2 CPUs")
 	}
 	mvisit := relation.MustSchema("MVisit",
 		relation.Attr("NHS", nil), relation.Attr("name", nil), relation.Attr("city", nil),

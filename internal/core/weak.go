@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"relcomplete/internal/ctable"
-	"relcomplete/internal/obs"
 	"relcomplete/internal/relation"
 	"relcomplete/internal/search"
 )
@@ -112,228 +112,92 @@ func (p *Problem) CertainAnswersOfExtensions(ci *ctable.CInstance) ([]relation.T
 func (p *Problem) CertainAnswersOfExtensionsCtx(ctx context.Context, ci *ctable.CInstance) (_ []relation.Tuple, _ bool, err error) {
 	defer p.countBudget(&err)
 	g := p.beginOp(ctx, "certain_answers_of_extensions", "intersection over %d models incomplete")
-	acc, _, anyExt, err := p.certainExtStream(ctx, ci, nil)
+	acc, anyExt, err := p.certainExtStream(ctx, ci, nil)
 	return acc, anyExt, g.wrap(err)
 }
 
+// extFold is an intersection of Q over (model, extension) pairs;
+// universe means no pair has been folded into it yet. As a probe's
+// result, anyExt reports that some extension of its model qualified.
+type extFold struct {
+	acc      []relation.Tuple
+	universe bool
+	anyExt   bool
+}
+
 // certainExtStream intersects Q over qualifying (model, single-tuple
-// extension) pairs. When stopWithin is non-nil, the enumeration halts
-// as soon as the running intersection is contained in stopWithin —
-// later pairs only shrink the intersection, so the containment verdict
-// is already final. It returns the intersection (meaningless when
-// contained is true), whether containment in stopWithin was
-// established, and whether any qualifying extension exists.
-//
-// With several workers the per-model extension scans run concurrently,
-// each folding a model-local intersection that the consumer merges in
-// enumeration order (certainExtStreamPar); the early stops stay sound
-// because the global intersection is contained in every model-local
-// one. At workers <= 1 the original single-loop scan runs unchanged —
-// its interleaved early stops inspect the global accumulator after
-// every single extension, a schedule the parallel decomposition cannot
-// reproduce pair-for-pair (the verdicts still agree).
-func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, stopWithin map[string]bool) (
-	acc []relation.Tuple, contained bool, anyExt bool, err error) {
+// extension) pairs and reports whether any such pair exists. Each
+// model's extensions are scanned by one probe of search.ForEachOrdered,
+// and the consumer folds the probes' intersections in enumeration
+// order. A probe starts its scan from the latest intersection the
+// consumer has published, which contains the final one, and the stream
+// stops as soon as the intersection is settled: empty, or (when
+// stopWithin is non-nil) contained in stopWithin. Later pairs only
+// shrink the intersection, so a settled one is already final for the
+// caller's containment check. At workers <= 1 a probe starts from
+// exactly the running intersection, so it stops on the same extension
+// as a single sequential loop; at workers > 1 it may start from a
+// superset, which only makes it stop later.
+func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, stopWithin map[string]bool) ([]relation.Tuple, bool, error) {
 	if !p.Query.Monotone() {
-		return nil, false, false, fmt.Errorf("certain answers of extensions for FO: %w", ErrUndecidable)
+		return nil, false, fmt.Errorf("certain answers of extensions for FO: %w", ErrUndecidable)
 	}
 	d, err := p.domainsFor(ci, false, true)
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
-	if p.Options.workers() > 1 {
-		return p.certainExtStreamPar(ctx, ci, d, stopWithin)
-	}
-	universe := true
-	within := func() bool {
-		if stopWithin == nil || universe {
+	settled := func(f *extFold) bool {
+		if f.universe {
 			return false
 		}
-		for _, t := range acc {
+		for _, t := range f.acc {
 			if !stopWithin[t.Key()] {
 				return false
 			}
 		}
 		return true
 	}
-	err = p.forEachModel(ctx, ci, d, func(base *relation.Database, mu ctable.Valuation) (bool, error) {
-		for _, r := range p.Schema.Relations() {
-			stop := false
-			done, err := p.latticeOver(ctx, r, d, func(t relation.Tuple) (bool, error) {
-				if base.Relation(r.Name).Contains(t) {
-					return true, nil
-				}
-				p.Options.Obs.Inc(obs.ExtensionsTested)
-				ext := base.WithTuple(r.Name, t)
-				closed, err := p.satisfiesCCs(ctx, ext)
-				if err != nil {
-					return false, err
-				}
-				if !closed {
-					return true, nil
-				}
-				anyExt = true
-				ans, err := p.answers(ctx, ext)
-				if err != nil {
-					return false, err
-				}
-				acc, universe = intersectTuples(acc, universe, ans)
-				if within() {
-					contained = true
-					stop = true
-					return false, nil
-				}
-				if !universe && len(acc) == 0 {
-					// Empty intersection is contained in anything.
-					if stopWithin != nil {
-						contained = true
-					}
-					stop = true
-					return false, nil
-				}
-				return true, nil
-			})
+	var folded atomic.Pointer[extFold]
+	folded.Store(&extFold{universe: true})
+	probe := func(ctx context.Context, idx int, base *relation.Database) (extFold, error) {
+		ok, err := p.checkModel(ctx, base)
+		if err != nil || !ok {
+			return extFold{}, err
+		}
+		s := *folded.Load()
+		err = p.forEachSingleTupleExtension(ctx, base, d, func(ext *relation.Database, _ string, _ relation.Tuple) (bool, error) {
+			s.anyExt = true
+			ans, err := p.answers(ctx, ext)
 			if err != nil {
 				return false, err
 			}
-			if !done && stop {
-				return false, nil
-			}
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, false, false, err
+			s.acc, s.universe = intersectTuples(s.acc, s.universe, ans)
+			return !settled(&s), nil
+		})
+		return s, err
 	}
-	return acc, contained, anyExt, nil
-}
-
-// modelExtScan is one model's contribution to the extension stream: the
-// intersection of Q over the model's qualifying single-tuple
-// extensions (universe when none qualifies), plus the local early-stop
-// verdicts.
-type modelExtScan struct {
-	isModel   bool
-	universe  bool
-	acc       []relation.Tuple
-	anyExt    bool
-	contained bool // the local scan alone established containment
-}
-
-// certainExtStreamPar is the parallel decomposition of the extension
-// stream: each model's extensions are scanned by a worker into a local
-// intersection, and the consumer folds the locals in enumeration
-// order. Every local intersection contains the global one, so a local
-// early stop (local acc ⊆ stopWithin, or a local empty intersection)
-// already decides the global verdict.
-func (p *Problem) certainExtStreamPar(ctx context.Context, ci *ctable.CInstance, d *domains, stopWithin map[string]bool) (
-	acc []relation.Tuple, contained bool, anyExt bool, err error) {
-	universe := true
-	within := func() bool {
-		if stopWithin == nil || universe {
-			return false
-		}
-		for _, t := range acc {
-			if !stopWithin[t.Key()] {
-				return false
-			}
-		}
-		return true
-	}
-	probe := func(ctx context.Context, idx int, base *relation.Database) (modelExtScan, error) {
-		s := modelExtScan{universe: true}
-		ok, err := p.checkModel(ctx, base)
-		if err != nil || !ok {
-			return s, err
-		}
-		s.isModel = true
-		localWithin := func() bool {
-			if stopWithin == nil || s.universe {
-				return false
-			}
-			for _, t := range s.acc {
-				if !stopWithin[t.Key()] {
-					return false
-				}
-			}
-			return true
-		}
-		for _, r := range p.Schema.Relations() {
-			stop := false
-			done, err := p.latticeOver(ctx, r, d, func(t relation.Tuple) (bool, error) {
-				if base.Relation(r.Name).Contains(t) {
-					return true, nil
-				}
-				p.Options.Obs.Inc(obs.ExtensionsTested)
-				ext := base.WithTuple(r.Name, t)
-				closed, err := p.satisfiesCCs(ctx, ext)
-				if err != nil {
-					return false, err
-				}
-				if !closed {
-					return true, nil
-				}
-				s.anyExt = true
-				ans, err := p.answers(ctx, ext)
-				if err != nil {
-					return false, err
-				}
-				s.acc, s.universe = intersectTuples(s.acc, s.universe, ans)
-				if localWithin() {
-					s.contained = true
-					stop = true
-					return false, nil
-				}
-				if !s.universe && len(s.acc) == 0 {
-					if stopWithin != nil {
-						s.contained = true
-					}
-					stop = true
-					return false, nil
-				}
-				return true, nil
-			})
-			if err != nil {
-				return s, err
-			}
-			if !done && stop {
-				return s, nil
-			}
-		}
-		return s, nil
-	}
+	anyExt := false
 	var genErr error
 	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
 		p.modelCandidates(ctx, ci, d, &genErr), probe,
-		func(idx int, s modelExtScan) (bool, error) {
-			if !s.isModel {
+		func(idx int, s extFold) (bool, error) {
+			if !s.anyExt {
 				return true, nil
 			}
-			if s.anyExt {
-				anyExt = true
-			}
-			if !s.universe {
-				acc, universe = intersectTuples(acc, universe, s.acc)
-			}
-			if s.contained || within() {
-				contained = true
-				return false, nil
-			}
-			if !universe && len(acc) == 0 {
-				if stopWithin != nil {
-					contained = true
-				}
-				return false, nil
-			}
-			return true, nil
+			anyExt = true
+			f := folded.Load()
+			acc, _ := intersectTuples(f.acc, f.universe, s.acc)
+			f = &extFold{acc: acc}
+			folded.Store(f)
+			return !settled(f), nil
 		})
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
 	if !stopped && genErr != nil {
-		return nil, false, false, genErr
+		return nil, false, genErr
 	}
-	return acc, contained, anyExt, nil
+	return folded.Load().acc, anyExt, nil
 }
 
 // rcdpWeak implements Theorem 5.1: undecidable for FO; for FP, CQ, UCQ
@@ -357,16 +221,13 @@ func (p *Problem) rcdpWeak(ctx context.Context, ci *ctable.CInstance) (bool, err
 	for _, t := range certT {
 		inT[t.Key()] = true
 	}
-	certExt, contained, anyExt, err := p.certainExtStream(ctx, ci, inT)
+	certExt, anyExt, err := p.certainExtStream(ctx, ci, inT)
 	if err != nil {
 		return false, g.wrap(err)
 	}
 	if !anyExt {
 		// Every model of T is unextendable: weakly complete by
 		// definition.
-		return true, nil
-	}
-	if contained {
 		return true, nil
 	}
 	for _, t := range certExt {

@@ -7,31 +7,41 @@
 // bounded worker pool while keeping every observable result exactly
 // what the sequential enumeration would produce.
 //
-// The determinism contract, shared by both entry points:
+// FirstHit and ForEachOrdered are two views of one engine. Candidates
+// are numbered by generation order, and their outcomes reach a
+// consumer strictly in that order, so the consumer observes exactly
+// the prefix a sequential probe-then-consume loop would see:
 //
-//   - Candidates are numbered by generation order. FirstHit returns the
-//     outcome of the lowest-index decisive candidate (a hit or a probe
-//     error), regardless of goroutine scheduling: every candidate with
-//     a smaller index is fully probed before a decisive outcome is
-//     accepted, so repeated runs — and runs at different worker counts
-//     — return bit-identical results.
-//   - ForEachOrdered probes candidates concurrently but delivers the
-//     results to the consumer strictly in generation order, so stateful
-//     reductions (certain-answer intersections) observe the sequential
-//     order.
-//   - workers <= 1 short-circuits to a plain inline loop: generation,
-//     probing and early exit interleave exactly as a hand-written
-//     sequential search would, with no goroutines at all.
+//   - FirstHit's consumer stops at the first hit, so it returns the
+//     lowest-index decisive outcome (a hit or a probe error) regardless
+//     of goroutine scheduling, and repeated runs — and runs at
+//     different worker counts — return bit-identical results.
+//   - ForEachOrdered hands every outcome to the caller's consumer, so
+//     stateful reductions (certain-answer intersections) observe the
+//     sequential order; the consumer ends the search by returning
+//     false.
+//   - A probe error ends the search at its index, after every
+//     candidate below it was consumed without stopping.
+//   - workers <= 1 runs a plain inline loop: generation, probing and
+//     early exit interleave exactly as a hand-written sequential search
+//     would, with no goroutines at all.
+//
+// With several workers, the first decisive outcome to arrive (a hit or
+// a probe error) stops dispatch, and the candidates below it are still
+// probed, since one of them may win. Once the consumer has reached the
+// stop, every probe still in flight lies above it: the engine cancels
+// their context instead of letting them run to completion, and
+// discards what they return, so a cancelled probe's context error
+// never becomes the result.
 //
 // Probe panics are captured and surface as a *PanicError carrying the
-// candidate index and stack; with several workers in flight, the
-// engine still reports the lowest-index failure only, exactly as the
-// sequential loop would have. Generator panics are contained too: they
-// surface as a *PanicError with Index -1 after every dispatched
-// candidate has been probed and drained, so a crashing enumeration
-// never leaks goroutines or deadlocks the pool. A decisive outcome
-// found before the generator crashed still wins — the sequential loop
-// would have exited before reaching the crash point.
+// candidate index and stack, at that candidate's place in the order.
+// Generator panics are contained too: they surface as a *PanicError
+// with Index -1 after every dispatched candidate has been probed and
+// drained, so a crashing enumeration never leaks goroutines or
+// deadlocks the pool. A stop reached before the generator crashed
+// still wins — the sequential loop would have exited before reaching
+// the crash point.
 package search
 
 import (
@@ -55,7 +65,8 @@ type Generator[T any] func(yield func(T) bool)
 // Probe evaluates one candidate. hit marks the candidate decisive (the
 // search stops dispatching new work); a non-nil error is decisive too.
 // Probes run concurrently with one another and with the generator: they
-// must only use shared state that is safe for concurrent use.
+// must only use shared state that is safe for concurrent use. A probe
+// above the search's stop sees its context cancelled.
 type Probe[T, R any] func(ctx context.Context, idx int, item T) (R, bool, error)
 
 // Hit is a decisive probe result and the candidate index it came from.
@@ -118,57 +129,121 @@ func runGen(gen func()) (err error) {
 // FirstHit probes the generator's candidates on up to workers
 // goroutines and returns the lowest-index decisive outcome — the same
 // one a sequential loop with early exit would return. found is false
-// when no candidate hit. A decisive candidate cancels further
-// generation; candidates already dispatched are probed to completion
-// (so a lower-index hit still in flight can win), and all goroutines
-// have exited before FirstHit returns.
-//
+// when no candidate hit. A probe error wins over a later (higher-index)
+// hit and loses to an earlier one, exactly as in the sequential loop.
 // When ctx is cancelled before a decisive outcome, ctx.Err() is
-// returned. A probe error wins over a later (higher-index) hit and
-// loses to an earlier one, exactly as in the sequential loop.
+// returned. All goroutines have exited before FirstHit returns.
 //
 // m (nil allowed) receives engine metrics: items probed, early-stop
-// signals, decisive-outcome races resolved by the lowest-index rule
-// and the latency between the stop signal and full worker drain.
+// signals, hits discarded for a lower-index winner and the latency
+// between the stop signal and full worker drain.
 func FirstHit[T, R any](ctx context.Context, workers int, m *obs.Metrics, gen Generator[T], probe Probe[T, R]) (Hit[R], bool, error) {
-	if sp := obs.SpanFromContext(ctx).StartChild("search.first_hit"); sp != nil {
+	var hit Hit[R]
+	found, err := run(ctx, "search.first_hit", workers, m, gen, probe, func(o outcome[R]) (bool, error) {
+		if o.hit {
+			hit = Hit[R]{Index: o.idx, Value: o.val}
+		}
+		return !o.hit, nil
+	})
+	if err != nil || !found {
+		return Hit[R]{}, false, err
+	}
+	return hit, true, nil
+}
+
+// ReduceProbe evaluates one candidate for ForEachOrdered; unlike Probe
+// it carries no hit flag — stopping is the consumer's decision.
+type ReduceProbe[T, R any] func(ctx context.Context, idx int, item T) (R, error)
+
+// Consumer receives probe results strictly in generation order; it
+// returns false to stop the search (candidates beyond the current
+// index may already have been probed speculatively, but their results
+// are discarded, so the consumer observes a strict sequential prefix).
+type Consumer[R any] func(idx int, r R) (bool, error)
+
+// ForEachOrdered probes the generator's candidates on up to workers
+// goroutines and feeds the results to consume in generation order:
+// the consumer sees exactly the prefix a sequential probe-then-consume
+// loop would see, in the same order. The error returned is the
+// sequentially-first failure: a probe error for candidate k is
+// reported only after candidates 0..k-1 were consumed without
+// stopping. stopped reports whether consume ended the search (as
+// opposed to the generator running dry), so callers can distinguish
+// "early verdict" from "exhausted" — the sequential loop's two exits.
+func ForEachOrdered[T, R any](ctx context.Context, workers int, m *obs.Metrics, gen Generator[T], probe ReduceProbe[T, R], consume Consumer[R]) (stopped bool, err error) {
+	return run(ctx, "search.for_each", workers, m, gen,
+		func(ctx context.Context, idx int, item T) (R, bool, error) {
+			r, err := probe(ctx, idx, item)
+			return r, false, err
+		},
+		func(o outcome[R]) (bool, error) { return consume(o.idx, o.val) })
+}
+
+// run is the engine. It hands the outcomes to consume in generation
+// order until consume returns false (stopped) or an error, or an
+// outcome carries a probe error; that outcome's index is the stop. The
+// error returned is the one the search stopped on, else the generator's
+// failure, else (with workers) ctx.Err() when ctx is done.
+func run[T, R any](ctx context.Context, span string, workers int, m *obs.Metrics, gen Generator[T], probe Probe[T, R],
+	consume func(outcome[R]) (bool, error)) (stopped bool, err error) {
+	if sp := obs.SpanFromContext(ctx).StartChild(span); sp != nil {
 		sp.SetAttr("workers", workers)
 		ctx = obs.ContextWithSpan(ctx, sp)
 		defer sp.End()
 	}
-	var zero Hit[R]
+	hitStop := false
+	// deliver consumes one outcome in order and reports whether the
+	// search goes on past it.
+	deliver := func(o outcome[R]) bool {
+		if o.err != nil {
+			err = o.err
+			return false
+		}
+		cont, cerr := consume(o)
+		if cerr != nil {
+			err = cerr
+			return false
+		}
+		stopped, hitStop = !cont, !cont && o.hit
+		return cont
+	}
+	var probed, races int64
+	var genErr error
 	if workers <= 1 {
-		best := outcome[R]{idx: -1}
-		idx := 0
-		genErr := runGen(func() {
+		genErr = runGen(func() {
 			gen(func(item T) bool {
-				if ctx.Err() != nil {
-					best = outcome[R]{idx: idx, err: ctx.Err()}
+				if cerr := ctx.Err(); cerr != nil {
+					err = cerr
 					return false
 				}
-				o := runProbe(ctx, probe, idx, item)
-				idx++
-				if o.decisive() {
-					best = o
-					return false
-				}
-				return true
+				o := runProbe(ctx, probe, int(probed), item)
+				probed++
+				return deliver(o)
 			})
 		})
-		m.Add(obs.SearchItems, int64(idx))
-		if best.idx < 0 {
-			if genErr != nil {
-				return zero, false, genErr
-			}
-			return zero, false, nil
-		}
-		if best.err != nil {
-			return zero, false, best.err
-		}
-		m.Observe(obs.SearchItemsPerHit, int64(idx))
-		return Hit[R]{Index: best.idx, Value: best.val}, true, nil
+	} else {
+		probed, races, genErr = pool(ctx, workers, m, gen, probe, deliver)
 	}
+	m.Add(obs.SearchItems, probed)
+	m.Add(obs.SearchRacesResolved, races)
+	if hitStop {
+		m.Observe(obs.SearchItemsPerHit, probed)
+	}
+	if err == nil && !stopped {
+		err = genErr
+	}
+	return stopped, err
+}
 
+// pool runs the generator on a dispatcher goroutine and the probes on
+// workers goroutines, and passes their outcomes to deliver in
+// generation order until deliver returns false. It reports the
+// candidates probed, the hits discarded above the stop, and the
+// generator's failure, else ctx.Err().
+func pool[T, R any](ctx context.Context, workers int, m *obs.Metrics, gen Generator[T], probe Probe[T, R],
+	deliver func(outcome[R]) bool) (probed, races int64, genErr error) {
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	type task struct {
 		idx  int
 		item T
@@ -186,14 +261,12 @@ func FirstHit[T, R any](ctx context.Context, workers int, m *obs.Metrics, gen Ge
 		})
 	}
 
-	// Dispatcher: runs the generator, numbering candidates. It stops
-	// when a decisive outcome halts the search or ctx is cancelled;
-	// candidates already handed to a worker are always probed. A
-	// generator panic is captured into genErr, which is safe to read
-	// once results has closed: the assignment happens before the
-	// deferred close(dispatch), which happens before the workers exit,
-	// which happens before close(results).
-	var genErr error
+	// Dispatcher: runs the generator, numbering candidates, until the
+	// search halts or ctx is done. A generator panic is captured into
+	// genErr, which is safe to read once results has closed: the
+	// assignment happens before the deferred close(dispatch), which
+	// happens before the workers exit, which happens before
+	// close(results).
 	go func() {
 		defer close(dispatch)
 		idx := 0
@@ -222,7 +295,7 @@ func FirstHit[T, R any](ctx context.Context, workers int, m *obs.Metrics, gen Ge
 			// time to the tenant that spawned the search.
 			pprof.SetGoroutineLabels(ctx)
 			for t := range dispatch {
-				o := runProbe(ctx, probe, t.idx, t.item)
+				o := runProbe(pctx, probe, t.idx, t.item)
 				if o.decisive() {
 					halt()
 				}
@@ -235,233 +308,49 @@ func FirstHit[T, R any](ctx context.Context, workers int, m *obs.Metrics, gen Ge
 		close(results)
 	}()
 
-	// Collect every probed outcome and keep the lowest-index decisive
-	// one. All candidates below any dispatched index were dispatched
-	// (dispatch is in order) and all dispatched candidates are probed,
-	// so the minimum over decisive outcomes equals the sequential
-	// first-exit point.
-	best := outcome[R]{idx: -1}
-	probed := int64(0)
-	races := int64(0)
+	// Reorder the outcomes into generation order; only those that
+	// arrive ahead of their turn wait in pending. Candidates are
+	// dispatched in order and every dispatched one is probed, so the
+	// order fills up to the stop; once deliver has reached it, every
+	// probe still in flight lies above it and is cancelled.
+	pending := map[int]outcome[R]{}
+	next, live := 0, true
 	for o := range results {
 		probed++
-		if o.decisive() {
-			if best.idx >= 0 {
-				// Two decisive outcomes raced; the lowest index wins.
-				races++
+		if o.hit {
+			races++
+		}
+		if !live {
+			continue
+		}
+		if o.idx != next {
+			pending[o.idx] = o
+			continue
+		}
+		for { // o is candidate next: deliver it and what it unblocks
+			next++
+			if !deliver(o) {
+				if o.hit {
+					races-- // the winner
+				}
+				live = false
+				halt()
+				cancel()
+				break
 			}
-			if best.idx < 0 || o.idx < best.idx {
-				best = o
+			var ok bool
+			if o, ok = pending[next]; !ok {
+				break
 			}
+			delete(pending, next)
 		}
 	}
-	m.Add(obs.SearchItems, probed)
-	m.Add(obs.SearchRacesResolved, races)
 	if !haltedAt.IsZero() {
 		// results is closed, so every worker has drained.
 		m.Add(obs.SearchCancelNs, time.Since(haltedAt).Nanoseconds())
 	}
-	if best.idx < 0 {
-		if genErr != nil {
-			return zero, false, genErr
-		}
-		if err := ctx.Err(); err != nil {
-			return zero, false, err
-		}
-		return zero, false, nil
+	if genErr == nil {
+		genErr = ctx.Err()
 	}
-	if best.err != nil {
-		return zero, false, best.err
-	}
-	m.Observe(obs.SearchItemsPerHit, probed)
-	return Hit[R]{Index: best.idx, Value: best.val}, true, nil
-}
-
-// ReduceProbe evaluates one candidate for ForEachOrdered; unlike Probe
-// it carries no hit flag — stopping is the consumer's decision.
-type ReduceProbe[T, R any] func(ctx context.Context, idx int, item T) (R, error)
-
-// Consumer receives probe results strictly in generation order; it
-// returns false to stop the search (candidates beyond the current
-// index may already have been probed speculatively, but their results
-// are discarded, so the consumer observes a strict sequential prefix).
-type Consumer[R any] func(idx int, r R) (bool, error)
-
-// ForEachOrdered probes the generator's candidates on up to workers
-// goroutines and feeds the results to consume in generation order:
-// the consumer sees exactly the prefix a sequential probe-then-consume
-// loop would see, in the same order. The error returned is the
-// sequentially-first failure: a probe error for candidate k is
-// reported only after candidates 0..k-1 were consumed without
-// stopping. stopped reports whether consume ended the search (as
-// opposed to the generator running dry), so callers can distinguish
-// "early verdict" from "exhausted" — the sequential loop's two exits.
-func ForEachOrdered[T, R any](ctx context.Context, workers int, m *obs.Metrics, gen Generator[T], probe ReduceProbe[T, R], consume Consumer[R]) (stopped bool, err error) {
-	if sp := obs.SpanFromContext(ctx).StartChild("search.for_each"); sp != nil {
-		sp.SetAttr("workers", workers)
-		ctx = obs.ContextWithSpan(ctx, sp)
-		defer sp.End()
-	}
-	if workers <= 1 {
-		idx := 0
-		var loopErr error
-		stopped := false
-		genErr := runGen(func() {
-			gen(func(item T) bool {
-				if ctx.Err() != nil {
-					loopErr = ctx.Err()
-					return false
-				}
-				o := runProbe(ctx, func(ctx context.Context, i int, it T) (R, bool, error) {
-					r, err := probe(ctx, i, it)
-					return r, false, err
-				}, idx, item)
-				if o.err != nil {
-					loopErr = o.err
-					return false
-				}
-				cont, err := consume(idx, o.val)
-				idx++
-				if err != nil {
-					loopErr = err
-					return false
-				}
-				if !cont {
-					stopped = true
-					return false
-				}
-				return true
-			})
-		})
-		m.Add(obs.SearchItems, int64(idx))
-		if loopErr == nil && !stopped && genErr != nil {
-			loopErr = genErr
-		}
-		return stopped, loopErr
-	}
-
-	type task struct {
-		idx  int
-		item T
-	}
-	// The window bounds how far probing may run ahead of consumption,
-	// so the pending reorder buffer stays small.
-	window := 4 * workers
-	tokens := make(chan struct{}, window)
-	dispatch := make(chan task)
-	results := make(chan outcome[R])
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var haltedAt time.Time
-	halt := func() {
-		stopOnce.Do(func() {
-			haltedAt = time.Now()
-			close(stop)
-			m.Inc(obs.SearchCancellations)
-		})
-	}
-
-	// genErr is safe to read once results has closed; see the FirstHit
-	// dispatcher for the happens-before chain.
-	var genErr error
-	go func() {
-		defer close(dispatch)
-		idx := 0
-		genErr = runGen(func() {
-			gen(func(item T) bool {
-				select {
-				case <-stop:
-					return false
-				case <-ctx.Done():
-					return false
-				case tokens <- struct{}{}:
-				}
-				select {
-				case <-stop:
-					return false
-				case <-ctx.Done():
-					return false
-				case dispatch <- task{idx: idx, item: item}:
-					idx++
-					return true
-				}
-			})
-		})
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pprof.SetGoroutineLabels(ctx) // see the FirstHit worker pool
-			for t := range dispatch {
-				results <- runProbe(ctx, func(ctx context.Context, i int, it T) (R, bool, error) {
-					r, err := probe(ctx, i, it)
-					return r, false, err
-				}, t.idx, t.item)
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	pending := map[int]outcome[R]{}
-	next := 0
-	var firstErr error
-	consuming := true
-	probed := int64(0)
-	for o := range results {
-		probed++
-		select {
-		case <-tokens:
-		default:
-		}
-		pending[o.idx] = o
-		for consuming {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if cur.err != nil {
-				firstErr = cur.err
-				consuming = false
-				halt()
-				break
-			}
-			cont, err := consume(next, cur.val)
-			next++
-			if err != nil {
-				firstErr = err
-				consuming = false
-				halt()
-				break
-			}
-			if !cont {
-				stopped = true
-				consuming = false
-				halt()
-				break
-			}
-		}
-	}
-	m.Add(obs.SearchItems, probed)
-	if !haltedAt.IsZero() {
-		m.Add(obs.SearchCancelNs, time.Since(haltedAt).Nanoseconds())
-	}
-	if firstErr != nil {
-		return false, firstErr
-	}
-	if !stopped {
-		if genErr != nil {
-			return false, genErr
-		}
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-	}
-	return stopped, nil
+	return probed, races, genErr
 }

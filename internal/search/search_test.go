@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -456,6 +457,93 @@ func TestForEachOrderedConsumerStopBeatsGeneratorPanic(t *testing.T) {
 			func(idx int, r int) (bool, error) { return idx < 1, nil })
 		if err != nil || !stopped {
 			t.Fatalf("workers=%d: stopped=%v err=%v, want clean stop", workers, stopped, err)
+		}
+	}
+}
+
+func TestSearchCancelsProbesAboveStop(t *testing.T) {
+	// Once the search has reached its stop (a hit at k, or a consumer
+	// that stops at k), every probe still in flight lies above it and
+	// must be cancelled, not run to completion. Probes above k block
+	// until their context is done, with a 10 s fallback; with several
+	// workers the probe at k waits until one of them has started, so
+	// one is surely in flight at the stop. The search must return
+	// within 1 s with the sequential loop's outcome: a cancelled
+	// probe's context error never becomes the result.
+	const (
+		k        = 5
+		fallback = 10 * time.Second
+		bound    = time.Second
+	)
+	type result struct {
+		index int // the hit, or the last candidate consumed
+		done  bool
+		err   error
+	}
+	// probeAt returns the probe's error for candidate item under a
+	// search at the given worker count.
+	probeAt := func(workers int) func(ctx context.Context, item int) error {
+		above := make(chan struct{})
+		var once sync.Once
+		return func(ctx context.Context, item int) error {
+			switch {
+			case item == k && workers > 1:
+				select {
+				case <-above:
+				case <-time.After(fallback):
+				}
+			case item > k:
+				once.Do(func() { close(above) })
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-time.After(fallback):
+				}
+			}
+			return nil
+		}
+	}
+	searches := []struct {
+		name string
+		run  func(workers int) result
+	}{
+		{"FirstHit", func(workers int) result {
+			probe := probeAt(workers)
+			hit, found, err := FirstHit(context.Background(), workers, nil, intRange(64),
+				func(ctx context.Context, idx int, item int) (int, bool, error) {
+					err := probe(ctx, item)
+					return item, item == k, err
+				})
+			return result{hit.Index, found, err}
+		}},
+		{"ForEachOrdered", func(workers int) result {
+			probe := probeAt(workers)
+			last := -1
+			stopped, err := ForEachOrdered(context.Background(), workers, nil, intRange(64),
+				func(ctx context.Context, idx int, item int) (int, error) {
+					return item, probe(ctx, item)
+				},
+				func(idx int, v int) (bool, error) {
+					last = idx
+					return v < k, nil
+				})
+			return result{last, stopped, err}
+		}},
+	}
+	for _, s := range searches {
+		want := s.run(1)
+		if want != (result{index: k, done: true}) {
+			t.Fatalf("%s workers=1: %+v, want a stop at %d", s.name, want, k)
+		}
+		for _, workers := range []int{2, 8} {
+			start := time.Now()
+			got := s.run(workers)
+			if elapsed := time.Since(start); elapsed > bound {
+				t.Errorf("%s workers=%d: returned after %v, want within %v", s.name, workers, elapsed, bound)
+			}
+			if got != want {
+				t.Errorf("%s workers=%d: %+v, want %+v", s.name, workers, got, want)
+			}
 		}
 	}
 }
