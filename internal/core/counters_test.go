@@ -43,6 +43,8 @@ var pinnedCounters = []string{
 	"plan_compilations", "plan_runs", "naive_evaluations",
 	"index_builds", "index_probes", "values_interned", "intern_hits",
 	"search_items", "search_cancellations", "search_races_resolved",
+	"plan_cache_hits", "rows_probed", "rows_emitted",
+	"index_probe_hits", "index_probe_misses",
 }
 
 // TestDecideCountersPinned pins the exact values of the solver, eval,
@@ -53,6 +55,10 @@ var pinnedCounters = []string{
 // probes; the sequential engine issues no stop signal and resolves no
 // race, so search_cancellations and search_races_resolved stay 0.
 // values_interned and intern_hits are retired and must stay 0.
+// plan_cache_hits counts the compiled plans reused from the problem's
+// and the CCs' caches; rows_probed and rows_emitted the rows the plans'
+// atom nodes fetched and kept; index_probe_hits and index_probe_misses
+// split index_probes by whether the probe found a row.
 func TestDecideCountersPinned(t *testing.T) {
 	cases := []struct {
 		property string
@@ -62,17 +68,20 @@ func TestDecideCountersPinned(t *testing.T) {
 		{"consistency", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.Consistent(ci)
 			return err
-		}, []int64{9, 8, 1, 0, 0, 8, 7, 2, 8, 0, 0, 0, 0, 0, 8, 0, 0}},
+		}, []int64{9, 8, 1, 0, 0, 8, 7, 2, 8, 0, 0, 0, 0, 0, 8, 0, 0,
+			7, 32, 32, 0, 0}},
 		{"rcdp_strong", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.RCDP(ci, core.Strong)
 			return err
-		}, []int64{49, 28, 3, 0, 0, 34, 31, 3, 37, 0, 3, 3, 0, 0, 28, 0, 0}},
+		}, []int64{49, 28, 3, 0, 0, 34, 31, 3, 37, 0, 3, 3, 0, 0, 28, 0, 0,
+			35, 127, 127, 0, 3}},
 		// search_items: 8 candidates for the certain answers over the
 		// models, then 12 for the extension stream's per-model scans.
 		{"rcdp_weak", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.RCDP(ci, core.Weak)
 			return err
-		}, []int64{22, 20, 2, 9, 0, 29, 26, 3, 31, 0, 2, 2, 0, 0, 20, 0, 0}},
+		}, []int64{22, 20, 2, 9, 0, 29, 26, 3, 31, 0, 2, 2, 0, 0, 20, 0, 0,
+			29, 125, 125, 0, 2}},
 		// The document's inputs with Q(q) := Order('widget', q): widget
 		// is a catalogue item, so extending the first model by a widget
 		// order with a new quantity gains an answer, and strong RCDP
@@ -86,7 +95,8 @@ func TestDecideCountersPinned(t *testing.T) {
 				return fmt.Errorf("RCDP = %v, %v; want a counterexample", ok, err)
 			}
 			return nil
-		}, []int64{1, 1, 1, 1, 1, 8, 0, 3, 10, 0, 2, 2, 0, 0, 1, 0, 0}},
+		}, []int64{1, 1, 1, 1, 1, 8, 0, 3, 10, 0, 2, 2, 0, 0, 1, 0, 0,
+			8, 20, 20, 2, 0}},
 		{"extensibility", func(p *core.Problem, ci *ctable.CInstance) error {
 			db, err := p.AnyModel(ci)
 			if err != nil {
@@ -94,7 +104,8 @@ func TestDecideCountersPinned(t *testing.T) {
 			}
 			_, err = p.Extensible(db)
 			return err
-		}, []int64{9, 8, 1, 9, 0, 17, 15, 2, 17, 0, 0, 0, 0, 0, 0, 0, 0}},
+		}, []int64{9, 8, 1, 9, 0, 17, 15, 2, 17, 0, 0, 0, 0, 0, 0, 0, 0,
+			16, 77, 77, 0, 0}},
 	}
 	for _, c := range cases {
 		t.Run(c.property, func(t *testing.T) {
