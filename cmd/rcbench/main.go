@@ -18,7 +18,12 @@
 //	rcbench -trace              # stream the decision trace to stderr
 //	rcbench -stats              # print aggregated solver counters after the sweep
 //	rcbench -http :8080         # /metrics, /debug/plans, expvar + net/http/pprof while running
-//	rcbench -slowlog 250ms      # dump the flight recorder when a decider call stalls
+//	rcbench -slowlog 250ms      # dump the stalled call's span tree when a decider call stalls
+//
+// Every experiment decides under the sweep's one root span, whose
+// recorder keeps the last 256 finished spans: -trace streams the
+// decision events on those spans to stderr, and -slowlog dumps a slow
+// call's span tree from the recorder.
 package main
 
 import (
@@ -70,33 +75,30 @@ type experiment struct {
 
 // workersFlag and slowOpFlag hold the -workers and -slowlog values for
 // the current run; every experiment builds its Problem from benchOpts
-// so the settings reach the deciders. benchMetrics and the
-// benchRing flight recorder are always attached (both are cheap);
-// benchTracer is the flight-recorder tracer, upgraded to a verbose
-// teed tracer under -trace.
+// so the settings reach the deciders. benchMetrics is always attached
+// (it is cheap).
 var (
 	workersFlag  int
 	slowOpFlag   time.Duration
 	benchMetrics = obs.NewMetrics()
-	benchRing    = obs.NewRingSink(obs.DefaultRingSize)
-	benchTracer  = obs.NewFlightTracer(benchRing)
 	// benchProfiles is the sweep-wide plan-profile registry: experiments
 	// build transient problems, so the shared registry (via
 	// Options.Profiles) is what lets -http's /debug/plans rank plans
 	// across the whole sweep.
 	benchProfiles = &eval.ProfileRegistry{}
 
-	// benchCtx bounds every experiment's decider calls; -timeout
-	// replaces it with a deadline context for the whole sweep.
+	// benchCtx carries the sweep's root span to every experiment's
+	// decider calls; -timeout adds a deadline for the whole sweep.
 	benchCtx = context.Background()
 )
 
 // benchOpts is the Options value each experiment starts from.
 func benchOpts() core.Options {
 	return core.Options{
-		Parallelism: workersFlag,
-		Obs:         benchMetrics, Trace: benchTracer, Profiles: benchProfiles,
-		FlightRecorder: benchRing, SlowOpThreshold: slowOpFlag,
+		Parallelism:     workersFlag,
+		Obs:             benchMetrics,
+		Profiles:        benchProfiles,
+		SlowOpThreshold: slowOpFlag,
 	}
 }
 
@@ -104,9 +106,7 @@ func benchOpts() core.Options {
 func applyBenchOpts(o *core.Options) {
 	o.Parallelism = workersFlag
 	o.Obs = benchMetrics
-	o.Trace = benchTracer
 	o.Profiles = benchProfiles
-	o.FlightRecorder = benchRing
 	o.SlowOpThreshold = slowOpFlag
 }
 
@@ -120,26 +120,26 @@ func run(args []string, out io.Writer) error {
 	trace := fs.Bool("trace", false, "stream the decision trace of every experiment to stderr")
 	httpAddr := fs.String("http", "", "serve /metrics (Prometheus), /debug/vars and /debug/pprof on this address during the sweep")
 	statsOut := fs.Bool("stats", false, "print the aggregated solver counters after the sweep")
-	slowlog := fs.Duration("slowlog", 0, "dump the flight recorder and histograms to stderr when a decider call exceeds this duration (0 disables)")
+	slowlog := fs.Duration("slowlog", 0, "dump the slow call's span tree and the histograms to stderr when a decider call exceeds this duration (0 disables)")
 	timeout := fs.Duration("timeout", 0, "abort the whole sweep after this duration (experiments report the deadline error; 0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	workersFlag = *workers
 	slowOpFlag = *slowlog
-	benchCtx = context.Background()
+	rec := obs.NewSpanRecorder(0)
+	if *trace {
+		rec.StreamEvents(os.Stderr)
+	}
+	root := rec.Root("rcbench", "")
+	defer root.End()
+	benchCtx = obs.ContextWithSpan(context.Background(), root)
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		benchCtx, cancel = context.WithTimeout(benchCtx, *timeout)
 		defer cancel()
 	}
 	relation.SetMetrics(benchMetrics) // index counters live behind a process-global hook
-	if *trace {
-		// Verbose tracer teed into the flight recorder, so the slow-op
-		// log still has the ring even while the text stream is on.
-		benchTracer = obs.NewTracer(obs.Tee(obs.NewTextSink(os.Stderr), benchRing))
-		defer func() { benchTracer = obs.NewFlightTracer(benchRing) }()
-	}
 	if *httpAddr != "" {
 		ds, err := serveDebug(*httpAddr)
 		if err != nil {
@@ -543,12 +543,12 @@ func runMINPStrong(quick bool) ([]row, error) {
 		rows = append(rows, r)
 
 		// Ground counterpart (the Dp2 cell).
-		db, err := g.Problem.AnyModel(g.T)
+		db, err := g.Problem.AnyModelCtx(benchCtx, g.T)
 		if err != nil || db == nil {
 			return nil, fmt.Errorf("no model: %v", err)
 		}
 		r2, err := timed(func() (string, string, error) {
-			got, err := g.Problem.GroundMinimal(db)
+			got, err := g.Problem.GroundMinimalCtx(benchCtx, db)
 			if err != nil {
 				return "", "", err
 			}
@@ -732,12 +732,12 @@ func runUndecidable(quick bool) ([]row, error) {
 		fn    func() error
 	}
 	cases := []c{
-		{"RCDPs(FO)", func() error { _, err := fo.RCDP(ci, core.Strong); return err }},
-		{"RCDPw(FO)", func() error { _, err := fo.RCDP(ci, core.Weak); return err }},
+		{"RCDPs(FO)", func() error { _, err := fo.RCDPCtx(benchCtx, ci, core.Strong); return err }},
+		{"RCDPw(FO)", func() error { _, err := fo.RCDPCtx(benchCtx, ci, core.Weak); return err }},
 		{"RCDPs(FP)", func() error { _, err := fp.RCDPCtx(benchCtx, ci, core.Strong); return err }},
 		{"RCQPs(FP)", func() error { _, err := fp.RCQPCtx(benchCtx, core.Strong); return err }},
-		{"MINPv(FO)", func() error { _, err := fo.MINP(ci, core.Viable); return err }},
-		{"RCQPw(FO) c-inst (open)", func() error { _, err := fo.RCQP(core.Weak); return err }},
+		{"MINPv(FO)", func() error { _, err := fo.MINPCtx(benchCtx, ci, core.Viable); return err }},
+		{"RCQPw(FO) c-inst (open)", func() error { _, err := fo.RCQPCtx(benchCtx, core.Weak); return err }},
 	}
 	for _, cse := range cases {
 		cse := cse

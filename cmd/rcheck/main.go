@@ -12,14 +12,15 @@
 // Problems: consistency, extensibility, rcdp, rcqp, minp, certain
 // (certain answers), models (list ModAdom members).
 //
-// Observability: every run keeps an always-on flight recorder (the
-// last 256 decision events) and latency/size histograms.
-// -metrics-out <file> dumps the final counters and histograms in
-// Prometheus text exposition format ("-" for stdout); -slowlog <dur>
-// dumps the flight recorder and histogram snapshot to stderr whenever
-// one decider call exceeds the duration; -trace-out <file> runs the
-// decision under a root span and writes the finished span tree as
-// JSONL, one span per line, through the async export pipeline.
+// Observability: every run decides under one root span, whose
+// recorder keeps the last 256 finished spans, and keeps latency/size
+// histograms. -trace streams the decision events on those spans to
+// stdout; -metrics-out <file> dumps the final counters and histograms
+// in Prometheus text exposition format ("-" for stdout); -slowlog
+// <dur> dumps the slow call's span tree and the histogram snapshot to
+// stderr whenever one decider call exceeds the duration; -trace-out
+// <file> writes the finished span tree as JSONL, one span per line,
+// through the async export pipeline.
 //
 // Deadlines: -timeout <dur> bounds the whole decision with a context
 // deadline. An expired deadline exits 3 and, with -json, reports the
@@ -118,7 +119,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "worker count for the parallel searches (0 = keep the document's options.parallelism, or GOMAXPROCS; -trace defaults to 1)")
 	metricsOut := fs.String("metrics-out", "", "write the final metrics in Prometheus text format to this file (- for stdout)")
 	traceOut := fs.String("trace-out", "", "write the decision's finished span tree to this file as JSONL (one span per line)")
-	slowlog := fs.Duration("slowlog", 0, "dump the flight recorder and histograms to stderr when a decider call exceeds this duration (0 disables)")
+	slowlog := fs.Duration("slowlog", 0, "dump the slow call's span tree and the histograms to stderr when a decider call exceeds this duration (0 disables)")
 	timeout := fs.Duration("timeout", 0, "abort the decision after this duration (exit 3; 0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -154,48 +155,41 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		defer cancel()
 	}
 
-	// -trace-out runs the whole decision under a root span and writes
-	// the finished tree through the span export pipeline — the same
-	// JSONL shape rcserved -trace-export produces, so one jq recipe
-	// reads both.
-	if *traceOut != "" {
-		sink, err := obs.OpenJSONLFile(*traceOut)
-		if err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		exporter := obs.NewSpanExporter(sink, obs.ExporterConfig{})
-		rec := obs.NewSpanRecorder(0)
-		root := rec.Root("rcheck "+*problem, "")
-		ctx = obs.ContextWithSpan(ctx, root)
-		defer func() {
-			root.End()
-			exporter.Enqueue(rec.Spans())
-			if cerr := exporter.Close(); cerr != nil {
-				fmt.Fprintln(stderr, "rcheck: trace-out:", cerr)
-			}
-		}()
-	}
-
-	metrics := obs.NewMetrics()
-	p.Options.Obs = metrics
-	relation.SetMetrics(metrics) // index counters live behind a process-global hook
-
-	// The flight recorder is always on: a bounded ring of the most
-	// recent decision events, retained even without -trace, dumped by
-	// the slow-op log. -trace adds the verbose text stream on top.
-	ring := obs.NewRingSink(obs.DefaultRingSize)
-	p.Options.FlightRecorder = ring
+	// The whole decision runs under one root span. Its recorder is the
+	// flight recorder -slowlog dumps from, streams the decision events
+	// under -trace, and is exported to -trace-out: the same JSONL shape
+	// rcserved -trace-export produces, so one jq recipe reads both.
+	rec := obs.NewSpanRecorder(0)
 	if *trace {
-		// Verbose tracer: full diagnosis, teed into the ring.
-		p.Options.Trace = obs.NewTracer(obs.Tee(obs.NewTextSink(stdout), ring))
+		rec.StreamEvents(stdout)
 		if *workers == 0 && p.Options.Parallelism == 0 {
 			// A sequential search keeps the trace's tree shape intact;
 			// -workers overrides for tracing parallel schedules.
 			p.Options.Parallelism = 1
 		}
-	} else {
-		p.Options.Trace = obs.NewFlightTracer(ring)
 	}
+	root := rec.Root("rcheck "+*problem, "")
+	ctx = obs.ContextWithSpan(ctx, root)
+	var exporter *obs.SpanExporter
+	if *traceOut != "" {
+		sink, err := obs.OpenJSONLFile(*traceOut)
+		if err != nil {
+			return fmt.Errorf("trace-out: %w", err)
+		}
+		exporter = obs.NewSpanExporter(sink, obs.ExporterConfig{})
+	}
+	defer func() {
+		root.End()
+		exporter.Enqueue(rec.Spans())
+		if cerr := exporter.Close(); cerr != nil {
+			fmt.Fprintln(stderr, "rcheck: trace-out:", cerr)
+		}
+	}()
+
+	metrics := obs.NewMetrics()
+	p.Options.Obs = metrics
+	relation.SetMetrics(metrics) // index counters live behind a process-global hook
+
 	if *slowlog > 0 {
 		p.Options.SlowOpThreshold = *slowlog
 		p.Options.SlowOpSink = stderr

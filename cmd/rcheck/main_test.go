@@ -352,23 +352,32 @@ func TestRCheckMetricsOutOnBudgetError(t *testing.T) {
 
 // TestRCheckSlowlog exercises the slow-op path on the orders example
 // with a 1ns threshold: every decider call is "slow", so the stderr
-// stream must carry the dump with the flight recorder's events even
-// though -trace is off.
+// stream must carry the dump even though -trace is off, listing the
+// call's own rcdp_strong span under the run's trace id (the one
+// -trace-out exports).
 func TestRCheckSlowlog(t *testing.T) {
 	path := filepath.Join("..", "..", "examples", "orders_rcdp.json")
-	out, errOut, err := runCheck2(t, "-problem", "rcdp", "-model", "strong", "-slowlog", "1ns", path)
+	traceFile := filepath.Join(t.TempDir(), "spans.jsonl")
+	out, errOut, err := runCheck2(t, "-problem", "rcdp", "-model", "strong", "-slowlog", "1ns", "-trace-out", traceFile, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "NO") {
 		t.Fatalf("verdict missing:\n%s", out)
 	}
+	raw, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp obs.SpanData
+	if err := json.Unmarshal([]byte(strings.SplitN(string(raw), "\n", 2)[0]), &sp); err != nil || sp.TraceID == "" {
+		t.Fatalf("no exported span to take the trace id from: %v\n%s", err, raw)
+	}
 	for _, want := range []string{
 		"=== SLOW OP op=rcdp_strong",
-		"threshold=1ns trace_id=- ===",
-		"flight recorder:",
-		"event(s) retained",
-		"decide",
+		"threshold=1ns trace_id=" + sp.TraceID + " ===",
+		"\nspans: ",
+		"\n  rcdp_strong ",
 		"histograms:",
 		"decider_wall_seconds",
 		"=== END SLOW OP op=rcdp_strong ===",

@@ -210,22 +210,10 @@ type Options struct {
 	// instrumentation site is nil-safe and the disabled path costs a
 	// single pointer test.
 	Obs *obs.Metrics
-	// Trace receives structured decision events (candidate valuations,
-	// CC violations, counterexamples, verdicts) rendering the decider's
-	// search tree. nil disables tracing. A verbose tracer (obs.NewTracer)
-	// re-checks CCs on the violation path to name the violated
-	// constraint, so it is for diagnosis, not benchmarking; a flight
-	// tracer (obs.NewFlightTracer) skips that re-derivation and is
-	// cheap enough to leave attached.
-	Trace *obs.Tracer
-	// FlightRecorder is the always-on ring of recent decision events
-	// dumped by the slow-op log. Typically the same obs.RingSink that
-	// Trace's sink feeds (directly or via obs.Tee); the deciders never
-	// write to it — they only read it when dumping a slow op.
-	FlightRecorder *obs.RingSink
 	// SlowOpThreshold, when > 0, turns on the slow-op log: any decider
-	// entry-point call whose wall time meets the threshold dumps the
-	// flight recorder and the histogram snapshot to SlowOpSink.
+	// entry-point call whose wall time meets the threshold dumps its
+	// span tree (when the context carries a trace, see obs.WriteSlowOp)
+	// and the histogram snapshot to SlowOpSink.
 	SlowOpThreshold time.Duration
 	// SlowOpSink receives slow-op dumps (nil → os.Stderr).
 	SlowOpSink io.Writer
@@ -416,20 +404,21 @@ func (p *Problem) evalOptsCtx(ctx context.Context) eval.Options {
 // nopSpan is the shared no-op closer for uninstrumented spans.
 var nopSpan = func() {}
 
-// span brackets one decider entry-point call. It subsumes the phase
-// timing (obs.Metrics.StartPhase) and adds the distribution layer:
-// the call's wall time lands in the decider_wall_seconds histogram,
-// the candidate models it admitted/pruned land in the per-call
-// histograms, and — when Options.SlowOpThreshold is set — a call that
-// exceeds the threshold dumps the flight recorder and the histogram
-// snapshot to Options.SlowOpSink. When the context carries a request
-// trace (obs.SpanFromContext), the call additionally becomes a child
-// span of it, and the returned context carries that child so eval and
-// search sub-spans nest under the phase; the slow-op dump then carries
-// the request's trace id. With Obs nil, no threshold and no active
-// trace the returned closer is a shared no-op and ctx is returned
-// untouched, so the disabled path stays one context lookup plus one
-// branch (the overhead contract of BenchmarkObsOverhead).
+// span brackets one decider entry-point call. It times the call once:
+// the wall time lands in the call's phase aggregate
+// (obs.Metrics.ObservePhase) and in the decider_wall_seconds
+// histogram, the candidate models it admitted/pruned land in the
+// per-call histograms, and — when Options.SlowOpThreshold is set — a
+// call that exceeds the threshold dumps its span tree and the
+// histogram snapshot to Options.SlowOpSink. When the context carries a
+// request trace (obs.SpanFromContext), the call additionally becomes a
+// child span of it, and the returned context carries that child so
+// eval and search sub-spans and the call's decision events nest under
+// the phase; the slow-op dump then reads the call's tree from the
+// trace's recorder. With Obs nil, no threshold and no active trace the
+// returned closer is a shared no-op and ctx is returned untouched, so
+// the disabled path stays one context lookup plus one branch (the
+// overhead contract of BenchmarkObsOverhead).
 func (p *Problem) span(ctx context.Context, name string) (context.Context, func()) {
 	o := &p.Options
 	sp := obs.SpanFromContext(ctx)
@@ -442,12 +431,11 @@ func (p *Problem) span(ctx context.Context, name string) (context.Context, func(
 	}
 	m := o.Obs
 	start := time.Now()
-	endPhase := m.StartPhase(name)
 	checked0 := m.Get(obs.ModelsChecked)
 	admitted0 := m.Get(obs.ModelsAdmitted)
 	return ctx, func() {
-		endPhase()
 		elapsed := time.Since(start)
+		m.ObservePhase(name, elapsed)
 		var traceID string
 		if t := child.Trace(); !t.IsZero() {
 			traceID = t.String()
@@ -476,7 +464,7 @@ func (p *Problem) span(ctx context.Context, name string) (context.Context, func(
 			if w == nil {
 				w = os.Stderr
 			}
-			obs.WriteSlowOp(w, name, traceID, elapsed, o.SlowOpThreshold, o.FlightRecorder, m)
+			obs.WriteSlowOp(w, name, elapsed, o.SlowOpThreshold, child, m)
 		}
 	}
 }
@@ -748,18 +736,17 @@ func (p *Problem) satisfiesCCs(ctx context.Context, db *relation.Database) (bool
 }
 
 // traceCCViolation re-runs the CC check constraint by constraint to
-// name the one that pruned db, emitting a cc_violation event. Only
-// done for verbose tracers; the extra evaluation is the price of the
-// diagnosis, and the always-on flight recorder must not pay it.
-func (p *Problem) traceCCViolation(ctx context.Context, db *relation.Database) {
-	tr := p.Options.Trace
-	if !tr.Verbose() || p.CCs == nil {
+// name the one that pruned db, emitting a cc_violation event on sp.
+// Callers run it only while sp streams events: the extra evaluation is
+// the price of the diagnosis, which an unwatched decide must not pay.
+func (p *Problem) traceCCViolation(ctx context.Context, sp *obs.Span, db *relation.Database) {
+	if p.CCs == nil {
 		return
 	}
 	for _, c := range p.CCs.Constraints {
 		ok, err := c.Satisfied(db, p.Master, p.evalOptsCtx(ctx))
 		if err == nil && !ok {
-			tr.Emit("cc_violation", obs.F("cc", c.String()))
+			sp.Event("cc_violation", obs.F("cc", c.String()))
 			return
 		}
 	}
@@ -767,14 +754,13 @@ func (p *Problem) traceCCViolation(ctx context.Context, db *relation.Database) {
 
 // checkModel is satisfiesCCs applied to a candidate model of the
 // c-instance: the same verdict, with the candidate-level counters and
-// decision-trace events attached. Every decider probe routes its
-// model admission through here.
+// decision events attached. Every decider probe routes its model
+// admission through here.
 func (p *Problem) checkModel(ctx context.Context, db *relation.Database) (bool, error) {
 	if err := p.Options.FaultPlan.Visit(fault.SiteSearchWorker); err != nil {
 		return false, err
 	}
 	m := p.Options.Obs
-	tr := p.Options.Trace
 	m.Inc(obs.ModelsChecked)
 	ok, err := p.satisfiesCCs(ctx, db)
 	if err != nil {
@@ -782,12 +768,14 @@ func (p *Problem) checkModel(ctx context.Context, db *relation.Database) (bool, 
 	}
 	if ok {
 		m.Inc(obs.ModelsAdmitted)
-		if tr.Enabled() {
-			tr.Emit("model", obs.F("db", db.String()))
+	}
+	if sp := obs.SpanFromContext(ctx); sp.Streaming() {
+		if ok {
+			sp.Event("model", obs.F("db", db))
+		} else {
+			sp.Event("model_pruned", obs.F("db", db))
+			p.traceCCViolation(ctx, sp, db)
 		}
-	} else if tr.Enabled() {
-		tr.Emit("model_pruned", obs.F("db", db.String()))
-		p.traceCCViolation(ctx, db)
 	}
 	return ok, nil
 }

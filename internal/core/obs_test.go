@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -42,11 +44,11 @@ func TestObsCountersRCDP(t *testing.T) {
 	}
 }
 
-// TestObsNilMetricsSafe runs a decider with no Obs/Trace attached —
-// the nil receivers must be inert, not panic.
+// TestObsNilMetricsSafe runs a decider with no Obs attached and no
+// span on its context — the nil receivers must be inert, not panic.
 func TestObsNilMetricsSafe(t *testing.T) {
 	s := newBoundedScenario(t, "1", "2")
-	if s.p.Options.Obs != nil || s.p.Options.Trace != nil {
+	if s.p.Options.Obs != nil {
 		t.Fatal("scenario should start uninstrumented")
 	}
 	if _, err := s.p.RCDP(s.withVar("x"), Viable); err != nil {
@@ -54,22 +56,41 @@ func TestObsNilMetricsSafe(t *testing.T) {
 	}
 }
 
+// streamingCtx returns a context whose root span's recorder streams
+// the decision events to buf.
+func streamingCtx(buf *strings.Builder) context.Context {
+	root := obs.NewSpanRecorder(0).StreamEvents(buf).Root("test", "")
+	return obs.ContextWithSpan(context.Background(), root)
+}
+
+// streamedKinds returns the kind of each streamed event line.
+func streamedKinds(out string) []string {
+	var kinds []string
+	for _, line := range strings.Split(out, "\n") {
+		if _, rest, ok := strings.Cut(line, "] "); ok {
+			if f := strings.Fields(rest); len(f) > 0 {
+				kinds = append(kinds, f[0])
+			}
+		}
+	}
+	return kinds
+}
+
 // TestObsTraceEvents checks the decision trace of a failing strong
 // RCDP run: it must record the decide/verdict bracket, the admitted
 // model, and the counterexample extension.
 func TestObsTraceEvents(t *testing.T) {
 	s := newBoundedScenario(t, "1", "2")
-	sink := &obs.CollectSink{}
-	s.p.Options.Trace = obs.NewTracer(sink)
+	var buf strings.Builder
 	s.p.Options.Parallelism = 1
-	ok, cex, err := s.p.RCDPExplain(s.ground("1"), Strong)
+	ok, cex, err := s.p.RCDPExplainCtx(streamingCtx(&buf), s.ground("1"), Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok || cex == nil {
 		t.Fatalf("ok=%v cex=%v, want failing run with counterexample", ok, cex)
 	}
-	kinds := sink.Kinds()
+	kinds := streamedKinds(buf.String())
 	has := func(k string) bool {
 		for _, got := range kinds {
 			if got == k {
@@ -89,11 +110,10 @@ func TestObsTraceEvents(t *testing.T) {
 // constraint in the trace.
 func TestObsTraceCCViolation(t *testing.T) {
 	s := newBoundedScenario(t, "1") // master admits only (1)
-	sink := &obs.CollectSink{}
-	s.p.Options.Trace = obs.NewTracer(sink)
+	var buf strings.Builder
 	s.p.Options.Parallelism = 1
 	// {(2)} forces a candidate model outside the master bound → pruned.
-	ok, err := s.p.Consistent(s.ground("2"))
+	ok, err := s.p.ConsistentCtx(streamingCtx(&buf), s.ground("2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +121,7 @@ func TestObsTraceCCViolation(t *testing.T) {
 		t.Fatal("{(2)} with master {1} should be inconsistent")
 	}
 	var pruned, violation bool
-	for _, k := range sink.Kinds() {
+	for _, k := range streamedKinds(buf.String()) {
 		switch k {
 		case "model_pruned":
 			pruned = true
@@ -110,7 +130,7 @@ func TestObsTraceCCViolation(t *testing.T) {
 		}
 	}
 	if !pruned || !violation {
-		t.Errorf("kinds = %v, want model_pruned and cc_violation", sink.Kinds())
+		t.Errorf("kinds = %v, want model_pruned and cc_violation", streamedKinds(buf.String()))
 	}
 }
 
@@ -135,69 +155,74 @@ func TestObsHistogramsRCDP(t *testing.T) {
 	}
 }
 
-// TestObsFlightRecorderAndSlowOp runs a decider with the always-on
-// flight recorder and a threshold of 1ns: the call must trip the
-// slow-op log, and the dump must carry the ring's retained events.
+// TestObsFlightRecorderAndSlowOp runs a decider under a root span
+// whose recorder has no writer — the flight recorder — with a slow-op
+// threshold of 1ns: the call must trip the slow-op log, and the dump
+// must list the call's own phase span under the trace's id.
 func TestObsFlightRecorderAndSlowOp(t *testing.T) {
 	s := newBoundedScenario(t, "1", "2")
 	m := obs.NewMetrics()
-	ring := obs.NewRingSink(32)
+	rec := obs.NewSpanRecorder(32)
+	root := rec.Root("request", "")
 	var slow strings.Builder
 	s.p.Options.Obs = m
-	s.p.Options.Trace = obs.NewFlightTracer(ring)
-	s.p.Options.FlightRecorder = ring
 	s.p.Options.SlowOpThreshold = time.Nanosecond
 	s.p.Options.SlowOpSink = &slow
 	s.p.Options.Parallelism = 1
 
-	if _, err := s.p.RCDP(s.ground("1"), Strong); err != nil {
+	if _, err := s.p.RCDPCtx(obs.ContextWithSpan(context.Background(), root), s.ground("1"), Strong); err != nil {
 		t.Fatal(err)
 	}
-	if ring.Len() == 0 {
-		t.Fatal("flight recorder retained no events")
+	if spans := rec.Spans(); len(spans) == 0 || spans[len(spans)-1].Name != "rcdp_strong" {
+		t.Fatalf("flight recorder did not keep the rcdp_strong span last: %+v", spans)
 	}
 	dump := slow.String()
 	if !strings.Contains(dump, "=== SLOW OP op=rcdp_strong") ||
 		!strings.Contains(dump, "=== END SLOW OP op=rcdp_strong ===") {
 		t.Fatalf("slow-op markers missing:\n%s", dump)
 	}
-	if !strings.Contains(dump, "flight recorder:") || !strings.Contains(dump, "decide") {
-		t.Fatalf("slow-op dump missing ring events:\n%s", dump)
+	if !strings.Contains(dump, " trace_id="+root.Trace().String()+" ===") {
+		t.Fatalf("slow-op dump lost the trace id:\n%s", dump)
+	}
+	if !strings.Contains(dump, "\nspans: ") || !strings.Contains(dump, "\n  rcdp_strong ") ||
+		!strings.Contains(dump, " models_checked=") {
+		t.Fatalf("slow-op dump does not list the call's span:\n%s", dump)
 	}
 	if !strings.Contains(dump, "decider_wall_seconds") {
 		t.Fatalf("slow-op dump missing histogram snapshot:\n%s", dump)
 	}
 }
 
-// TestObsFlightTracerSkipsDiagnosis: the non-verbose flight tracer
-// must record prune events but skip the per-constraint cc_violation
-// re-derivation that only verbose tracers pay for.
+// TestObsFlightTracerSkipsDiagnosis: a decide under a recorder with no
+// writer streams nothing, so it skips the per-constraint cc_violation
+// re-derivation that only a streaming decide pays for — its counters
+// read as an untraced decide's, while the streaming decide's re-checks
+// show in the plan counters.
 func TestObsFlightTracerSkipsDiagnosis(t *testing.T) {
-	s := newBoundedScenario(t, "1")
-	sink := &obs.CollectSink{}
-	s.p.Options.Trace = obs.NewFlightTracer(sink)
-	s.p.Options.Parallelism = 1
-	ok, err := s.p.Consistent(s.ground("2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("{(2)} with master {1} should be inconsistent")
-	}
-	var pruned, violation bool
-	for _, k := range sink.Kinds() {
-		switch k {
-		case "model_pruned":
-			pruned = true
-		case "cc_violation":
-			violation = true
+	decide := func(ctx context.Context) map[string]int64 {
+		s := newBoundedScenario(t, "1")
+		m := obs.NewMetrics()
+		s.p.Options.Obs = m
+		s.p.Options.Parallelism = 1
+		ok, err := s.p.ConsistentCtx(ctx, s.ground("2"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if ok {
+			t.Fatal("{(2)} with master {1} should be inconsistent")
+		}
+		return m.Snapshot().Counters
 	}
-	if !pruned {
-		t.Errorf("flight tracer missed model_pruned: %v", sink.Kinds())
+	untraced := decide(context.Background())
+	flight := decide(obs.ContextWithSpan(context.Background(), obs.NewSpanRecorder(0).Root("flight", "")))
+	var buf strings.Builder
+	streamed := decide(streamingCtx(&buf))
+	if !reflect.DeepEqual(flight, untraced) {
+		t.Errorf("flight-recorded counters %v, want the untraced %v", flight, untraced)
 	}
-	if violation {
-		t.Errorf("flight tracer paid for cc_violation diagnosis: %v", sink.Kinds())
+	if streamed["plan_runs"] <= untraced["plan_runs"] {
+		t.Errorf("streamed plan_runs %d, want more than the untraced %d (the diagnosis)",
+			streamed["plan_runs"], untraced["plan_runs"])
 	}
 }
 

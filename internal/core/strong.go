@@ -59,15 +59,14 @@ func (p *Problem) RCDPExplain(ci *ctable.CInstance, m Model) (bool, *Counterexam
 // RCDPExplainCtx is RCDPExplain honoring the context's deadline.
 func (p *Problem) RCDPExplainCtx(ctx context.Context, ci *ctable.CInstance, m Model) (ok bool, cex *Counterexample, err error) {
 	defer p.countBudget(&err)
-	if tr := p.Options.Trace; tr.Enabled() {
-		pop := tr.Push("decide", obs.F("problem", "rcdp"), obs.F("model", m.String()), obs.F("query", p.Query.Name()))
+	if sp := obs.SpanFromContext(ctx); sp.Streaming() {
+		sp.Event("decide", obs.F("problem", "rcdp"), obs.F("model", m), obs.F("query", p.Query.Name()))
 		defer func() {
 			if err == nil {
-				tr.Emit("verdict", obs.F("complete", ok))
+				sp.Event("verdict", obs.F("complete", ok))
 			} else {
-				tr.Emit("verdict", obs.F("error", err.Error()))
+				sp.Event("verdict", obs.F("error", err))
 			}
-			pop()
 		}()
 	}
 	switch m {
@@ -353,6 +352,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 	// canonically, and an extension is built only when its key is new.
 	var added, sorted []pick
 	var keyBuf []byte
+	sp := obs.SpanFromContext(ctx)
 	var process func() error
 	process = func() error {
 		if err := ctx.Err(); err != nil {
@@ -400,9 +400,9 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 			return err
 		}
 		if !ok {
-			if tr := p.Options.Trace; tr.Enabled() {
-				tr.Emit("extension_pruned", obs.F("extension", ext.String()))
-				p.traceCCViolation(ctx, ext)
+			if sp.Streaming() {
+				sp.Event("extension_pruned", obs.F("extension", ext))
+				p.traceCCViolation(ctx, sp, ext)
 			}
 			return nil // not a partially closed extension
 		}
@@ -414,14 +414,11 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 		if len(gained) > 0 {
 			cex = &Counterexample{Model: db, Extension: ext, Gained: gained}
 			p.Options.Obs.Inc(obs.CounterexamplesFound)
-			if tr := p.Options.Trace; tr.Enabled() {
-				tr.Emit("counterexample",
-					obs.F("model", db.String()),
-					obs.F("extension", ext.String()),
-					obs.F("gained", fmt.Sprint(gained)))
+			if sp.Streaming() {
+				sp.Event("counterexample", obs.F("model", db), obs.F("extension", ext), obs.F("gained", gained))
 			}
-		} else if tr := p.Options.Trace; tr.Enabled() {
-			tr.Emit("extension_agrees", obs.F("extension", ext.String()))
+		} else if sp.Streaming() {
+			sp.Event("extension_agrees", obs.F("extension", ext))
 		}
 		return nil
 	}

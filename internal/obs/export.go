@@ -80,8 +80,11 @@ type SpanExporter struct {
 	retries int
 	backoff time.Duration
 
+	// mu makes Enqueue's closed check and send atomic with Close's
+	// close(queue): Enqueue holds it shared, Close exclusively.
+	mu        sync.RWMutex
+	closed    bool
 	closeOnce sync.Once
-	closed    atomic.Bool
 
 	enqueued atomic.Int64
 	exported atomic.Int64
@@ -118,18 +121,18 @@ func (e *SpanExporter) Enqueue(batch []SpanData) bool {
 	if e == nil || len(batch) == 0 {
 		return false
 	}
-	if e.closed.Load() {
-		e.dropped.Add(int64(len(batch)))
-		return false
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if !e.closed {
+		select {
+		case e.queue <- batch:
+			e.enqueued.Add(int64(len(batch)))
+			return true
+		default:
+		}
 	}
-	select {
-	case e.queue <- batch:
-		e.enqueued.Add(int64(len(batch)))
-		return true
-	default:
-		e.dropped.Add(int64(len(batch)))
-		return false
-	}
+	e.dropped.Add(int64(len(batch)))
+	return false
 }
 
 // Enqueued returns how many spans were accepted into the queue.
@@ -197,8 +200,10 @@ func (e *SpanExporter) Close() error {
 	}
 	var err error
 	e.closeOnce.Do(func() {
-		e.closed.Store(true)
+		e.mu.Lock()
+		e.closed = true
 		close(e.queue)
+		e.mu.Unlock()
 		<-e.done
 		err = e.sink.Close()
 	})

@@ -337,3 +337,41 @@ func TestOTLPSinkPostsAndRetriesNon2xx(t *testing.T) {
 		t.Fatalf("status codes = %d,%d, want ok=1 error=2", spans[0].Status.Code, spans[1].Status.Code)
 	}
 }
+
+// TestExporterEnqueueRacesClose races Enqueue against Close: a batch
+// that arrives while the exporter closes must be dropped and counted,
+// never sent on the closed queue. rcserved meets this race when a
+// drain deadline cuts a request short and the exporter closes before
+// that request's access log enqueues its spans.
+func TestExporterEnqueueRacesClose(t *testing.T) {
+	const goroutines, batches = 8, 200
+	iterations := 2000
+	if testing.Short() {
+		iterations = 200
+	}
+	batch := batchOf(1, "aa")
+	for it := 0; it < iterations; it++ {
+		e := NewSpanExporter(&memSink{}, ExporterConfig{})
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				for i := 0; i < batches; i++ {
+					e.Enqueue(batch)
+				}
+			}()
+		}
+		start.Done()
+		if err := e.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		wg.Wait()
+		if got := e.Exported() + e.Dropped(); got != goroutines*batches {
+			t.Fatalf("exported %d + dropped %d = %d, want %d enqueue attempts",
+				e.Exported(), e.Dropped(), got, goroutines*batches)
+		}
+	}
+}

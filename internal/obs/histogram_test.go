@@ -116,8 +116,7 @@ func TestMetricsMerge(t *testing.T) {
 	a.Observe(IndexProbeRows, 2)
 	b.Observe(IndexProbeRows, 2)
 	b.Observe(IndexProbeRows, 100)
-	done := b.StartPhase("merge_phase")
-	done()
+	b.ObservePhase("merge_phase", time.Millisecond)
 
 	a.Merge(b)
 	if got := a.Get(ModelsChecked); got != 7 {

@@ -1,9 +1,10 @@
 // Package obs is the solver's observability layer: cheap atomic
-// counters, per-phase wall-clock timings and a structured decision
-// trace, shared by core, eval, relation, cc, search and the CLIs.
+// counters, per-phase wall-clock timings, histograms, and request
+// spans that carry the structured decision trace, shared by core,
+// eval, relation, cc, search, the server and the CLIs.
 //
 // The package is built around one invariant: a nil *Metrics (and a nil
-// *Tracer) is a valid, fully inert instance. Every method nil-checks
+// *Span) is a valid, fully inert instance. Every method nil-checks
 // its receiver, so instrumented code paths never branch on "is
 // observability on?" — they unconditionally call m.Add(...) and pay a
 // single predictable nil test when disabled. Hot loops go one step
@@ -223,30 +224,24 @@ func (m *Metrics) Get(c Counter) int64 {
 	return m.counters[c].Load()
 }
 
-// StartPhase begins timing a named solver phase and returns the
-// function that ends it. On a nil receiver both halves are no-ops.
-//
-//	defer m.StartPhase("rcdp/strong")()
-func (m *Metrics) StartPhase(name string) func() {
+// ObservePhase records one call of the named solver phase that took
+// d. No-op on a nil receiver.
+func (m *Metrics) ObservePhase(name string, d time.Duration) {
 	if m == nil {
-		return func() {}
+		return
 	}
-	start := time.Now()
-	return func() {
-		d := time.Since(start)
-		m.phaseMu.Lock()
-		if m.phases == nil {
-			m.phases = map[string]*phaseAgg{}
-		}
-		agg := m.phases[name]
-		if agg == nil {
-			agg = &phaseAgg{}
-			m.phases[name] = agg
-		}
-		agg.count++
-		agg.ns += d.Nanoseconds()
-		m.phaseMu.Unlock()
+	m.phaseMu.Lock()
+	if m.phases == nil {
+		m.phases = map[string]*phaseAgg{}
 	}
+	agg := m.phases[name]
+	if agg == nil {
+		agg = &phaseAgg{}
+		m.phases[name] = agg
+	}
+	agg.count++
+	agg.ns += d.Nanoseconds()
+	m.phaseMu.Unlock()
 }
 
 // PhaseStat is one named phase's aggregate in a Stats snapshot.

@@ -89,7 +89,7 @@ func TestExemplarConcurrent(t *testing.T) {
 func TestOpenMetricsExposition(t *testing.T) {
 	m := NewMetrics()
 	m.Inc(ValuationsEnumerated)
-	m.StartPhase("decide")()
+	m.ObservePhase("decide", time.Millisecond)
 	m.ObserveExemplar(DeciderWallNs, int64(5*time.Millisecond), "aaaabbbbccccddddaaaabbbbccccdddd")
 	m.LabeledHisto(DeciderWallNs, "problem").ObserveExemplar(
 		int64(5*time.Millisecond), "aaaabbbbccccddddaaaabbbbccccdddd", "orders")

@@ -10,8 +10,7 @@ func TestPrometheusTextValidates(t *testing.T) {
 	m := NewMetrics()
 	m.Add(ModelsChecked, 17)
 	m.Inc(CCViolations)
-	done := m.StartPhase("rcdp_strong")
-	done()
+	m.ObservePhase("rcdp_strong", time.Millisecond)
 	m.ObserveDuration(DeciderWallNs, 42*time.Millisecond)
 	m.Observe(ModelsAdmittedPerCall, 3)
 

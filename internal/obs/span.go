@@ -2,26 +2,33 @@ package obs
 
 // This file is the request-scoped tracing layer: a context-carried
 // span model (trace_id / span_id / parent links, attributes, status)
-// with W3C traceparent ingestion and emission. Spans complement the
-// two existing signal kinds — counters/histograms aggregate across
-// requests, the decision trace records solver events — by attributing
-// wall time to one request: rcserved starts a root span per HTTP
-// request, the core deciders hang their phase spans off it (see
-// core.Problem.span), and the search/eval layers add sub-spans, so a
-// slow decide yields a tree saying where its time went.
+// with W3C traceparent ingestion and emission. Spans attribute wall
+// time to one request: rcserved starts a root span per HTTP request,
+// rcheck and rcbench one per run, the core deciders hang their phase
+// spans off it (see core.Problem.span), and the search/eval layers add
+// sub-spans, so a slow decide yields a tree saying where its time went.
+// The deciders' decision events (candidate models, CC violations,
+// counterexamples, verdicts) are events on the active span: a recorder
+// given a writer streams them as text lines, one without drops them
+// unbuilt.
 //
-// The same inertness invariant as Metrics and Tracer applies: a nil
-// *Span is valid and every method nil-checks its receiver, so
-// instrumented code calls span methods unconditionally and pays one
-// pointer test when no request trace is active. Finished spans land in
-// a bounded SpanRecorder (overflow is counted, never allocated), so a
-// pathological decide cannot turn the recorder into a memory leak.
+// The same inertness invariant as Metrics applies: a nil *Span is
+// valid and every method nil-checks its receiver, so instrumented code
+// calls span methods unconditionally and pays one pointer test when no
+// request trace is active. Finished spans land in a bounded
+// SpanRecorder that keeps the most recent ones and counts the
+// overwritten, so a pathological decide cannot turn the recorder into
+// a memory leak, and the recorder doubles as the flight recorder the
+// slow-op dump reads.
 
 import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand/v2"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -74,32 +81,41 @@ func randSpanID() SpanID {
 
 // ParseTraceparent parses a W3C trace-context traceparent header
 // (version "00": version-traceid-parentid-flags). sampled reflects bit
-// 0 of the flags. The all-zero trace and parent ids are invalid per
-// the spec and rejected.
+// 0 of the flags. Every field must be lower-case hex, and the all-zero
+// trace and parent ids and version ff are invalid: the spec has a
+// receiver ignore such a header and start a new trace.
 func ParseTraceparent(h string) (t TraceID, parent SpanID, sampled bool, err error) {
 	if len(h) != 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return t, parent, false, fmt.Errorf("traceparent: want version-traceid-parentid-flags, got %q", h)
 	}
-	if h[:2] == "ff" {
-		return t, parent, false, fmt.Errorf("traceparent: invalid version %q", h[:2])
+	var version, flags [1]byte
+	for _, f := range []struct {
+		name string
+		dst  []byte
+		src  string
+	}{{"version", version[:], h[:2]}, {"trace id", t[:], h[3:35]}, {"parent id", parent[:], h[36:52]}, {"flags", flags[:], h[53:]}} {
+		if err := decodeLowerHex(f.dst, f.src); err != nil {
+			return TraceID{}, SpanID{}, false, fmt.Errorf("traceparent: bad %s: %w", f.name, err)
+		}
 	}
-	if _, err := hex.Decode(make([]byte, 1), []byte(h[:2])); err != nil {
-		return t, parent, false, fmt.Errorf("traceparent: bad version: %w", err)
-	}
-	if _, err := hex.Decode(t[:], []byte(h[3:35])); err != nil {
-		return TraceID{}, parent, false, fmt.Errorf("traceparent: bad trace id: %w", err)
-	}
-	if _, err := hex.Decode(parent[:], []byte(h[36:52])); err != nil {
-		return TraceID{}, SpanID{}, false, fmt.Errorf("traceparent: bad parent id: %w", err)
-	}
-	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(h[53:55])); err != nil {
-		return TraceID{}, SpanID{}, false, fmt.Errorf("traceparent: bad flags: %w", err)
+	if version[0] == 0xff {
+		return TraceID{}, SpanID{}, false, fmt.Errorf("traceparent: invalid version %q", h[:2])
 	}
 	if t.IsZero() || parent.IsZero() {
 		return TraceID{}, SpanID{}, false, fmt.Errorf("traceparent: all-zero trace or parent id")
 	}
 	return t, parent, flags[0]&1 == 1, nil
+}
+
+// decodeLowerHex decodes src into dst, accepting lower-case hex only.
+func decodeLowerHex(dst []byte, src string) error {
+	for i := 0; i < len(src); i++ {
+		if c := src[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return fmt.Errorf("%q is not lower-case hex", src)
+		}
+	}
+	_, err := hex.Decode(dst, []byte(src))
+	return err
 }
 
 // FormatTraceparent renders a version-00 traceparent header.
@@ -127,31 +143,42 @@ type SpanData struct {
 // DefaultSpanCap bounds a zero-configured SpanRecorder. One span per
 // decider phase plus one per search/eval sub-step is tens of spans for
 // a normal decide; the cap exists for pathological ones (an FP query
-// evaluated on thousands of candidate models), which overflow into a
-// counter instead of memory.
+// evaluated on thousands of candidate models), whose oldest spans are
+// overwritten and counted instead of kept.
 const DefaultSpanCap = 256
 
-// SpanRecorder collects the finished spans of one trace, up to a cap.
-// All methods are safe for concurrent use — search workers end spans
-// from many goroutines.
+// SpanRecorder collects the finished spans of one trace, keeping the
+// most recent cap of them. All methods are safe for concurrent use —
+// search workers end spans and emit events from many goroutines.
 type SpanRecorder struct {
 	traceID TraceID
-	remote  SpanID // parent carried in from the traceparent header, if any
 	sampled bool
 	cap     int
+	events  io.Writer  // decision events stream here; nil drops them
+	start   time.Time  // the root's start, from which event times count
+	evMu    sync.Mutex // serialises writes to events, so lines stay whole
 
 	mu      sync.Mutex
-	spans   []SpanData
+	spans   []SpanData // grows to cap, then next is the oldest
+	next    int
 	dropped int64
 }
 
-// NewSpanRecorder returns a recorder retaining up to capN finished
+// NewSpanRecorder returns a recorder retaining the last capN finished
 // spans (capN <= 0 → DefaultSpanCap).
 func NewSpanRecorder(capN int) *SpanRecorder {
 	if capN <= 0 {
 		capN = DefaultSpanCap
 	}
 	return &SpanRecorder{cap: capN}
+}
+
+// StreamEvents makes the recorder write every decision event of its
+// trace to w, one line each (see Span.Event), and returns r. Call it
+// before Root.
+func (r *SpanRecorder) StreamEvents(w io.Writer) *SpanRecorder {
+	r.events = w
+	return r
 }
 
 // Root starts the trace's root span, adopting the trace id (and remote
@@ -163,13 +190,13 @@ func (r *SpanRecorder) Root(name, traceparent string) *Span {
 	if err != nil {
 		t, parent, sampled = randTraceID(), SpanID{}, true
 	}
-	r.traceID, r.remote, r.sampled = t, parent, sampled
+	r.traceID, r.sampled, r.start = t, sampled, time.Now()
 	return &Span{
 		rec:    r,
 		id:     randSpanID(),
 		parent: parent,
 		name:   name,
-		start:  time.Now(),
+		start:  r.start,
 	}
 }
 
@@ -179,16 +206,17 @@ func (r *SpanRecorder) TraceID() TraceID { return r.traceID }
 // Cap returns the recorder's span capacity.
 func (r *SpanRecorder) Cap() int { return r.cap }
 
-// Spans returns the finished spans in end order.
+// Spans returns the retained finished spans in end order, oldest
+// first.
 func (r *SpanRecorder) Spans() []SpanData {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]SpanData, len(r.spans))
-	copy(out, r.spans)
-	return out
+	out := make([]SpanData, 0, len(r.spans))
+	return append(append(out, r.spans[r.next:]...), r.spans[:r.next]...)
 }
 
-// Dropped returns how many finished spans were discarded over the cap.
+// Dropped returns how many finished spans were overwritten by newer
+// ones.
 func (r *SpanRecorder) Dropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -200,6 +228,8 @@ func (r *SpanRecorder) record(d SpanData) {
 	if len(r.spans) < r.cap {
 		r.spans = append(r.spans, d)
 	} else {
+		r.spans[r.next] = d
+		r.next = (r.next + 1) % r.cap
 		r.dropped++
 	}
 	r.mu.Unlock()
@@ -215,6 +245,7 @@ type Span struct {
 	parent SpanID
 	name   string
 	start  time.Time
+	depth  int // 0 for the root; event lines indent by it
 
 	mu     sync.Mutex
 	attrs  []Field
@@ -227,7 +258,46 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return &Span{rec: s.rec, id: randSpanID(), parent: s.id, name: name, start: time.Now()}
+	return &Span{rec: s.rec, id: randSpanID(), parent: s.id, name: name, start: time.Now(), depth: s.depth + 1}
+}
+
+// Streaming reports whether events on s reach a writer (false on a nil
+// receiver). Guard event payloads that cost something to build:
+//
+//	if sp.Streaming() {
+//	    sp.Event("model", obs.F("db", db))
+//	}
+func (s *Span) Streaming() bool { return s != nil && s.rec.events != nil }
+
+// Event streams one decision event on s as a line on the recorder's
+// writer: the time since the root started, two spaces per span depth,
+// the kind and the fields, a value holding white space quoted:
+//
+//	[  12.3ms]     cc_violation cc=onlyStocked
+//
+// The event is not kept in the span's SpanData. No-op unless s is
+// Streaming.
+func (s *Span) Event(kind string, fields ...Field) {
+	if !s.Streaming() {
+		return
+	}
+	b := fmt.Appendf(nil, "[%8.1fms] ", float64(time.Since(s.rec.start).Microseconds())/1000)
+	b = append(b, strings.Repeat("  ", s.depth)...)
+	b = append(b, kind...)
+	for _, f := range fields {
+		b = append(b, ' ')
+		b = append(b, f.Key...)
+		b = append(b, '=')
+		if strings.ContainsAny(f.Value, " \t\n") {
+			b = strconv.AppendQuote(b, f.Value)
+		} else {
+			b = append(b, f.Value...)
+		}
+	}
+	b = append(b, '\n')
+	s.rec.evMu.Lock()
+	s.rec.events.Write(b)
+	s.rec.evMu.Unlock()
 }
 
 // Recorder returns the SpanRecorder the span reports into (nil on a
@@ -319,6 +389,17 @@ func (s *Span) End() {
 	}
 	s.mu.Unlock()
 	s.rec.record(d)
+}
+
+// Field is one key/value pair of a span attribute or event.
+type Field struct {
+	Key   string
+	Value string
+}
+
+// F builds a Field, formatting the value with %v.
+func F(key string, value any) Field {
+	return Field{Key: key, Value: fmt.Sprint(value)}
 }
 
 type spanCtxKey struct{}

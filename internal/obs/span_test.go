@@ -28,26 +28,50 @@ func TestParseTraceparent(t *testing.T) {
 	}
 }
 
+// rejectedTraceparents are headers ParseTraceparent must refuse.
+var rejectedTraceparents = []struct {
+	name string
+	h    string
+}{
+	{"empty", ""},
+	{"short", "00-abc-def-01"},
+	{"bad separators", strings.ReplaceAll(sampleTraceparent, "-", "_")},
+	{"version ff", "ff" + sampleTraceparent[2:]},
+	{"bad hex in trace id", "00-zzzz2f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"},
+	{"bad hex in parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-zzf067aa0ba902b7-01"},
+	{"bad flags", sampleTraceparent[:53] + "zz"},
+	{"zero trace id", "00-00000000000000000000000000000000-00f067aa0ba902b7-01"},
+	{"zero parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01"},
+	{"upper-case ids", "00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01"},
+}
+
 func TestParseTraceparentRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		h    string
-	}{
-		{"empty", ""},
-		{"short", "00-abc-def-01"},
-		{"bad separators", strings.ReplaceAll(sampleTraceparent, "-", "_")},
-		{"version ff", "ff" + sampleTraceparent[2:]},
-		{"bad hex in trace id", "00-zzzz2f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"},
-		{"bad hex in parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-zzf067aa0ba902b7-01"},
-		{"bad flags", sampleTraceparent[:53] + "zz"},
-		{"zero trace id", "00-00000000000000000000000000000000-00f067aa0ba902b7-01"},
-		{"zero parent id", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01"},
-	}
-	for _, c := range cases {
+	for _, c := range rejectedTraceparents {
 		if _, _, _, err := ParseTraceparent(c.h); err == nil {
 			t.Errorf("%s: accepted %q", c.name, c.h)
 		}
 	}
+}
+
+// FuzzParseTraceparent feeds arbitrary headers to ParseTraceparent: it
+// must not panic, and a header it accepts must re-format to one that
+// parses to the same ids and sampled bit.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(sampleTraceparent)
+	for _, c := range rejectedTraceparents {
+		f.Add(c.h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tr, parent, sampled, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		again := FormatTraceparent(tr, parent, sampled)
+		tr2, parent2, sampled2, err := ParseTraceparent(again)
+		if err != nil || tr2 != tr || parent2 != parent || sampled2 != sampled {
+			t.Fatalf("%q re-formats to %q, which parses to %v %v %v %v", h, again, tr2, parent2, sampled2, err)
+		}
+	})
 }
 
 func TestSpanTree(t *testing.T) {

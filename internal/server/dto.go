@@ -109,7 +109,8 @@ type DecideResponse struct {
 
 // TraceInfo is the ?trace=1 payload: the request's finished spans
 // (decider phases, eval/search sub-steps) with per-phase timings.
-// Dropped counts spans discarded over the recorder's cap.
+// Dropped counts the oldest spans the recorder overwrote once it held
+// its cap.
 type TraceInfo struct {
 	TraceID string         `json:"trace_id"`
 	Spans   []obs.SpanData `json:"spans"`

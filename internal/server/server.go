@@ -68,7 +68,8 @@ type Config struct {
 	Logger *slog.Logger
 	// SlowOpThreshold arms the slow-op dump on every loaded problem: a
 	// decider call exceeding it writes an incident record carrying the
-	// request's trace id and histograms to SlowOpSink (default
+	// request's trace id, the call's span tree from the request's span
+	// recorder, and the request's histograms to SlowOpSink (default
 	// os.Stderr). 0 disables.
 	SlowOpThreshold time.Duration
 	SlowOpSink      io.Writer

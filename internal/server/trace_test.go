@@ -211,10 +211,10 @@ func TestTraceCorrelationEndToEnd(t *testing.T) {
 	if !strings.Contains(dump, "op=rcdp_strong") {
 		t.Errorf("slow-op dump names no rcdp_strong op:\n%s", dump)
 	}
-	// The server attaches no flight recorder: the dump carries the trace
-	// id and the request's histograms only.
-	if !strings.Contains(dump, "\nflight recorder: disabled\n") {
-		t.Errorf("slow-op dump does not say the flight recorder is disabled:\n%s", dump)
+	// The request's span recorder is the flight recorder: the dump lists
+	// the slow call's own phase span, under the request's trace id.
+	if !strings.Contains(dump, "\nspans: ") || !strings.Contains(dump, "\n  rcdp_strong ") {
+		t.Errorf("slow-op dump does not list the rcdp_strong span:\n%s", dump)
 	}
 	if !strings.Contains(dump, " with observations\n") {
 		t.Errorf("slow-op dump carries no histograms:\n%s", dump)

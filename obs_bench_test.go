@@ -19,10 +19,11 @@ import (
 
 // BenchmarkObsOverhead times the same strong-RCDP decision three ways:
 // uninstrumented (the default every other benchmark runs in), with the
-// atomic counters attached, and with counters plus a decision trace
-// rendered to io.Discard. The disabled case is the overhead contract —
-// nil Obs/Trace must stay within noise of the seed (≤2%, see
-// DESIGN.md §5.9); the other two cases price the opt-ins.
+// atomic counters attached, and with counters plus a decision trace:
+// a root span whose recorder streams the decision events to
+// io.Discard. The disabled case is the overhead contract — nil Obs and
+// no span must stay within noise of the seed (≤2%, see DESIGN.md
+// §5.9); the other two cases price the opt-ins.
 func BenchmarkObsOverhead(b *testing.B) {
 	s := paperex.Reduced()
 	ci := s.T.Clone()
@@ -33,42 +34,32 @@ func BenchmarkObsOverhead(b *testing.B) {
 			query.C("LON"), query.C("2000"),
 		}})
 	}
-	run := func(b *testing.B, opts core.Options) {
+	run := func(b *testing.B, ctx context.Context, opts core.Options) {
 		p, err := s.Problem(s.Q1, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.RCDP(ci, core.Strong); err != nil {
+			if _, err := p.RCDPCtx(ctx, ci, core.Strong); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("disabled", func(b *testing.B) {
-		run(b, core.Options{})
+		run(b, context.Background(), core.Options{})
 	})
 	b.Run("counters", func(b *testing.B) {
 		opts := core.Options{}
 		opts.Obs = relcomplete.NewMetrics()
-		run(b, opts)
+		run(b, context.Background(), opts)
 	})
 	b.Run("traced", func(b *testing.B) {
 		opts := core.Options{}
 		opts.Obs = relcomplete.NewMetrics()
-		opts.Trace = relcomplete.NewTextTracer(io.Discard)
 		opts.Parallelism = 1
-		run(b, opts)
-	})
-	b.Run("ring", func(b *testing.B) {
-		// The always-on configuration the CLIs ship: metrics +
-		// histograms + non-verbose flight recorder.
-		opts := core.Options{}
-		opts.Obs = relcomplete.NewMetrics()
-		ring := relcomplete.NewRingSink(0)
-		opts.Trace = relcomplete.NewFlightTracer(ring)
-		opts.FlightRecorder = ring
-		run(b, opts)
+		root := relcomplete.NewSpanRecorder(0).StreamEvents(io.Discard).Root("bench", "")
+		run(b, relcomplete.ContextWithSpan(context.Background(), root), opts)
 	})
 }
 

@@ -24,7 +24,6 @@ package relcomplete
 
 import (
 	"context"
-	"io"
 
 	"relcomplete/internal/cc"
 	"relcomplete/internal/core"
@@ -109,15 +108,8 @@ type (
 	Metrics = obs.Metrics
 	// Stats is a JSON-ready snapshot of a Metrics instance.
 	Stats = obs.Stats
-	// Tracer streams structured decision-trace events; set it as
-	// Options.Trace. A nil *Tracer disables tracing.
-	Tracer = obs.Tracer
 	// HistogramStat is one latency/size histogram in a Stats snapshot.
 	HistogramStat = obs.HistogramStat
-	// RingSink is the bounded overwrite-oldest flight recorder; set it
-	// as Options.FlightRecorder (fed by a NewFlightTracer) to retain
-	// the last N decision events for slow-op dumps.
-	RingSink = obs.RingSink
 	// BudgetError carries the cap detail (option name, limit, consumed)
 	// of an exhausted search budget; it unwraps to ErrBudget or
 	// ErrInconclusive, so errors.Is checks keep working.
@@ -131,9 +123,10 @@ type (
 	Progress = core.Progress
 	// Span is one operation of a request-scoped trace; carry it on a
 	// context (ContextWithSpan) and the deciders hang their phase spans
-	// off it. A nil *Span is inert.
+	// and decision events off it. A nil *Span is inert.
 	Span = obs.Span
-	// SpanRecorder collects the finished spans of one trace.
+	// SpanRecorder keeps the most recent finished spans of one trace;
+	// its StreamEvents writes the deciders' decision trace as text.
 	SpanRecorder = obs.SpanRecorder
 	// SpanData is one finished span, JSON-ready.
 	SpanData = obs.SpanData
@@ -142,7 +135,9 @@ type (
 // NewSpanRecorder returns a bounded recorder for one request trace
 // (n <= 0 uses the package default cap). Start the trace with Root,
 // carry the root span via ContextWithSpan, and pass that context to
-// the *Ctx deciders to collect a span tree with per-phase timings.
+// the *Ctx deciders to collect a span tree with per-phase timings;
+// call StreamEvents(w) before Root to also write the decision trace
+// (candidate models, CC violations, counterexamples, verdicts) to w.
 func NewSpanRecorder(n int) *SpanRecorder { return obs.NewSpanRecorder(n) }
 
 // ContextWithSpan returns ctx carrying sp as the active trace span.
@@ -155,20 +150,6 @@ func SpanFromContext(ctx context.Context) *Span { return obs.SpanFromContext(ctx
 
 // NewMetrics returns an empty metrics instance for Options.Obs.
 func NewMetrics() *Metrics { return obs.NewMetrics() }
-
-// NewTextTracer returns a tracer for Options.Trace rendering each
-// decision event as one indented text line on w.
-func NewTextTracer(w io.Writer) *Tracer { return obs.NewTracer(obs.NewTextSink(w)) }
-
-// NewRingSink returns a flight-recorder ring retaining the last n
-// events (n <= 0 uses the package default).
-func NewRingSink(n int) *RingSink { return obs.NewRingSink(n) }
-
-// NewFlightTracer returns a non-verbose tracer for Options.Trace that
-// feeds the always-on flight recorder: events reach sink (typically a
-// *RingSink), but the diagnosis-only re-derivations that make verbose
-// tracing expensive stay off.
-func NewFlightTracer(sink obs.Sink) *Tracer { return obs.NewFlightTracer(sink) }
 
 // The three completeness models of Section 2.2.
 const (
