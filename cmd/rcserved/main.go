@@ -42,8 +42,8 @@
 // log/slog — an access-log line per request, a decision-log line per
 // decide (trace_id, problem, decider, verdict, outcome, queue-wait and
 // wall times), warn lines on registry eviction and admission overflow,
-// and the -slowlog dumps: the slow decider call's trace id and the
-// request's histograms.
+// and the -slowlog dumps: the slow decider call's trace id, its span
+// tree from the request's span recorder, and the request's histograms.
 //
 // Status mapping: an expired per-request deadline answers 408 with the
 // DeadlineError detail (op, elapsed, progress snapshot); an exhausted
@@ -114,7 +114,7 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal, ready chan<- st
 	defaultTimeout := fs.Duration("default-timeout", 30*time.Second, "decide deadline when the request sets no timeout_ms")
 	maxTimeout := fs.Duration("max-timeout", 5*time.Minute, "upper bound on a request's timeout_ms")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "SIGTERM: how long in-flight decisions may run before hard close")
-	slowlog := fs.Duration("slowlog", 0, "dump the call's trace id and its request's histograms to stderr when one decider call exceeds this (0 = off)")
+	slowlog := fs.Duration("slowlog", 0, "dump the call's trace id, span tree and its request's histograms to stderr when one decider call exceeds this (0 = off)")
 	traceExport := fs.String("trace-export", "", "export finished request spans: a file path gets one JSON span per line, an http(s):// URL POSTs OTLP/HTTP JSON")
 	dataDir := fs.String("data-dir", "", "durable registry state: write-ahead log + snapshots in this directory, replayed on boot (empty = in-memory only)")
 	snapshotEvery := fs.Duration("snapshot-every", 5*time.Minute, "how often to fold the WAL into a registry snapshot (with -data-dir; 0 = only at drain)")

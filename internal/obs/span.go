@@ -273,7 +273,7 @@ func (s *Span) Streaming() bool { return s != nil && s.rec.events != nil }
 // writer: the time since the root started, two spaces per span depth,
 // the kind and the fields, a value holding white space quoted:
 //
-//	[  12.3ms]     cc_violation cc=onlyStocked
+//	[    12.3ms]     cc_violation cc=onlyStocked
 //
 // The event is not kept in the span's SpanData. No-op unless s is
 // Streaming.
