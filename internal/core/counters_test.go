@@ -1,8 +1,12 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"relcomplete/internal/core"
 	"relcomplete/internal/ctable"
@@ -58,30 +62,37 @@ var pinnedCounters = []string{
 // plan_cache_hits counts the compiled plans reused from the problem's
 // and the CCs' caches; rows_probed and rows_emitted the rows the plans'
 // atom nodes fetched and kept; index_probe_hits and index_probe_misses
-// split index_probes by whether the probe found a row.
+// split index_probes by whether the probe found a row. Each case also
+// pins its per-call observations: the phases it ran (name:count), the
+// decider_wall_seconds observation count, and the count/sum of the
+// models_admitted_per_call and models_pruned_per_call histograms.
 func TestDecideCountersPinned(t *testing.T) {
 	cases := []struct {
 		property string
 		decide   func(p *core.Problem, ci *ctable.CInstance) error
 		want     []int64 // in pinnedCounters order
+		calls    perCall
 	}{
 		{"consistency", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.Consistent(ci)
 			return err
 		}, []int64{9, 8, 1, 0, 0, 8, 7, 2, 8, 0, 0, 0, 0, 0, 8, 0, 0,
-			7, 32, 32, 0, 0}},
+			7, 32, 32, 0, 0},
+			perCall{"consistency:1", 1, [2]int64{1, 1}, [2]int64{1, 7}}},
 		{"rcdp_strong", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.RCDP(ci, core.Strong)
 			return err
 		}, []int64{49, 28, 3, 0, 0, 34, 31, 3, 37, 0, 3, 3, 0, 0, 28, 0, 0,
-			35, 127, 127, 0, 3}},
+			35, 127, 127, 0, 3},
+			perCall{"rcdp_strong:1", 1, [2]int64{1, 3}, [2]int64{1, 25}}},
 		// search_items: 8 candidates for the certain answers over the
 		// models, then 12 for the extension stream's per-model scans.
 		{"rcdp_weak", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.RCDP(ci, core.Weak)
 			return err
 		}, []int64{22, 20, 2, 9, 0, 29, 26, 3, 31, 0, 2, 2, 0, 0, 20, 0, 0,
-			29, 125, 125, 0, 2}},
+			29, 125, 125, 0, 2},
+			perCall{"certain_answers:1 rcdp_weak:1", 2, [2]int64{2, 3}, [2]int64{2, 25}}},
 		// The document's inputs with Q(q) := Order('widget', q): widget
 		// is a catalogue item, so extending the first model by a widget
 		// order with a new quantity gains an answer, and strong RCDP
@@ -96,7 +107,8 @@ func TestDecideCountersPinned(t *testing.T) {
 			}
 			return nil
 		}, []int64{1, 1, 1, 1, 1, 8, 0, 3, 10, 0, 2, 2, 0, 0, 1, 0, 0,
-			8, 20, 20, 2, 0}},
+			8, 20, 20, 2, 0},
+			perCall{"rcdp_strong:1", 1, [2]int64{1, 1}, [2]int64{1, 0}}},
 		{"extensibility", func(p *core.Problem, ci *ctable.CInstance) error {
 			db, err := p.AnyModel(ci)
 			if err != nil {
@@ -105,7 +117,8 @@ func TestDecideCountersPinned(t *testing.T) {
 			_, err = p.Extensible(db)
 			return err
 		}, []int64{9, 8, 1, 9, 0, 17, 15, 2, 17, 0, 0, 0, 0, 0, 0, 0, 0,
-			16, 77, 77, 0, 0}},
+			16, 77, 77, 0, 0},
+			perCall{"extensibility:1", 1, [2]int64{0, 0}, [2]int64{0, 0}}},
 	}
 	for _, c := range cases {
 		t.Run(c.property, func(t *testing.T) {
@@ -126,6 +139,130 @@ func TestDecideCountersPinned(t *testing.T) {
 				if st[name] != c.want[i] {
 					t.Errorf("%s = %d, want %d", name, st[name], c.want[i])
 				}
+			}
+			if got := perCallOf(m); got != c.calls {
+				t.Errorf("per-call observations = %+v, want %+v", got, c.calls)
+			}
+		})
+	}
+}
+
+// perCall is what a decide's decider calls record besides counters:
+// the phases (name:count, sorted by name), the decider_wall_seconds
+// observation count, and the count and sum of models_admitted_per_call
+// and of models_pruned_per_call.
+type perCall struct {
+	phases   string
+	wall     int64
+	admitted [2]int64
+	pruned   [2]int64
+}
+
+func perCallOf(m *obs.Metrics) perCall {
+	st := m.Snapshot()
+	var phases []string
+	for _, ph := range st.Phases {
+		phases = append(phases, fmt.Sprintf("%s:%d", ph.Name, ph.Count))
+	}
+	pc := perCall{phases: strings.Join(phases, " ")}
+	for _, h := range st.Histograms {
+		switch h.Name {
+		case "decider_wall_seconds":
+			pc.wall = h.Count
+		case "models_admitted_per_call":
+			pc.admitted = [2]int64{h.Count, int64(h.Sum)}
+		case "models_pruned_per_call":
+			pc.pruned = [2]int64{h.Count, int64(h.Sum)}
+		}
+	}
+	return pc
+}
+
+// TestDecideDeadlinePinned: a strong RCDP decide under an expired
+// deadline aborts before its first model with a DeadlineError naming
+// the decider, counts one deadline error and observes its cancel
+// latency once.
+func TestDecideDeadlinePinned(t *testing.T) {
+	p, ci, err := probjson.Decode([]byte(counterDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewMetrics()
+	p.Options.Parallelism = 1
+	p.Options.Obs = m
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err = p.RCDPCtx(ctx, ci, core.Strong)
+	var de *core.DeadlineError
+	if !errors.As(err, &de) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want a DeadlineError over context.DeadlineExceeded", err)
+	}
+	if de.Op != "rcdp_strong" || de.Partial != "no counterexample found in 0 models" {
+		t.Errorf("DeadlineError op %q partial %q, want rcdp_strong, no counterexample found in 0 models", de.Op, de.Partial)
+	}
+	if got := m.Get(obs.DeadlineErrors); got != 1 {
+		t.Errorf("deadline_errors = %d, want 1", got)
+	}
+	if got := m.HistoCount(obs.CancelLatencyNs); got != 1 {
+		t.Errorf("cancel_latency_seconds observations = %d, want 1", got)
+	}
+}
+
+// TestDeadlineOpPinned pins which decider names the DeadlineError of
+// each exported ...Ctx decider on a cancelled context: the innermost
+// decider call that sees the abort. PartiallyClosedCtx finishes its
+// one CC check without polling the context, so it returns its verdict
+// and is not listed.
+func TestDeadlineOpPinned(t *testing.T) {
+	p, ci, err := probjson.Decode([]byte(counterDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Options.Parallelism = 1
+	db, err := p.AnyModel(ci)
+	if err != nil || db == nil {
+		t.Fatalf("AnyModel = %v, %v", db, err)
+	}
+	type decide func(ctx context.Context) error
+	cases := []struct {
+		name, op string
+		decide   decide
+	}{
+		{"ConsistentCtx", "consistency", func(ctx context.Context) error { _, err := p.ConsistentCtx(ctx, ci); return err }},
+		{"AnyModelCtx", "any_model", func(ctx context.Context) error { _, err := p.AnyModelCtx(ctx, ci); return err }},
+		{"ModelsCtx", "models", func(ctx context.Context) error { _, err := p.ModelsCtx(ctx, ci, 0); return err }},
+		{"ExtensibleCtx", "extensibility", func(ctx context.Context) error { _, err := p.ExtensibleCtx(ctx, db); return err }},
+		{"RCDPCtx strong", "rcdp_strong", func(ctx context.Context) error { _, err := p.RCDPCtx(ctx, ci, core.Strong); return err }},
+		{"RCDPCtx weak", "certain_answers", func(ctx context.Context) error { _, err := p.RCDPCtx(ctx, ci, core.Weak); return err }},
+		{"RCDPCtx viable", "rcdp_viable", func(ctx context.Context) error { _, err := p.RCDPCtx(ctx, ci, core.Viable); return err }},
+		{"MINPCtx strong", "rcdp_strong", func(ctx context.Context) error { _, err := p.MINPCtx(ctx, ci, core.Strong); return err }},
+		{"MINPCtx weak", "certain_answers", func(ctx context.Context) error { _, err := p.MINPCtx(ctx, ci, core.Weak); return err }},
+		{"MINPCtx viable", "minp_viable", func(ctx context.Context) error { _, err := p.MINPCtx(ctx, ci, core.Viable); return err }},
+		{"RCQPCtx strong", "rcqp_boundedness", func(ctx context.Context) error { _, err := p.RCQPCtx(ctx, core.Strong); return err }},
+		{"RCQPGroundCtx strong", "rcqp_boundedness", func(ctx context.Context) error { _, err := p.RCQPGroundCtx(ctx, core.Strong); return err }},
+		{"CertainAnswersCtx", "certain_answers", func(ctx context.Context) error { _, err := p.CertainAnswersCtx(ctx, ci); return err }},
+		{"CertainAnswersOfExtensionsCtx", "certain_answers_of_extensions", func(ctx context.Context) error {
+			_, _, err := p.CertainAnswersOfExtensionsCtx(ctx, ci)
+			return err
+		}},
+		{"ConstructWeaklyCompleteCtx", "construct_weakly_complete", func(ctx context.Context) error {
+			_, err := p.ConstructWeaklyCompleteCtx(ctx)
+			return err
+		}},
+		{"GroundCompleteCtx", "ground_complete", func(ctx context.Context) error { _, _, err := p.GroundCompleteCtx(ctx, db); return err }},
+		{"GroundMinimalCtx", "ground_complete", func(ctx context.Context) error { _, err := p.GroundMinimalCtx(ctx, db); return err }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			err := c.decide(ctx)
+			var de *core.DeadlineError
+			if !errors.As(err, &de) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want a DeadlineError over context.Canceled", err)
+			}
+			if de.Op != c.op {
+				t.Errorf("DeadlineError.Op = %q, want %q", de.Op, c.op)
 			}
 		})
 	}
