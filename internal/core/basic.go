@@ -23,10 +23,10 @@ func (p *Problem) PartiallyClosed(db *relation.Database) (bool, error) {
 
 // PartiallyClosedCtx is PartiallyClosed honoring the context's deadline
 // and cancellation; an abort surfaces as a *DeadlineError.
-func (p *Problem) PartiallyClosedCtx(ctx context.Context, db *relation.Database) (bool, error) {
-	g := p.beginOp(ctx, "partial_closure", "check interrupted")
-	ok, err := p.satisfiesCCs(ctx, db)
-	return ok, g.wrap(err)
+func (p *Problem) PartiallyClosedCtx(ctx context.Context, db *relation.Database) (_ bool, err error) {
+	ctx, c := p.enter(ctx, "partial_closure", "")
+	defer c.exit(&err)
+	return p.satisfiesCCs(ctx, db)
 }
 
 // forEachModel enumerates ModAdom(T, Dm, V): for every candidate of
@@ -110,10 +110,8 @@ func (p *Problem) Consistent(ci *ctable.CInstance) (bool, error) {
 // ConsistentCtx is Consistent honoring the context's deadline and
 // cancellation; an abort surfaces as a *DeadlineError.
 func (p *Problem) ConsistentCtx(ctx context.Context, ci *ctable.CInstance) (_ bool, err error) {
-	defer p.countBudget(&err)
-	ctx, endSpan := p.span(ctx, "consistency")
-	defer endSpan()
-	g := p.beginOp(ctx, "consistency", "no model found among %d candidates checked")
+	ctx, c := p.enter(ctx, "consistency", "no model found among %d candidates checked")
+	defer c.exit(&err)
 	d, err := p.domainsFor(ci, false, false)
 	if err != nil {
 		return false, err
@@ -126,10 +124,10 @@ func (p *Problem) ConsistentCtx(ctx context.Context, ci *ctable.CInstance) (_ bo
 	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
-		return false, g.wrap(err)
+		return false, err
 	}
 	if !found && genErr != nil {
-		return false, g.wrap(genErr)
+		return false, genErr
 	}
 	return found, nil
 }
@@ -142,8 +140,8 @@ func (p *Problem) AnyModel(ci *ctable.CInstance) (*relation.Database, error) {
 
 // AnyModelCtx is AnyModel honoring the context's deadline.
 func (p *Problem) AnyModelCtx(ctx context.Context, ci *ctable.CInstance) (_ *relation.Database, err error) {
-	defer p.countBudget(&err)
-	g := p.beginOp(ctx, "any_model", "no model found among %d candidates checked")
+	ctx, c := p.enter(ctx, "any_model", "no model found among %d candidates checked")
+	defer c.exit(&err)
 	d, err := p.domainsFor(ci, false, false)
 	if err != nil {
 		return nil, err
@@ -153,7 +151,7 @@ func (p *Problem) AnyModelCtx(ctx context.Context, ci *ctable.CInstance) (_ *rel
 		out = db
 		return false, nil
 	})
-	return out, g.wrap(err)
+	return out, err
 }
 
 // Models materialises ModAdom(T, Dm, V) up to max instances (0 = all).
@@ -163,8 +161,8 @@ func (p *Problem) Models(ci *ctable.CInstance, max int) ([]*relation.Database, e
 
 // ModelsCtx is Models honoring the context's deadline.
 func (p *Problem) ModelsCtx(ctx context.Context, ci *ctable.CInstance, max int) (_ []*relation.Database, err error) {
-	defer p.countBudget(&err)
-	g := p.beginOp(ctx, "models", "%d candidates checked")
+	ctx, c := p.enter(ctx, "models", "%d candidates checked")
+	defer c.exit(&err)
 	d, err := p.domainsFor(ci, false, false)
 	if err != nil {
 		return nil, err
@@ -174,7 +172,7 @@ func (p *Problem) ModelsCtx(ctx context.Context, ci *ctable.CInstance, max int) 
 		out = append(out, db)
 		return max == 0 || len(out) < max, nil
 	})
-	return out, g.wrap(err)
+	return out, err
 }
 
 // Extensible decides the extensibility problem: is Ext(I, Dm, V)
@@ -187,10 +185,8 @@ func (p *Problem) Extensible(db *relation.Database) (bool, error) {
 
 // ExtensibleCtx is Extensible honoring the context's deadline.
 func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (_ bool, err error) {
-	defer p.countBudget(&err)
-	ctx, endSpan := p.span(ctx, "extensibility")
-	defer endSpan()
-	g := p.beginOp(ctx, "extensibility", "no admissible extension among %d candidates checked")
+	ctx, c := p.enter(ctx, "extensibility", "no admissible extension among %d candidates checked")
+	defer c.exit(&err)
 	d, err := p.domainsFor(ctable.FromDatabase(db), false, true)
 	if err != nil {
 		return false, err
@@ -200,7 +196,7 @@ func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (_ b
 		found = true
 		return false, nil
 	})
-	return found, g.wrap(err)
+	return found, err
 }
 
 // forEachSingleTupleExtension enumerates every partially closed

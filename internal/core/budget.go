@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-
-	"relcomplete/internal/obs"
-)
+import "fmt"
 
 // BudgetError reports that a decider stopped because a configured
 // resource cap ran out, carrying enough detail to act on: which
@@ -33,7 +28,7 @@ type BudgetError struct {
 	Consumed int64
 
 	sentinel error // ErrBudget or ErrInconclusive
-	counted  bool  // already counted in budget_errors_total (countBudget)
+	counted  bool  // already counted in budget_errors_total (call.annotate)
 }
 
 // Error renders the failure with its cap detail.
@@ -53,17 +48,4 @@ func (p *Problem) budgetErr(op, cap string, limit, consumed int64) error {
 // bounded RCQP search exhausted its size bound).
 func (p *Problem) inconclusiveErr(op, cap string, limit, consumed int64) error {
 	return &BudgetError{Op: op, Cap: cap, Limit: limit, Consumed: consumed, sentinel: ErrInconclusive}
-}
-
-// countBudget counts *errp in budget_errors_total when it is a
-// BudgetError no entry point has counted yet. Every exported decider
-// entry point defers it, so an aborted decide counts once, however
-// many sub-searches, probes or nested entry points hit a cap on the
-// way: only the error the decide returns is counted, and only once.
-func (p *Problem) countBudget(errp *error) {
-	var be *BudgetError
-	if errors.As(*errp, &be) && !be.counted {
-		be.counted = true
-		p.Options.Obs.Inc(obs.BudgetErrors)
-	}
 }

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -185,9 +184,6 @@ type Options struct {
 	// size exists the search returns ErrInconclusive (the exact bound
 	// of the paper's NEXPTIME procedure is exponential).
 	RCQPSizeBound int
-	// RCQPFreshValues is how many anonymous fresh constants the RCQP
-	// search may use when inventing instances (default 2 when zero).
-	RCQPFreshValues int
 	// MaxDerived caps FP fixpoint derivations (0 = unlimited).
 	MaxDerived int
 	// NoTypedDomains disables the typed-domain pruning (see
@@ -211,7 +207,7 @@ type Options struct {
 	// single pointer test.
 	Obs *obs.Metrics
 	// SlowOpThreshold, when > 0, turns on the slow-op log: any decider
-	// entry-point call whose wall time meets the threshold dumps its
+	// call whose wall time meets the threshold dumps its
 	// span tree (when the context carries a trace, see obs.WriteSlowOp)
 	// and the histogram snapshot to SlowOpSink.
 	SlowOpThreshold time.Duration
@@ -242,13 +238,6 @@ func (o Options) rcqpSizeBound() int {
 		return 2
 	}
 	return o.RCQPSizeBound
-}
-
-func (o Options) rcqpFreshValues() int {
-	if o.RCQPFreshValues <= 0 {
-		return 2
-	}
-	return o.RCQPFreshValues
 }
 
 // Problem bundles the fixed inputs of the paper's decision problems: a
@@ -399,74 +388,6 @@ func (p *Problem) evalOptsCtx(ctx context.Context) eval.Options {
 	}
 	o.Span = obs.SpanFromContext(ctx)
 	return o
-}
-
-// nopSpan is the shared no-op closer for uninstrumented spans.
-var nopSpan = func() {}
-
-// span brackets one decider entry-point call. It times the call once:
-// the wall time lands in the call's phase aggregate
-// (obs.Metrics.ObservePhase) and in the decider_wall_seconds
-// histogram, the candidate models it admitted/pruned land in the
-// per-call histograms, and — when Options.SlowOpThreshold is set — a
-// call that exceeds the threshold dumps its span tree and the
-// histogram snapshot to Options.SlowOpSink. When the context carries a
-// request trace (obs.SpanFromContext), the call additionally becomes a
-// child span of it, and the returned context carries that child so
-// eval and search sub-spans and the call's decision events nest under
-// the phase; the slow-op dump then reads the call's tree from the
-// trace's recorder. With Obs nil, no threshold and no active trace the
-// returned closer is a shared no-op and ctx is returned untouched, so
-// the disabled path stays one context lookup plus one branch (the
-// overhead contract of BenchmarkObsOverhead).
-func (p *Problem) span(ctx context.Context, name string) (context.Context, func()) {
-	o := &p.Options
-	sp := obs.SpanFromContext(ctx)
-	if o.Obs == nil && o.SlowOpThreshold <= 0 && sp == nil {
-		return ctx, nopSpan
-	}
-	child := sp.StartChild(name)
-	if child != nil {
-		ctx = obs.ContextWithSpan(ctx, child)
-	}
-	m := o.Obs
-	start := time.Now()
-	checked0 := m.Get(obs.ModelsChecked)
-	admitted0 := m.Get(obs.ModelsAdmitted)
-	return ctx, func() {
-		elapsed := time.Since(start)
-		m.ObservePhase(name, elapsed)
-		var traceID string
-		if t := child.Trace(); !t.IsZero() {
-			traceID = t.String()
-		}
-		// Traced calls stamp the wall-time bucket with their trace id,
-		// so a tail-bucket spike in the OpenMetrics exposition carries
-		// an exemplar pointing at a request that caused it.
-		m.ObserveExemplar(obs.DeciderWallNs, elapsed.Nanoseconds(), traceID)
-		// Per-call admission distribution, as deltas over Obs. A decide
-		// that owns its Obs (rcserved gives each request its own view)
-		// gets exact per-call counts; calls sharing one Obs concurrently
-		// may attribute each other's models, and a nested call's models
-		// count toward its enclosing call too.
-		checked := m.Get(obs.ModelsChecked) - checked0
-		if checked > 0 {
-			admitted := m.Get(obs.ModelsAdmitted) - admitted0
-			m.Observe(obs.ModelsAdmittedPerCall, admitted)
-			m.Observe(obs.ModelsPrunedPerCall, checked-admitted)
-		}
-		if child != nil {
-			child.SetAttr("models_checked", checked)
-			child.End()
-		}
-		if o.SlowOpThreshold > 0 && elapsed >= o.SlowOpThreshold {
-			w := o.SlowOpSink
-			if w == nil {
-				w = os.Stderr
-			}
-			obs.WriteSlowOp(w, name, elapsed, o.SlowOpThreshold, child, m)
-		}
-	}
 }
 
 // queryPlan returns the compiled plan for the problem's calculus query,

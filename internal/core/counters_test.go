@@ -118,7 +118,7 @@ func TestDecideCountersPinned(t *testing.T) {
 			return err
 		}, []int64{9, 8, 1, 9, 0, 17, 15, 2, 17, 0, 0, 0, 0, 0, 0, 0, 0,
 			16, 77, 77, 0, 0},
-			perCall{"extensibility:1", 1, [2]int64{0, 0}, [2]int64{0, 0}}},
+			perCall{"any_model:1 extensibility:1", 2, [2]int64{1, 1}, [2]int64{1, 7}}},
 	}
 	for _, c := range cases {
 		t.Run(c.property, func(t *testing.T) {
@@ -181,7 +181,9 @@ func perCallOf(m *obs.Metrics) perCall {
 // TestDecideDeadlinePinned: a strong RCDP decide under an expired
 // deadline aborts before its first model with a DeadlineError naming
 // the decider, counts one deadline error and observes its cancel
-// latency once.
+// latency once. The call is measured once: the error's Elapsed, the
+// phase's time and the decider_wall_seconds sum are the same
+// nanoseconds.
 func TestDecideDeadlinePinned(t *testing.T) {
 	p, ci, err := probjson.Decode([]byte(counterDoc))
 	if err != nil {
@@ -205,6 +207,24 @@ func TestDecideDeadlinePinned(t *testing.T) {
 	}
 	if got := m.HistoCount(obs.CancelLatencyNs); got != 1 {
 		t.Errorf("cancel_latency_seconds observations = %d, want 1", got)
+	}
+	st := m.Snapshot()
+	if len(st.Phases) != 1 || st.Phases[0].Name != "rcdp_strong" || st.Phases[0].Count != 1 {
+		t.Fatalf("phases = %+v, want one rcdp_strong call", st.Phases)
+	}
+	ns := de.Elapsed.Nanoseconds()
+	if got, want := st.Phases[0].Ms, float64(ns)/1e6; got != want {
+		t.Errorf("phase rcdp_strong = %v ms, want the DeadlineError's %v ms", got, want)
+	}
+	var wall obs.HistogramStat
+	for _, h := range st.Histograms {
+		if h.Name == "decider_wall_seconds" {
+			wall = h
+		}
+	}
+	if wall.Count != 1 || wall.Sum != float64(ns)/1e9 {
+		t.Errorf("decider_wall_seconds count %d sum %v s, want 1 observation of the DeadlineError's %v s",
+			wall.Count, wall.Sum, float64(ns)/1e9)
 	}
 }
 
@@ -238,8 +258,8 @@ func TestDeadlineOpPinned(t *testing.T) {
 		{"MINPCtx strong", "rcdp_strong", func(ctx context.Context) error { _, err := p.MINPCtx(ctx, ci, core.Strong); return err }},
 		{"MINPCtx weak", "certain_answers", func(ctx context.Context) error { _, err := p.MINPCtx(ctx, ci, core.Weak); return err }},
 		{"MINPCtx viable", "minp_viable", func(ctx context.Context) error { _, err := p.MINPCtx(ctx, ci, core.Viable); return err }},
-		{"RCQPCtx strong", "rcqp_boundedness", func(ctx context.Context) error { _, err := p.RCQPCtx(ctx, core.Strong); return err }},
-		{"RCQPGroundCtx strong", "rcqp_boundedness", func(ctx context.Context) error { _, err := p.RCQPGroundCtx(ctx, core.Strong); return err }},
+		{"RCQPCtx strong", "rcqp", func(ctx context.Context) error { _, err := p.RCQPCtx(ctx, core.Strong); return err }},
+		{"RCQPGroundCtx strong", "rcqp", func(ctx context.Context) error { _, err := p.RCQPGroundCtx(ctx, core.Strong); return err }},
 		{"CertainAnswersCtx", "certain_answers", func(ctx context.Context) error { _, err := p.CertainAnswersCtx(ctx, ci); return err }},
 		{"CertainAnswersOfExtensionsCtx", "certain_answers_of_extensions", func(ctx context.Context) error {
 			_, _, err := p.CertainAnswersOfExtensionsCtx(ctx, ci)

@@ -28,14 +28,23 @@ import (
 //
 // FO and FP are undecidable (Theorem 4.5).
 
-func (p *Problem) rcqpStrongOrViable(ctx context.Context, m Model) (bool, error) {
-	ctx, endSpan := p.span(ctx, "rcqp")
-	defer endSpan()
+// rcqpFreshValues is how many anonymous fresh constants the bounded
+// RCQP search adds to the active domain when inventing instances.
+const rcqpFreshValues = 2
+
+func (p *Problem) rcqpStrongOrViable(ctx context.Context, m Model) (_ bool, err error) {
+	viaBoundedness := p.allProjectionCCs()
+	partial := "no witness found in %d models"
+	if viaBoundedness {
+		partial = ""
+	}
+	ctx, c := p.enter(ctx, "rcqp", partial)
+	defer c.exit(&err)
 	switch p.Query.Lang() {
 	case FO, FP:
 		return false, fmt.Errorf("RCQP(%s), %s model: %w", p.Query.Lang(), m, ErrUndecidable)
 	}
-	if p.allProjectionCCs() {
+	if viaBoundedness {
 		return p.rcqpViaBoundedness(ctx)
 	}
 	return p.rcqpBoundedSearch(ctx)
@@ -57,7 +66,6 @@ func (p *Problem) allProjectionCCs() bool {
 // RCQ(Q, Dm, V) is non-empty iff every disjunct of Q is bounded by
 // (Dm, V), or Q has no valid valuation over Adom consistent with V.
 func (p *Problem) rcqpViaBoundedness(ctx context.Context) (bool, error) {
-	g := p.beginOp(ctx, "rcqp_boundedness", "")
 	bounded, err := p.QueryBounded()
 	if err != nil {
 		return false, err
@@ -67,7 +75,7 @@ func (p *Problem) rcqpViaBoundedness(ctx context.Context) (bool, error) {
 	}
 	sat, err := p.querySatisfiableUnderCCs(ctx)
 	if err != nil {
-		return false, g.wrap(err)
+		return false, err
 	}
 	return !sat, nil
 }
@@ -231,7 +239,6 @@ func (p *Problem) factsToDatabase(tab *query.Tableau, mu ctable.Valuation) (*rel
 // a few anonymous fresh constants. Finding one proves RCQ non-empty
 // (Lemma 4.4); exhausting the bound returns ErrInconclusive.
 func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
-	g := p.beginOp(ctx, "rcqp_search", "no witness found in %d models")
 	bound := p.Options.rcqpSizeBound()
 	builder := adom.NewBuilder().
 		AddDatabase(p.Master).
@@ -240,7 +247,7 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 	qc := relation.NewValueSet()
 	p.Query.Constants(qc)
 	builder.AddConstants(qc)
-	for i := 0; i < p.Options.rcqpFreshValues(); i++ {
+	for i := 0; i < rcqpFreshValues; i++ {
 		builder.AddVars([]string{fmt.Sprintf("rcqp_fresh_%d", i)})
 	}
 	if query.IsPositiveExistential(p.Query.Calc) {
@@ -267,7 +274,7 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 			return true, nil
 		})
 		if err != nil {
-			return false, g.wrap(err)
+			return false, err
 		}
 		if !done {
 			return false, p.budgetErr("RCQP lattice over "+r.Name, "MaxValuations",
@@ -326,7 +333,7 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 	empty := relation.NewDatabase(p.Schema)
 	ok, err := check(ctx, empty)
 	if err != nil {
-		return false, g.wrap(err)
+		return false, err
 	}
 	found := ok
 	if !found && bound > 0 {
@@ -343,7 +350,7 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 		}
 		_, found, err = search.FirstHit(ctx, p.Options.workers(), p.Options.Obs, gen, probe)
 		if err != nil {
-			return false, g.wrap(err)
+			return false, err
 		}
 	}
 	if found {

@@ -32,8 +32,8 @@ func (p *Problem) ReferenceGroundComplete(db *relation.Database, extra int) (boo
 // ReferenceGroundCompleteCtx is ReferenceGroundComplete honoring the
 // context's deadline.
 func (p *Problem) ReferenceGroundCompleteCtx(ctx context.Context, db *relation.Database, extra int) (_ bool, err error) {
-	defer p.countBudget(&err)
-	g := p.beginOp(ctx, "reference_ground_complete", "no counterexample found in %d models")
+	ctx, c := p.enter(ctx, "reference_ground_complete", "no counterexample found in %d models")
+	defer c.exit(&err)
 	closed, err := p.satisfiesCCs(ctx, db)
 	if err != nil {
 		return false, err
@@ -54,7 +54,7 @@ func (p *Problem) ReferenceGroundCompleteCtx(ctx context.Context, db *relation.D
 			return true, nil
 		})
 		if err != nil {
-			return false, g.wrap(err)
+			return false, err
 		}
 		if !done {
 			return false, p.budgetErr("reference lattice over "+r.Name, "MaxValuations",
@@ -106,7 +106,7 @@ func (p *Problem) ReferenceGroundCompleteCtx(ctx context.Context, db *relation.D
 		return nil
 	}
 	if err := rec(0, db, 0); err != nil {
-		return false, g.wrap(err)
+		return false, err
 	}
 	return complete, nil
 }
@@ -121,15 +121,14 @@ func (p *Problem) ReferenceRCDP(ci *ctable.CInstance, m Model, extra int) (bool,
 
 // ReferenceRCDPCtx is ReferenceRCDP honoring the context's deadline.
 func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m Model, extra int) (_ bool, err error) {
-	defer p.countBudget(&err)
-	g := p.beginOp(ctx, "reference_rcdp_"+m.String(), "verdict undecided after %d models")
+	ctx, c := p.enter(ctx, "reference_rcdp_"+m.String(), "verdict undecided after %d models")
+	defer c.exit(&err)
 	d, err := p.domainsFor(ci, p.Query.Calc != nil && p.Query.Lang() != FO, true)
 	if err != nil {
 		return false, err
 	}
 	if m == Weak {
-		ok, err := p.referenceWeakComplete(ctx, ci, extra)
-		return ok, g.wrap(err)
+		return p.referenceWeakComplete(ctx, ci, extra)
 	}
 	var any atomic.Bool
 	var genErr error
@@ -151,10 +150,10 @@ func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m 
 	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
-		return false, g.wrap(err)
+		return false, err
 	}
 	if !found && genErr != nil {
-		return false, g.wrap(genErr)
+		return false, genErr
 	}
 	if !any.Load() {
 		return false, ErrInconsistent

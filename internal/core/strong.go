@@ -58,7 +58,6 @@ func (p *Problem) RCDPExplain(ci *ctable.CInstance, m Model) (bool, *Counterexam
 
 // RCDPExplainCtx is RCDPExplain honoring the context's deadline.
 func (p *Problem) RCDPExplainCtx(ctx context.Context, ci *ctable.CInstance, m Model) (ok bool, cex *Counterexample, err error) {
-	defer p.countBudget(&err)
 	if sp := obs.SpanFromContext(ctx); sp.Streaming() {
 		sp.Event("decide", obs.F("problem", "rcdp"), obs.F("model", m), obs.F("query", p.Query.Name()))
 		defer func() {
@@ -86,10 +85,9 @@ func (p *Problem) RCDPExplainCtx(ctx context.Context, ci *ctable.CInstance, m Mo
 // are independent and fan out over Options.Parallelism workers; the
 // first-hit engine returns the counterexample of the lowest-index
 // failing model, which is exactly the one the sequential scan reports.
-func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (bool, *Counterexample, error) {
-	ctx, endSpan := p.span(ctx, "rcdp_strong")
-	defer endSpan()
-	g := p.beginOp(ctx, "rcdp_strong", "no counterexample found in %d models")
+func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool, _ *Counterexample, err error) {
+	ctx, c := p.enter(ctx, "rcdp_strong", "no counterexample found in %d models")
+	defer c.exit(&err)
 	switch p.Query.Lang() {
 	case FO, FP:
 		return false, nil, fmt.Errorf("RCDP(%s), strong model: %w", p.Query.Lang(), ErrUndecidable)
@@ -118,10 +116,10 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (bool, *
 	hit, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
-		return false, nil, g.wrap(err)
+		return false, nil, err
 	}
 	if !found && genErr != nil {
-		return false, nil, g.wrap(genErr)
+		return false, nil, genErr
 	}
 	if !consistent.Load() {
 		return false, nil, ErrInconsistent
@@ -498,10 +496,8 @@ func (p *Problem) GroundComplete(db *relation.Database) (bool, *Counterexample, 
 
 // GroundCompleteCtx is GroundComplete honoring the context's deadline.
 func (p *Problem) GroundCompleteCtx(ctx context.Context, db *relation.Database) (_ bool, _ *Counterexample, err error) {
-	defer p.countBudget(&err)
-	ctx, endSpan := p.span(ctx, "ground_complete")
-	defer endSpan()
-	g := p.beginOp(ctx, "ground_complete", "no counterexample found in %d models")
+	ctx, c := p.enter(ctx, "ground_complete", "no counterexample found in %d models")
+	defer c.exit(&err)
 	switch p.Query.Lang() {
 	case FO, FP:
 		return false, nil, fmt.Errorf("ground completeness for %s: %w", p.Query.Lang(), ErrUndecidable)
@@ -519,7 +515,7 @@ func (p *Problem) GroundCompleteCtx(ctx context.Context, db *relation.Database) 
 	}
 	cex, err := p.boundedCounterexample(ctx, db, d)
 	if err != nil {
-		return false, nil, g.wrap(err)
+		return false, nil, err
 	}
 	return cex == nil, cex, nil
 }
@@ -532,8 +528,7 @@ func (p *Problem) MINP(ci *ctable.CInstance, m Model) (bool, error) {
 
 // MINPCtx is MINP honoring the context's deadline and cancellation; an
 // abort surfaces as a *DeadlineError.
-func (p *Problem) MINPCtx(ctx context.Context, ci *ctable.CInstance, m Model) (_ bool, err error) {
-	defer p.countBudget(&err)
+func (p *Problem) MINPCtx(ctx context.Context, ci *ctable.CInstance, m Model) (bool, error) {
 	switch m {
 	case Strong:
 		return p.minpStrong(ctx, ci)
@@ -548,10 +543,9 @@ func (p *Problem) MINPCtx(ctx context.Context, ci *ctable.CInstance, m Model) (_
 // strongly complete iff T ∈ RCQs and every I ∈ ModAdom(T) is a minimal
 // complete ground instance — by Lemma 4.7(b) it suffices to check that
 // no single-tuple removal of I stays complete.
-func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (bool, error) {
-	ctx, endSpan := p.span(ctx, "minp_strong")
-	defer endSpan()
-	g := p.beginOp(ctx, "minp_strong", "no non-minimal model found in %d models")
+func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool, err error) {
+	ctx, c := p.enter(ctx, "minp_strong", "no non-minimal model found in %d models")
+	defer c.exit(&err)
 	switch p.Query.Lang() {
 	case FO, FP:
 		return false, fmt.Errorf("MINP(%s), strong model: %w", p.Query.Lang(), ErrUndecidable)
@@ -581,10 +575,10 @@ func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (bool, e
 	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
-		return false, g.wrap(err)
+		return false, err
 	}
 	if !found && genErr != nil {
-		return false, g.wrap(genErr)
+		return false, genErr
 	}
 	return !found, nil
 }
@@ -617,8 +611,8 @@ func (p *Problem) GroundMinimal(db *relation.Database) (bool, error) {
 
 // GroundMinimalCtx is GroundMinimal honoring the context's deadline.
 func (p *Problem) GroundMinimalCtx(ctx context.Context, db *relation.Database) (_ bool, err error) {
-	defer p.countBudget(&err)
-	g := p.beginOp(ctx, "ground_minimal", "no complete removal found in %d models")
+	ctx, c := p.enter(ctx, "ground_minimal", "no complete removal found in %d models")
+	defer c.exit(&err)
 	complete, _, err := p.GroundCompleteCtx(ctx, db)
 	if err != nil {
 		return false, err
@@ -631,5 +625,5 @@ func (p *Problem) GroundMinimalCtx(ctx context.Context, db *relation.Database) (
 		return false, err
 	}
 	nonMin, err := p.hasCompleteRemoval(ctx, db, d)
-	return !nonMin, g.wrap(err)
+	return !nonMin, err
 }

@@ -26,10 +26,9 @@ import (
 // the highest-index one is what the sequential scan ends on, and the
 // failure path probes every model in either schedule, so the choice is
 // deterministic).
-func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (bool, *Counterexample, error) {
-	ctx, endSpan := p.span(ctx, "rcdp_viable")
-	defer endSpan()
-	g := p.beginOp(ctx, "rcdp_viable", "no complete model found in %d models")
+func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (_ bool, _ *Counterexample, err error) {
+	ctx, c := p.enter(ctx, "rcdp_viable", "no complete model found in %d models")
+	defer c.exit(&err)
 	switch p.Query.Lang() {
 	case FO, FP:
 		return false, nil, fmt.Errorf("RCDP(%s), viable model: %w", p.Query.Lang(), ErrUndecidable)
@@ -69,10 +68,10 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (bool, *
 	_, viable, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
-		return false, nil, g.wrap(err)
+		return false, nil, err
 	}
 	if !viable && genErr != nil {
-		return false, nil, g.wrap(genErr)
+		return false, nil, genErr
 	}
 	if !consistent.Load() {
 		return false, nil, ErrInconsistent
@@ -86,10 +85,9 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (bool, *
 // minpViable implements Corollary 6.3: T is a minimal viably complete
 // c-instance iff some I ∈ ModAdom(T) is a minimal complete ground
 // instance.
-func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (bool, error) {
-	ctx, endSpan := p.span(ctx, "minp_viable")
-	defer endSpan()
-	g := p.beginOp(ctx, "minp_viable", "no minimal complete model found in %d models")
+func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (_ bool, err error) {
+	ctx, c := p.enter(ctx, "minp_viable", "no minimal complete model found in %d models")
+	defer c.exit(&err)
 	switch p.Query.Lang() {
 	case FO, FP:
 		return false, fmt.Errorf("MINP(%s), viable model: %w", p.Query.Lang(), ErrUndecidable)
@@ -125,10 +123,10 @@ func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (bool, e
 	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
-		return false, g.wrap(err)
+		return false, err
 	}
 	if !found && genErr != nil {
-		return false, g.wrap(genErr)
+		return false, genErr
 	}
 	if !consistent.Load() {
 		return false, ErrInconsistent

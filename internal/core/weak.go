@@ -29,16 +29,13 @@ func (p *Problem) CertainAnswers(ci *ctable.CInstance) ([]relation.Tuple, error)
 // intersection is a superset of the certain answers, so no partial
 // result is returned.
 func (p *Problem) CertainAnswersCtx(ctx context.Context, ci *ctable.CInstance) (_ []relation.Tuple, err error) {
-	defer p.countBudget(&err)
-	ctx, endSpan := p.span(ctx, "certain_answers")
-	defer endSpan()
-	g := p.beginOp(ctx, "certain_answers", "intersection over %d models incomplete")
+	ctx, c := p.enter(ctx, "certain_answers", "intersection over %d models incomplete")
+	defer c.exit(&err)
 	d, err := p.domainsFor(ci, false, false)
 	if err != nil {
 		return nil, err
 	}
-	ans, err := p.certainAnswers(ctx, ci, d)
-	return ans, g.wrap(err)
+	return p.certainAnswers(ctx, ci, d)
 }
 
 // certainAnswers intersects Q over the models. Query evaluation fans
@@ -110,10 +107,9 @@ func (p *Problem) CertainAnswersOfExtensions(ci *ctable.CInstance) ([]relation.T
 // CertainAnswersOfExtensionsCtx is CertainAnswersOfExtensions honoring
 // the context's deadline.
 func (p *Problem) CertainAnswersOfExtensionsCtx(ctx context.Context, ci *ctable.CInstance) (_ []relation.Tuple, _ bool, err error) {
-	defer p.countBudget(&err)
-	g := p.beginOp(ctx, "certain_answers_of_extensions", "intersection over %d models incomplete")
-	acc, anyExt, err := p.certainExtStream(ctx, ci, nil)
-	return acc, anyExt, g.wrap(err)
+	ctx, c := p.enter(ctx, "certain_answers_of_extensions", "intersection over %d models incomplete")
+	defer c.exit(&err)
+	return p.certainExtStream(ctx, ci, nil)
 }
 
 // extFold is an intersection of Q over (model, extension) pairs;
@@ -206,10 +202,9 @@ func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, st
 // (Lemma 5.2), or no extension exists at all. The certain answers over
 // Mod(T) are computed first so the extension stream can stop as soon
 // as containment is established.
-func (p *Problem) rcdpWeak(ctx context.Context, ci *ctable.CInstance) (bool, error) {
-	ctx, endSpan := p.span(ctx, "rcdp_weak")
-	defer endSpan()
-	g := p.beginOp(ctx, "rcdp_weak", "containment undecided after %d models")
+func (p *Problem) rcdpWeak(ctx context.Context, ci *ctable.CInstance) (_ bool, err error) {
+	ctx, c := p.enter(ctx, "rcdp_weak", "containment undecided after %d models")
+	defer c.exit(&err)
 	if p.Query.Lang() == FO {
 		return false, fmt.Errorf("RCDP(FO), weak model: %w", ErrUndecidable)
 	}
@@ -223,7 +218,7 @@ func (p *Problem) rcdpWeak(ctx context.Context, ci *ctable.CInstance) (bool, err
 	}
 	certExt, anyExt, err := p.certainExtStream(ctx, ci, inT)
 	if err != nil {
-		return false, g.wrap(err)
+		return false, err
 	}
 	if !anyExt {
 		// Every model of T is unextendable: weakly complete by
@@ -251,8 +246,7 @@ func (p *Problem) RCQP(m Model) (bool, error) {
 
 // RCQPCtx is RCQP honoring the context's deadline and cancellation; an
 // abort surfaces as a *DeadlineError.
-func (p *Problem) RCQPCtx(ctx context.Context, m Model) (_ bool, err error) {
-	defer p.countBudget(&err)
+func (p *Problem) RCQPCtx(ctx context.Context, m Model) (bool, error) {
 	switch m {
 	case Weak:
 		if p.Query.Lang() == FO {
@@ -272,8 +266,7 @@ func (p *Problem) RCQPGround(m Model) (bool, error) {
 }
 
 // RCQPGroundCtx is RCQPGround honoring the context's deadline.
-func (p *Problem) RCQPGroundCtx(ctx context.Context, m Model) (_ bool, err error) {
-	defer p.countBudget(&err)
+func (p *Problem) RCQPGroundCtx(ctx context.Context, m Model) (bool, error) {
 	switch m {
 	case Weak:
 		if p.Query.Lang() == FO {
@@ -299,8 +292,8 @@ func (p *Problem) ConstructWeaklyComplete() (*relation.Database, error) {
 // ConstructWeaklyCompleteCtx is ConstructWeaklyComplete honoring the
 // context's deadline.
 func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (_ *relation.Database, err error) {
-	defer p.countBudget(&err)
-	g := p.beginOp(ctx, "construct_weakly_complete", "")
+	ctx, c := p.enter(ctx, "construct_weakly_complete", "")
+	defer c.exit(&err)
 	if !p.Query.Monotone() {
 		return nil, fmt.Errorf("weakly complete witness for FO: %w", ErrUndecidable)
 	}
@@ -324,7 +317,7 @@ func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (_ *relation.D
 			return true, nil
 		})
 		if err != nil {
-			return nil, g.wrap(err)
+			return nil, err
 		}
 	}
 	return db, nil
@@ -335,9 +328,9 @@ func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (_ *relation.D
 // back to the generic algorithm (check T weakly complete, then check
 // that no proper row subset is), which matches the Πp4 upper bound for
 // UCQ/∃FO+ and coNEXPTIME for FP.
-func (p *Problem) minpWeak(ctx context.Context, ci *ctable.CInstance) (bool, error) {
-	ctx, endSpan := p.span(ctx, "minp_weak")
-	defer endSpan()
+func (p *Problem) minpWeak(ctx context.Context, ci *ctable.CInstance) (_ bool, err error) {
+	ctx, c := p.enter(ctx, "minp_weak", "non-minimality undecided after %d models")
+	defer c.exit(&err)
 	if p.Query.Lang() == FO {
 		return false, fmt.Errorf("MINP(FO), weak model: %w", ErrUndecidable)
 	}
@@ -368,7 +361,6 @@ func (p *Problem) minpWeakCQ(ctx context.Context, ci *ctable.CInstance) (bool, e
 // minpWeakGeneric checks T ∈ RCQw and that no proper sub-c-instance
 // (row subset) is weakly complete.
 func (p *Problem) minpWeakGeneric(ctx context.Context, ci *ctable.CInstance) (bool, error) {
-	g := p.beginOp(ctx, "minp_weak", "non-minimality undecided after %d models")
 	complete, err := p.rcdpWeak(ctx, ci)
 	if err != nil {
 		return false, err
@@ -391,7 +383,7 @@ func (p *Problem) minpWeakGeneric(ctx context.Context, ci *ctable.CInstance) (bo
 	}
 	for mask := 0; mask < (1 << uint(n)); mask++ {
 		if err := ctx.Err(); err != nil {
-			return false, g.wrap(err)
+			return false, err
 		}
 		if mask == (1<<uint(n))-1 {
 			continue // the full set is T itself

@@ -70,7 +70,7 @@ func (v *HistogramVec) ObserveExemplar(value int64, traceID string, labelValues 
 	if v == nil {
 		return
 	}
-	v.seriesFor(labelValues).h.observe(v.def, value, traceID)
+	v.sample(labelValues).observe(v.def, value, traceID)
 }
 
 // BucketExemplar returns histogram h's exemplar for the bucket value v

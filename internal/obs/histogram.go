@@ -15,7 +15,7 @@ import (
 type Histo int
 
 const (
-	// DeciderWallNs is the wall time of one decider entry-point call
+	// DeciderWallNs is the wall time of one decider call
 	// (consistency, rcdp_*, minp_*, rcqp, certain_answers, ...), in ns.
 	// The per-phase totals say where time went overall; this says how
 	// it was distributed — one pathological c-instance shows up as a

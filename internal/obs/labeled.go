@@ -83,33 +83,110 @@ func labelPairs(names, values []string, extra ...string) string {
 	return b.String()
 }
 
-// CounterVec is a labelled extension of one counter family. The zero
-// value is not usable; obtain one from Metrics.LabeledCounter. A nil
-// *CounterVec is inert.
-type CounterVec struct {
+// series is the table behind one labelled vec: its label names and
+// one sample S per label-value combination. It admits at most
+// maxSeries combinations; every later one folds into the overflow
+// series. Series are never removed.
+type series[S any] struct {
 	labels    []string
 	maxSeries int
 
-	mu     sync.Mutex
-	series map[string]*counterSeries
+	mu   sync.Mutex
+	rows map[string]*seriesRow[S]
 }
 
-type counterSeries struct {
+type seriesRow[S any] struct {
 	values []string
-	n      atomic.Int64
+	s      S
 }
+
+func (t *series[S]) init(labelNames []string) {
+	t.labels = append([]string(nil), labelNames...)
+	t.maxSeries = DefaultMaxLabelSeries
+	t.rows = map[string]*seriesRow[S]{}
+}
+
+func (t *series[S]) labelNames() []string { return t.labels }
+
+func (t *series[S]) setMaxSeries(n int) {
+	if n <= 0 {
+		return
+	}
+	t.mu.Lock()
+	t.maxSeries = n
+	t.mu.Unlock()
+}
+
+// lookup returns the sample of labelValues, or nil when absent. It
+// never creates a series.
+func (t *series[S]) lookup(labelValues []string) *S {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r := t.rows[labelKey(labelValues)]; r != nil {
+		return &r.s
+	}
+	return nil
+}
+
+func (t *series[S]) count() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.rows)
+}
+
+// sample returns the sample of labelValues, creating its series on
+// first use, or the overflow series' past the cap.
+func (t *series[S]) sample(labelValues []string) *S {
+	if len(labelValues) != len(t.labels) {
+		panic(fmt.Sprintf("obs: got %d label values for %d labels", len(labelValues), len(t.labels)))
+	}
+	key := labelKey(labelValues)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r := t.rows[key]; r != nil {
+		return &r.s
+	}
+	if len(t.rows) >= t.maxSeries {
+		labelValues = overflowValues(len(t.labels))
+		key = labelKey(labelValues)
+		if r := t.rows[key]; r != nil {
+			return &r.s
+		}
+	}
+	r := &seriesRow[S]{values: append([]string(nil), labelValues...)}
+	t.rows[key] = r
+	return &r.s
+}
+
+// sorted returns the series in label-key order, for a stable document.
+func (t *series[S]) sorted() []*seriesRow[S] {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	keys := make([]string, 0, len(t.rows))
+	for k := range t.rows {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	rows := make([]*seriesRow[S], len(keys))
+	for i, k := range keys {
+		rows[i] = t.rows[k]
+	}
+	return rows
+}
+
+// CounterVec is a labelled extension of one counter family. The zero
+// value is not usable; obtain one from Metrics.LabeledCounter. A nil
+// *CounterVec is inert.
+type CounterVec struct{ series[atomic.Int64] }
 
 // SetMaxSeries adjusts the cardinality cap (n <= 0 leaves it
 // unchanged) and returns the vec for chaining at registration time.
 // Lowering the cap below the current series count only affects new
 // combinations. No-op on a nil receiver.
 func (v *CounterVec) SetMaxSeries(n int) *CounterVec {
-	if v == nil || n <= 0 {
-		return v
+	if v != nil {
+		v.setMaxSeries(n)
 	}
-	v.mu.Lock()
-	v.maxSeries = n
-	v.mu.Unlock()
 	return v
 }
 
@@ -118,10 +195,9 @@ func (v *CounterVec) SetMaxSeries(n int) *CounterVec {
 // cardinality cap). len(labelValues) must match the vec's label names.
 // No-op on a nil receiver.
 func (v *CounterVec) Add(n int64, labelValues ...string) {
-	if v == nil {
-		return
+	if v != nil {
+		v.sample(labelValues).Add(n)
 	}
-	v.seriesFor(labelValues).n.Add(n)
 }
 
 // Inc is Add(1, labelValues...).
@@ -134,10 +210,8 @@ func (v *CounterVec) Get(labelValues ...string) int64 {
 	if v == nil {
 		return 0
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if s := v.series[labelKey(labelValues)]; s != nil {
-		return s.n.Load()
+	if n := v.lookup(labelValues); n != nil {
+		return n.Load()
 	}
 	return 0
 }
@@ -148,32 +222,7 @@ func (v *CounterVec) Series() int {
 	if v == nil {
 		return 0
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.series)
-}
-
-func (v *CounterVec) seriesFor(labelValues []string) *counterSeries {
-	if len(labelValues) != len(v.labels) {
-		panic(fmt.Sprintf("obs: CounterVec got %d label values for %d labels", len(labelValues), len(v.labels)))
-	}
-	key := labelKey(labelValues)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if s := v.series[key]; s != nil {
-		return s
-	}
-	values := labelValues
-	if len(v.series) >= v.maxSeries {
-		values = overflowValues(len(v.labels))
-		key = labelKey(values)
-		if s := v.series[key]; s != nil {
-			return s
-		}
-	}
-	s := &counterSeries{values: append([]string(nil), values...)}
-	v.series[key] = s
-	return s
+	return v.count()
 }
 
 // write emits the vec's series as samples of family name, label keys
@@ -182,24 +231,8 @@ func (v *CounterVec) write(w *errWriter, name string) {
 	if v == nil {
 		return
 	}
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.series))
-	for k := range v.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type row struct {
-		labels string
-		n      int64
-	}
-	rows := make([]row, 0, len(keys))
-	for _, k := range keys {
-		s := v.series[k]
-		rows = append(rows, row{labelPairs(v.labels, s.values), s.n.Load()})
-	}
-	v.mu.Unlock()
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s%s %d\n", name, r.labels, r.n)
+	for _, r := range v.sorted() {
+		fmt.Fprintf(w, "%s%s %d\n", name, labelPairs(v.labels, r.values), r.s.Load())
 	}
 }
 
@@ -207,27 +240,15 @@ func (v *CounterVec) write(w *errWriter, name string) {
 // sharing the family's fixed bucket bounds. Obtain one from
 // Metrics.LabeledHisto; a nil *HistogramVec is inert.
 type HistogramVec struct {
-	def       *histoDef
-	labels    []string
-	maxSeries int
-
-	mu     sync.Mutex
-	series map[string]*histoSeries
-}
-
-type histoSeries struct {
-	values []string
-	h      histo
+	def *histoDef
+	series[histo]
 }
 
 // SetMaxSeries adjusts the cardinality cap; see CounterVec.SetMaxSeries.
 func (v *HistogramVec) SetMaxSeries(n int) *HistogramVec {
-	if v == nil || n <= 0 {
-		return v
+	if v != nil {
+		v.setMaxSeries(n)
 	}
-	v.mu.Lock()
-	v.maxSeries = n
-	v.mu.Unlock()
 	return v
 }
 
@@ -235,10 +256,7 @@ func (v *HistogramVec) SetMaxSeries(n int) *HistogramVec {
 // identified by labelValues, with the same creation and overflow rules
 // as CounterVec.Add. No-op on a nil receiver.
 func (v *HistogramVec) Observe(value int64, labelValues ...string) {
-	if v == nil {
-		return
-	}
-	v.seriesFor(labelValues).h.observe(v.def, value, "")
+	v.ObserveExemplar(value, "", labelValues...)
 }
 
 // SeriesCount returns the observation count of the series identified
@@ -247,13 +265,11 @@ func (v *HistogramVec) SeriesCount(labelValues ...string) int64 {
 	if v == nil {
 		return 0
 	}
-	v.mu.Lock()
-	s := v.series[labelKey(labelValues)]
-	v.mu.Unlock()
-	if s == nil {
+	h := v.lookup(labelValues)
+	if h == nil {
 		return 0
 	}
-	_, total := s.h.load(v.def)
+	_, total := h.load(v.def)
 	return total
 }
 
@@ -262,32 +278,7 @@ func (v *HistogramVec) Series() int {
 	if v == nil {
 		return 0
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.series)
-}
-
-func (v *HistogramVec) seriesFor(labelValues []string) *histoSeries {
-	if len(labelValues) != len(v.labels) {
-		panic(fmt.Sprintf("obs: HistogramVec got %d label values for %d labels", len(labelValues), len(v.labels)))
-	}
-	key := labelKey(labelValues)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if s := v.series[key]; s != nil {
-		return s
-	}
-	values := labelValues
-	if len(v.series) >= v.maxSeries {
-		values = overflowValues(len(v.labels))
-		key = labelKey(values)
-		if s := v.series[key]; s != nil {
-			return s
-		}
-	}
-	s := &histoSeries{values: append([]string(nil), values...)}
-	v.series[key] = s
-	return s
+	return v.count()
 }
 
 // write emits every series' _bucket/_sum/_count samples for family
@@ -297,46 +288,18 @@ func (v *HistogramVec) write(w *errWriter, name string, exemplars bool) {
 	if v == nil {
 		return
 	}
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.series))
-	for k := range v.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type row struct {
-		values []string
-		counts []int64
-		exs    []*Exemplar
-		sum    int64
-	}
-	rows := make([]row, 0, len(keys))
-	for _, k := range keys {
-		s := v.series[k]
-		counts := make([]int64, len(v.def.bounds)+1)
-		var exs []*Exemplar
-		if exemplars {
-			exs = make([]*Exemplar, len(counts))
-		}
-		for i := range counts {
-			counts[i] = s.h.counts[i].Load()
-			if exemplars {
-				exs[i] = s.h.exemplars[i].Load()
-			}
-		}
-		rows = append(rows, row{values: s.values, counts: counts, exs: exs, sum: s.h.sum.Load()})
-	}
-	v.mu.Unlock()
-	for _, r := range rows {
+	for _, r := range v.sorted() {
+		counts, _ := r.s.load(v.def)
 		var cum int64
-		for i, c := range r.counts {
-			cum += c
-			fmt.Fprintf(w, "%s_bucket%s %d", name, labelPairs(v.labels, r.values, "le", v.def.labels[i]), cum)
-			if r.exs != nil && r.exs[i] != nil {
-				writeExemplar(w, *r.exs[i])
+		for i, le := range v.def.labels {
+			cum += counts[i]
+			fmt.Fprintf(w, "%s_bucket%s %d", name, labelPairs(v.labels, r.values, "le", le), cum)
+			if ex := r.s.exemplars[i].Load(); exemplars && ex != nil {
+				writeExemplar(w, *ex)
 			}
 			fmt.Fprint(w, "\n")
 		}
-		fmt.Fprintf(w, "%s_sum%s %s\n", name, labelPairs(v.labels, r.values), formatBound(float64(r.sum)/v.def.div))
+		fmt.Fprintf(w, "%s_sum%s %s\n", name, labelPairs(v.labels, r.values), formatBound(float64(r.s.sum.Load())/v.def.div))
 		fmt.Fprintf(w, "%s_count%s %d\n", name, labelPairs(v.labels, r.values), cum)
 	}
 }
@@ -360,29 +323,7 @@ func (m *Metrics) LabeledCounter(c Counter, labelNames ...string) *CounterVec {
 	if m == nil {
 		return nil
 	}
-	for _, n := range labelNames {
-		if !validLabelName(n) {
-			panic(fmt.Sprintf("obs: invalid label name %q", n))
-		}
-	}
-	m.vecMu.Lock()
-	defer m.vecMu.Unlock()
-	if m.counterVecs == nil {
-		m.counterVecs = map[Counter]*CounterVec{}
-	}
-	if v := m.counterVecs[c]; v != nil {
-		if strings.Join(v.labels, ",") != strings.Join(labelNames, ",") {
-			panic(fmt.Sprintf("obs: counter %s already labelled with %v", c, v.labels))
-		}
-		return v
-	}
-	v := &CounterVec{
-		labels:    append([]string(nil), labelNames...),
-		maxSeries: DefaultMaxLabelSeries,
-		series:    map[string]*counterSeries{},
-	}
-	m.counterVecs[c] = v
-	return v
+	return register(m, &m.counterVecs, c, labelNames, func() *CounterVec { return &CounterVec{} })
 }
 
 // LabeledHisto is LabeledCounter for a histogram family: the labelled
@@ -392,6 +333,19 @@ func (m *Metrics) LabeledHisto(h Histo, labelNames ...string) *HistogramVec {
 	if m == nil {
 		return nil
 	}
+	return register(m, &m.histoVecs, h, labelNames, func() *HistogramVec { return &HistogramVec{def: &histoDefs[h]} })
+}
+
+// register returns the vec of family in *vecs, creating it with
+// newVec on first use. The label names must be valid, and every
+// registration of a family must pass the same ones.
+func register[F interface {
+	comparable
+	String() string
+}, V interface {
+	init(labelNames []string)
+	labelNames() []string
+}](m *Metrics, vecs *map[F]V, family F, labelNames []string, newVec func() V) V {
 	for _, n := range labelNames {
 		if !validLabelName(n) {
 			panic(fmt.Sprintf("obs: invalid label name %q", n))
@@ -399,22 +353,18 @@ func (m *Metrics) LabeledHisto(h Histo, labelNames ...string) *HistogramVec {
 	}
 	m.vecMu.Lock()
 	defer m.vecMu.Unlock()
-	if m.histoVecs == nil {
-		m.histoVecs = map[Histo]*HistogramVec{}
-	}
-	if v := m.histoVecs[h]; v != nil {
-		if strings.Join(v.labels, ",") != strings.Join(labelNames, ",") {
-			panic(fmt.Sprintf("obs: histogram %s already labelled with %v", h, v.labels))
+	if v, ok := (*vecs)[family]; ok {
+		if strings.Join(v.labelNames(), ",") != strings.Join(labelNames, ",") {
+			panic(fmt.Sprintf("obs: %s already labelled with %v", family, v.labelNames()))
 		}
 		return v
 	}
-	v := &HistogramVec{
-		def:       &histoDefs[h],
-		labels:    append([]string(nil), labelNames...),
-		maxSeries: DefaultMaxLabelSeries,
-		series:    map[string]*histoSeries{},
+	if *vecs == nil {
+		*vecs = map[F]V{}
 	}
-	m.histoVecs[h] = v
+	v := newVec()
+	v.init(labelNames)
+	(*vecs)[family] = v
 	return v
 }
 

@@ -9,6 +9,7 @@ package obs
 // service logs.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -24,35 +25,38 @@ import (
 // each child under its parent in start order; and the non-empty
 // histogram snapshots of m. sp and m may each be nil (rendered as
 // "disabled"). The dump is bracketed by grep-able "=== SLOW OP" /
-// "=== END SLOW OP" markers.
+// "=== END SLOW OP" markers. It reaches w in one Write, so dumps of
+// concurrent calls into one shared sink do not interleave.
 func WriteSlowOp(w io.Writer, op string, elapsed, threshold time.Duration, sp *Span, m *Metrics) {
 	traceID := "-"
 	if t := sp.Trace(); !t.IsZero() {
 		traceID = t.String()
 	}
-	fmt.Fprintf(w, "=== SLOW OP op=%s elapsed=%v threshold=%v trace_id=%s ===\n", op, elapsed, threshold, traceID)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "=== SLOW OP op=%s elapsed=%v threshold=%v trace_id=%s ===\n", op, elapsed, threshold, traceID)
 	if sp == nil {
-		fmt.Fprintln(w, "spans: disabled")
+		fmt.Fprintln(&b, "spans: disabled")
 	} else {
-		writeSpanTree(w, sp)
+		writeSpanTree(&b, sp)
 	}
 	if m == nil {
-		fmt.Fprintln(w, "histograms: disabled")
+		fmt.Fprintln(&b, "histograms: disabled")
 	} else {
 		hists := m.Snapshot().Histograms
-		fmt.Fprintf(w, "histograms: %d with observations\n", len(hists))
+		fmt.Fprintf(&b, "histograms: %d with observations\n", len(hists))
 		for _, h := range hists {
-			fmt.Fprintf(w, "  %s count=%d sum=%s\n", h.Name, h.Count, formatBound(h.Sum))
-			for _, b := range h.Buckets {
-				fmt.Fprintf(w, "    le=%s %d\n", b.LE, b.Count)
+			fmt.Fprintf(&b, "  %s count=%d sum=%s\n", h.Name, h.Count, formatBound(h.Sum))
+			for _, bk := range h.Buckets {
+				fmt.Fprintf(&b, "    le=%s %d\n", bk.LE, bk.Count)
 			}
 		}
 	}
-	fmt.Fprintf(w, "=== END SLOW OP op=%s ===\n", op)
+	fmt.Fprintf(&b, "=== END SLOW OP op=%s ===\n", op)
+	w.Write(b.Bytes())
 }
 
 // writeSpanTree writes the retained spans of sp's subtree, sp first.
-func writeSpanTree(w io.Writer, sp *Span) {
+func writeSpanTree(w *bytes.Buffer, sp *Span) {
 	spans := sp.rec.Spans()
 	id := sp.id.String()
 	children := map[string][]SpanData{}

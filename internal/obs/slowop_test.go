@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -143,4 +145,63 @@ func TestWriteSlowOpConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// lockedWriter serialises its Writes, as an *os.File does, and yields
+// after each one so that concurrent writers run in between.
+type lockedWriter struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (w *lockedWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	n, err := w.buf.Write(p)
+	w.mu.Unlock()
+	runtime.Gosched()
+	return n, err
+}
+
+// TestWriteSlowOpSharedSinkWhole: rcserved gives every problem the
+// same slow-op sink (stderr by default) and runs several decides at
+// once, so concurrent dumps into one sink must each arrive whole, with
+// no header of one dump inside another.
+func TestWriteSlowOpSharedSinkWhole(t *testing.T) {
+	const writers, dumps = 4, 50
+	root := NewSpanRecorder(0).Root("root", "")
+	m := NewMetrics()
+	m.ObserveDuration(DeciderWallNs, time.Millisecond)
+	var sink lockedWriter
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < dumps; j++ {
+				sp := root.StartChild("rcdp_strong")
+				sp.End()
+				WriteSlowOp(&sink, "rcdp_strong", time.Second, time.Millisecond, sp, m)
+			}
+		}()
+	}
+	wg.Wait()
+	open, whole := false, 0
+	for i, line := range strings.Split(sink.buf.String(), "\n") {
+		switch {
+		case strings.HasPrefix(line, "=== SLOW OP "):
+			if open {
+				t.Fatalf("line %d: a dump starts inside another dump", i+1)
+			}
+			open = true
+		case strings.HasPrefix(line, "=== END SLOW OP "):
+			if !open {
+				t.Fatalf("line %d: a dump ends outside any dump", i+1)
+			}
+			open = false
+			whole++
+		}
+	}
+	if whole != writers*dumps {
+		t.Errorf("%d whole dumps, want %d", whole, writers*dumps)
+	}
 }

@@ -5,7 +5,7 @@ package obs
 // with W3C traceparent ingestion and emission. Spans attribute wall
 // time to one request: rcserved starts a root span per HTTP request,
 // rcheck and rcbench one per run, the core deciders hang their phase
-// spans off it (see core.Problem.span), and the search/eval layers add
+// spans off it (see core.Problem.enter), and the search/eval layers add
 // sub-spans, so a slow decide yields a tree saying where its time went.
 // The deciders' decision events (candidate models, CC violations,
 // counterexamples, verdicts) are events on the active span: a recorder

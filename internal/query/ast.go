@@ -189,12 +189,30 @@ func (c *Compare) String() string {
 	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
 }
 
+// joinFormulas renders the operands of a connective. A quantifier's
+// scope extends as far right as the text allows, so an operand that
+// ends in one (a quantifier, possibly negated) is parenthesised unless
+// it is the last: otherwise the next operand would render inside its
+// scope.
 func joinFormulas(kids []Formula, sep string) string {
 	parts := make([]string, len(kids))
 	for i, k := range kids {
 		parts[i] = k.String()
+		if i < len(kids)-1 && endsInQuantifier(k) {
+			parts[i] = "(" + parts[i] + ")"
+		}
 	}
 	return "(" + strings.Join(parts, sep) + ")"
+}
+
+func endsInQuantifier(f Formula) bool {
+	switch x := f.(type) {
+	case *Exists, *Forall:
+		return true
+	case *Not:
+		return endsInQuantifier(x.Sub)
+	}
+	return false
 }
 
 func (a *And) String() string { return joinFormulas(a.Kids, " & ") }
