@@ -31,8 +31,12 @@ type Adom struct {
 	fresh  map[string]relation.Value // variable -> its dedicated New value
 }
 
-// Builder accumulates the ingredients of an active domain.
+// Builder accumulates the ingredients of an active domain: the sorted
+// columns of ground databases as blocks, shared with the instances
+// that cache them and never written to, and a small set of every other
+// constant.
 type Builder struct {
+	blocks [][]relation.Value
 	consts *relation.ValueSet
 	vars   []string
 	seen   map[string]bool
@@ -57,9 +61,22 @@ func (b *Builder) AddCInstance(ci *ctable.CInstance) *Builder {
 	return b
 }
 
-// AddDatabase contributes the active domain of a ground database.
+// AddDatabase contributes the active domain of a ground database: one
+// block per column, the column's sorted distinct values as its
+// instance caches them (relation.Instance.SortedColumn), so a build
+// over unchanged data neither hashes nor sorts it.
 func (b *Builder) AddDatabase(db *relation.Database) *Builder {
-	db.ActiveDomain(b.consts)
+	if db == nil {
+		return b
+	}
+	for _, r := range db.Schema().Relations() {
+		inst := db.Relation(r.Name)
+		for i := 0; i < r.Arity(); i++ {
+			if col := inst.SortedColumn(i); len(col) > 0 {
+				b.blocks = append(b.blocks, col)
+			}
+		}
+	}
 	return b
 }
 
@@ -127,15 +144,25 @@ func (b *Builder) addVar(v string) {
 // for the ∀-style checks of the strong model, extra constants only
 // enlarge the family of instances inspected and preserve exactness.
 //
-// Build takes ownership of the builder's constants: the builder must
-// not be used afterwards.
+// A fresh value is checked against the blocks by binary search; the
+// domain is the merge of the blocks with the sorted set of every other
+// constant and the fresh values. Build takes ownership of the
+// builder's constants: the builder must not be used afterwards.
 func (b *Builder) Build() *Adom {
 	set := b.consts
 	b.consts = nil
 	a := &Adom{fresh: make(map[string]relation.Value, len(b.vars))}
+	taken := func(v relation.Value) bool {
+		for _, blk := range b.blocks {
+			if _, ok := slices.BinarySearch(blk, v); ok {
+				return true
+			}
+		}
+		return set.Contains(v)
+	}
 	mint := func(base string) relation.Value {
 		candidate := relation.Value("•" + base)
-		for i := 0; set.Contains(candidate); i++ {
+		for i := 0; taken(candidate); i++ {
 			candidate = relation.Value(fmt.Sprintf("•%s_%d", base, i))
 		}
 		set.Add(candidate)
@@ -145,7 +172,7 @@ func (b *Builder) Build() *Adom {
 		a.fresh[v] = mint(v)
 		mint(v + "ʹ") // interchangeable twin
 	}
-	a.values = set.Values()
+	a.values = relation.MergeValues(append(b.blocks, set.Values())...)
 	return a
 }
 

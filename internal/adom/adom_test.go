@@ -2,6 +2,7 @@ package adom
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"relcomplete/internal/cc"
@@ -65,6 +66,33 @@ func TestFreshAvoidsCollisions(t *testing.T) {
 	}
 	if !a.Contains(a.Fresh("x")) {
 		t.Fatal("fresh value must be in the domain")
+	}
+}
+
+// A database contributes its columns as blocks: the domain is the
+// sorted union of its values and every other constant, and a fresh
+// value steps past a master value that takes its name, exactly as it
+// steps past any other constant.
+func TestBuildMergesDatabaseColumns(t *testing.T) {
+	master := relation.NewDatabase(relation.MustDBSchema(
+		relation.MustSchema("M", relation.Attr("W", nil), relation.Attr("V", nil)),
+		relation.MustSchema("N", relation.Attr("W", nil))))
+	master.MustInsert("M", relation.T("•x", "m2"))
+	master.MustInsert("M", relation.T("m1", "•x_0"))
+	master.MustInsert("N", relation.T("c1"))
+	a := NewBuilder().AddCInstance(testCInstance()).AddDatabase(master).Build()
+
+	want := relation.NewValueSet()
+	testCInstance().Constants(want)
+	master.ActiveDomain(want)
+	for _, v := range []relation.Value{"0", "1", "•x_1", "•xʹ", "•b", "•bʹ"} {
+		want.Add(v)
+	}
+	if got := a.Values(); !reflect.DeepEqual(got, want.Values()) {
+		t.Fatalf("Values = %v, want %v", got, want.Values())
+	}
+	if got := a.Fresh("x"); got != "•x_1" {
+		t.Fatalf("Fresh(x) = %q, want •x_1 past the master's •x and •x_0", got)
 	}
 }
 

@@ -2,17 +2,21 @@ package core
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
+	"relcomplete/internal/cc"
 	"relcomplete/internal/ctable"
+	"relcomplete/internal/query"
 	"relcomplete/internal/relation"
 )
 
 // checkDomainsAgainstSets compares the compact domains built for p and
 // ci with the set-based construction they replaced: Adom membership
 // with a value set over the Adom's values, and each position's typed
-// candidates with the sorted set union of its class's constants and
-// fresh values, the unattributed constants and the shared fresh values.
+// candidates with the sorted set union of its class's master columns,
+// constants and fresh values, the unattributed constants and the
+// shared fresh values.
 func checkDomainsAgainstSets(t *testing.T, p *Problem, ci *ctable.CInstance) {
 	t.Helper()
 	for _, flags := range [][2]bool{{false, false}, {true, false}, {false, true}} {
@@ -40,6 +44,9 @@ func checkDomainsAgainstSets(t *testing.T, p *Problem, ci *ctable.CInstance) {
 		shared := relation.NewValueSet(append(append([]relation.Value(nil), cp.global...), cp.every...)...)
 		for pos, cl := range cp.class {
 			old := relation.NewValueSet(cp.consts[cl]...)
+			for _, blk := range cp.blocks[cl] {
+				old.AddAll(relation.NewValueSet(blk...))
+			}
 			for _, v := range cp.fresh[cl] {
 				old.Add(v)
 			}
@@ -52,4 +59,90 @@ func checkDomainsAgainstSets(t *testing.T, p *Problem, ci *ctable.CInstance) {
 			t.Fatalf("unclassified candidates = %v, set construction %v", got, shared.Values())
 		}
 	}
+}
+
+// catalogueProblem is the Order/Catalog setting on a small catalogue:
+// Order(item, qty) bounded by Catalog(item), and a c-instance whose one
+// variable ranges over the item column.
+func catalogueProblem(t *testing.T) (*Problem, *ctable.CInstance) {
+	t.Helper()
+	schema := relation.MustDBSchema(relation.MustSchema("Order",
+		relation.Attr("item", nil), relation.Attr("qty", relation.Finite("qty", "1", "2"))))
+	master := relation.NewDatabase(relation.MustDBSchema(
+		relation.MustSchema("Catalog", relation.Attr("item", nil))))
+	master.MustInsert("Catalog", relation.T("widget"))
+	master.MustInsert("Catalog", relation.T("gadget"))
+	ccs := cc.NewSet(cc.MustParse("item_bound", "q(i) := Order(i, q)", "p(i) := Catalog(i)"))
+	p := MustProblem(schema, CalcQuery(query.MustParseQuery("Q(q) := Order('widget', q)")), master, ccs, Options{Parallelism: 1})
+	ci := ctable.NewCInstance(schema)
+	ci.MustAddRow("Order", ctable.Row{Terms: []query.Term{query.V("x"), query.C("1")}})
+	return p, ci
+}
+
+// A master row appended after a decide reaches the next decide: the
+// master's cached sorted column is rebuilt at the new row count, so the
+// value joins the Adom, the typed candidates of its class and the
+// models the next decide enumerates.
+func TestDomainsSeeAppendedMasterRow(t *testing.T) {
+	p, ci := catalogueProblem(t)
+	itemsOf := func() map[relation.Value]bool {
+		models, err := p.Models(ci, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := map[relation.Value]bool{}
+		for _, db := range models {
+			for _, tup := range db.Relation("Order").Tuples() {
+				items[tup[0]] = true
+			}
+		}
+		return items
+	}
+	if items := itemsOf(); len(items) != 2 || items["gizmo"] {
+		t.Fatalf("model items before the append = %v", items)
+	}
+	p.Master.MustInsert("Catalog", relation.T("gizmo"))
+	if items := itemsOf(); len(items) != 3 || !items["gizmo"] {
+		t.Fatalf("model items after the append = %v, want gizmo among 3", items)
+	}
+	d, err := p.domainsFor(ci, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.a.Contains("gizmo") {
+		t.Fatalf("Adom %v lacks the appended gizmo", d.a.Values())
+	}
+	if cands := d.ty.candidatesAt(position{rel: "Order", col: 0}, nil, d.a); !slices.Contains(cands, "gizmo") {
+		t.Fatalf("Order.item candidates %v lack the appended gizmo", cands)
+	}
+}
+
+// Problems over one master data instance build their domains from its
+// cached columns concurrently, as concurrent query overrides do; the
+// race detector checks the sharing.
+func TestConcurrentDomainBuildsShareMasterColumns(t *testing.T) {
+	p, ci := catalogueProblem(t)
+	want, err := p.Consistent(ci)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				q, err := NewProblem(p.Schema, CalcQuery(query.MustParseQuery("Q(i) := Order(i, q)")), p.Master, p.CCs, p.Options)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := q.Consistent(ci); err != nil || got != want {
+					t.Errorf("Consistent = %v, %v; want %v", got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

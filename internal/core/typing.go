@@ -57,27 +57,28 @@ type typing struct {
 }
 
 // classParts is the partition before compaction into a typing: per
-// class the constants observed at it and its fresh values (both may
-// repeat), the constants attributed to no class, and the fresh values
-// every class receives.
+// class the sorted master columns at its positions (blocks, shared with
+// the master's instances), the other constants observed at it and its
+// fresh values (both may repeat), the constants attributed to no class,
+// and the fresh values every class receives.
 type classParts struct {
 	class  map[position]int
+	blocks [][][]relation.Value
 	consts [][]relation.Value
 	fresh  [][]relation.Value
 	global []relation.Value
 	every  []relation.Value
 }
 
-// compact builds each class's sorted candidate slice once.
+// compact builds each class's sorted candidate slice once, merging its
+// blocks with its deduplicated constants, fresh values and the shared
+// values.
 func (cp *classParts) compact() *typing {
-	shared := relation.DedupValues(append(append([]relation.Value(nil), cp.global...), cp.every...))
+	shared := relation.MergeValues(relation.DedupValues(cp.global), relation.DedupValues(cp.every))
 	ty := &typing{class: cp.class, cands: make([][]relation.Value, len(cp.consts)), shared: shared}
 	for cl := range cp.consts {
-		vals := make([]relation.Value, 0, len(cp.consts[cl])+len(cp.fresh[cl])+len(shared))
-		vals = append(vals, cp.consts[cl]...)
-		vals = append(vals, cp.fresh[cl]...)
-		vals = append(vals, shared...)
-		ty.cands[cl] = relation.DedupValues(vals)
+		parts := append(cp.blocks[cl], relation.DedupValues(cp.consts[cl]), relation.DedupValues(cp.fresh[cl]), shared)
+		ty.cands[cl] = relation.MergeValues(parts...)
 	}
 	return ty
 }
@@ -360,15 +361,6 @@ func (p *Problem) classify(ci *ctable.CInstance, a *adom.Adom) (*classParts, err
 		linkSites(ciVarSites)
 	}
 
-	// Master data values belong to their columns' classes.
-	for _, r := range p.Master.Schema().Relations() {
-		for _, t := range p.Master.Relation(r.Name).Tuples() {
-			for i, v := range t {
-				observe(v, position{rel: r.Name, col: i})
-			}
-		}
-	}
-
 	// Materialise classes.
 	ty := &classParts{class: map[position]int{}}
 	classOf := map[int]int{}
@@ -378,10 +370,22 @@ func (p *Problem) classify(ci *ctable.CInstance, a *adom.Adom) (*classParts, err
 		if !ok {
 			cl = len(ty.consts)
 			classOf[root] = cl
+			ty.blocks = append(ty.blocks, nil)
 			ty.consts = append(ty.consts, nil)
 			ty.fresh = append(ty.fresh, nil)
 		}
 		ty.class[pos] = cl
+	}
+	// Master data values belong to their columns' classes, one sorted
+	// block per column (its positions were interned above).
+	for _, r := range p.Master.Schema().Relations() {
+		inst := p.Master.Relation(r.Name)
+		for i := 0; i < r.Arity(); i++ {
+			if col := inst.SortedColumn(i); len(col) > 0 {
+				cl := ty.class[position{rel: r.Name, col: i}]
+				ty.blocks[cl] = append(ty.blocks[cl], col)
+			}
+		}
 	}
 	for _, o := range obs {
 		if cl, ok := ty.class[o.at]; o.has && ok {

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,6 +101,14 @@ type Instance struct {
 	// per run into O(distinct). Guarded by idxMu.
 	adomRows int
 	adomVals []Value
+
+	// Each column's distinct values in sorted order, computed lazily by
+	// SortedColumn and cached until the row count changes: the active
+	// domain and typed-domain construction merge these instead of
+	// hashing and sorting every value of the master data on each build.
+	// Guarded by idxMu; the slices are shared read-only.
+	colRows int
+	cols    [][]Value
 
 	// idxMu guards indexes. Indexes are built lazily by the first query
 	// that joins on a given position set and maintained incrementally on
@@ -525,6 +534,35 @@ func (in *Instance) activeValuesLocked() []Value {
 	}
 	in.adomVals, in.adomRows = vals, len(in.rows)
 	return vals
+}
+
+// SortedColumn returns the distinct values at position pos in sorted
+// order, or nil for a nil or empty instance or an out-of-range pos. All
+// columns are computed on the first call and cached until the row
+// count changes. The slice is shared across goroutines and capped at
+// its length, so an append to it copies; callers must not write into
+// it.
+func (in *Instance) SortedColumn(pos int) []Value {
+	if in == nil || pos < 0 || pos >= in.schema.Arity() || len(in.rows) == 0 {
+		return nil
+	}
+	in.idxMu.Lock()
+	defer in.idxMu.Unlock()
+	if in.cols == nil || in.colRows != len(in.rows) {
+		in.cols = make([][]Value, in.schema.Arity())
+		for p := range in.cols {
+			col := make([]Value, len(in.rows))
+			for i, t := range in.rows {
+				col[i] = t[p]
+			}
+			if col = DedupValues(col); cap(col) > 2*len(col) {
+				col = slices.Clone(col)
+			}
+			in.cols[p] = slices.Clip(col)
+		}
+		in.colRows = len(in.rows)
+	}
+	return in.cols[pos]
 }
 
 // ActiveDomain collects every constant appearing in the instance into dst

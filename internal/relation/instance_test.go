@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -107,6 +108,38 @@ func TestInstanceActiveDomain(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("ActiveDomain = %v", got)
+		}
+	}
+}
+
+// SortedColumn lists each column's distinct values in order, serves
+// the cached slice until the row count changes, and caps it so that an
+// append by a caller copies instead of writing into the cache.
+func TestInstanceSortedColumn(t *testing.T) {
+	a := MustInstance(pairSchema(t), T("b", "2"), T("a", "2"), T("b", "1"))
+	if got := a.SortedColumn(0); !reflect.DeepEqual(got, []Value{"a", "b"}) {
+		t.Fatalf("SortedColumn(0) = %v", got)
+	}
+	col := a.SortedColumn(1)
+	if !reflect.DeepEqual(col, []Value{"1", "2"}) || cap(col) != len(col) {
+		t.Fatalf("SortedColumn(1) = %v (cap %d)", col, cap(col))
+	}
+	if again := a.SortedColumn(1); &again[0] != &col[0] {
+		t.Fatal("SortedColumn recomputed an unchanged column")
+	}
+	_ = append(col, "0")
+	a.MustInsert(T("c", "0"))
+	if got := a.SortedColumn(1); !reflect.DeepEqual(got, []Value{"0", "1", "2"}) {
+		t.Fatalf("SortedColumn(1) after insert = %v", got)
+	}
+	if !reflect.DeepEqual(col, []Value{"1", "2"}) {
+		t.Fatalf("an earlier column slice changed: %v", col)
+	}
+	var nilInst *Instance
+	for _, got := range [][]Value{a.SortedColumn(-1), a.SortedColumn(2), nilInst.SortedColumn(0),
+		NewInstance(pairSchema(t)).SortedColumn(0)} {
+		if got != nil {
+			t.Fatalf("SortedColumn out of range or empty = %v, want nil", got)
 		}
 	}
 }

@@ -10,7 +10,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -25,7 +25,7 @@ func CompareValues(a, b Value) int { return strings.Compare(string(a), string(b)
 
 // SortValues sorts a slice of values in place and returns it.
 func SortValues(vs []Value) []Value {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	slices.Sort(vs)
 	return vs
 }
 
@@ -39,6 +39,74 @@ func DedupValues(vs []Value) []Value {
 		}
 	}
 	return out
+}
+
+// MergeValues returns the sorted union of blocks, each sorted and free
+// of repeats. Blocks may overlap; none is written to, so blocks shared
+// across goroutines (an instance's SortedColumn) are safe inputs. When
+// the largest block holds every value of the others, the union is that
+// block, capped at its length; otherwise it is a new slice. Either way
+// callers must not write into it. Each merge step copies, from the
+// block with the least head, the run that stays below every other
+// block's head, found by binary search: merging a few small blocks into
+// a large one costs little more than copying it.
+func MergeValues(blocks ...[]Value) []Value {
+	n, big := 0, -1
+	live := make([][]Value, 0, len(blocks))
+	for _, b := range blocks {
+		if len(b) > 0 {
+			if big < 0 || len(b) > len(live[big]) {
+				big = len(live)
+			}
+			n += len(b)
+			live = append(live, b)
+		}
+	}
+	if big >= 0 && holdsAll(live[big], live) {
+		return slices.Clip(live[big])
+	}
+	out := make([]Value, 0, n)
+	for len(live) > 0 {
+		// m has the least head and o the least head of the others.
+		m, o, k := 0, -1, len(live[0])
+		for i := 1; i < len(live); i++ {
+			switch h := live[i][0]; {
+			case h < live[m][0]:
+				m, o = i, m
+			case o < 0 || h < live[o][0]:
+				o = i
+			}
+		}
+		if o >= 0 {
+			k, _ = slices.BinarySearch(live[m], live[o][0])
+			k = max(k, 1)
+		}
+		run := live[m][:k]
+		if len(out) > 0 && out[len(out)-1] == run[0] {
+			run = run[1:]
+		}
+		out = append(out, run...)
+		if live[m] = live[m][k:]; len(live[m]) == 0 {
+			live = append(live[:m], live[m+1:]...)
+		}
+	}
+	return out
+}
+
+// holdsAll reports whether the sorted block big holds every value of
+// blocks (big itself among them).
+func holdsAll(big []Value, blocks [][]Value) bool {
+	for _, b := range blocks {
+		if len(b) > 0 && &b[0] == &big[0] {
+			continue
+		}
+		for _, v := range b {
+			if _, ok := slices.BinarySearch(big, v); !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ValueSet is a deterministic set of values.

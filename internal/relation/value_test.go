@@ -18,6 +18,42 @@ func TestDedupValues(t *testing.T) {
 	}
 }
 
+// MergeValues equals the sorted set union of its blocks on random
+// overlapping blocks, returns the largest block itself when it holds
+// every value, and never writes into a block.
+func TestMergeValues(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	pool := []Value{"", "a", "ab", "b", "ba", "c", "•x", "•xʹ", "z"}
+	for iter := 0; iter < 500; iter++ {
+		var blocks, copies [][]Value
+		union := NewValueSet()
+		for b := r.Intn(5); b > 0; b-- {
+			var vs []Value
+			for i := r.Intn(6); i > 0; i-- {
+				vs = append(vs, pool[r.Intn(len(pool))])
+			}
+			vs = DedupValues(vs)
+			union.AddAll(NewValueSet(vs...))
+			blocks = append(blocks, vs)
+			copies = append(copies, append([]Value(nil), vs...))
+		}
+		got := MergeValues(blocks...)
+		if want := union.Values(); !reflect.DeepEqual(append([]Value{}, got...), want) {
+			t.Fatalf("MergeValues(%v) = %v, want %v", blocks, got, want)
+		}
+		if !reflect.DeepEqual(blocks, copies) {
+			t.Fatalf("MergeValues wrote into its blocks: %v, was %v", blocks, copies)
+		}
+	}
+	big := []Value{"a", "b", "c", "d"}
+	if got := MergeValues([]Value{"b"}, big, []Value{"a", "d"}); &got[0] != &big[0] || cap(got) != len(got) {
+		t.Fatalf("MergeValues did not return the block holding every value: %v", got)
+	}
+	if got := MergeValues([]Value{"e"}, big); &got[0] == &big[0] {
+		t.Fatal("MergeValues returned a block that lacks a value")
+	}
+}
+
 func TestValueSetBasics(t *testing.T) {
 	s := NewValueSet("x", "y")
 	if !s.Contains("x") || !s.Contains("y") || s.Contains("z") {
