@@ -187,7 +187,7 @@ func (p *Problem) Extensible(db *relation.Database) (bool, error) {
 func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (_ bool, err error) {
 	ctx, c := p.enter(ctx, "extensibility", "no admissible extension among %d candidates checked")
 	defer c.exit(&err)
-	d, err := p.domainsFor(ctable.FromDatabase(db), false, true)
+	d, err := p.buildDomains(ctable.FromDatabase(db), false, true)
 	if err != nil {
 		return false, err
 	}

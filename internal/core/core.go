@@ -723,7 +723,10 @@ const domainsCacheCap = 32
 // over one gadget, benchmarks and servers repeat calls), and both the
 // Adom and the typing are read-only after construction, so cached
 // values are shared freely across concurrent runs. Freshness rides on
-// the append-only row counts, as for the plan caches.
+// the append-only row counts, as for the plan caches. A decider that
+// wraps a ground instance in a c-instance of its own calls
+// buildDomains instead: no later call could hit that entry, and each
+// would push the resident ones towards the wipe at domainsCacheCap.
 func (p *Problem) domainsFor(ci *ctable.CInstance, withQueryVars, withExtRow bool) (*domains, error) {
 	key := domainsKey{
 		ci:           ci,
@@ -742,15 +745,10 @@ func (p *Problem) domainsFor(ci *ctable.CInstance, withQueryVars, withExtRow boo
 	if ok {
 		return d, nil
 	}
-	a, err := p.adomFor(ci, withQueryVars, withExtRow)
+	d, err := p.buildDomains(ci, withQueryVars, withExtRow)
 	if err != nil {
 		return nil, err
 	}
-	ty, err := p.computeTyping(ci, a)
-	if err != nil {
-		return nil, err
-	}
-	d = &domains{a: a, ty: ty}
 	m.mu.Lock()
 	if len(m.domains) >= domainsCacheCap {
 		m.domains = nil
@@ -761,6 +759,20 @@ func (p *Problem) domainsFor(ci *ctable.CInstance, withQueryVars, withExtRow boo
 	m.domains[key] = d
 	m.mu.Unlock()
 	return d, nil
+}
+
+// buildDomains builds the Adom and its typing for a c-instance without
+// memoising them.
+func (p *Problem) buildDomains(ci *ctable.CInstance, withQueryVars, withExtRow bool) (*domains, error) {
+	a, err := p.adomFor(ci, withQueryVars, withExtRow)
+	if err != nil {
+		return nil, err
+	}
+	ty, err := p.computeTyping(ci, a)
+	if err != nil {
+		return nil, err
+	}
+	return &domains{a: a, ty: ty}, nil
 }
 
 // latticeSig returns the id of d's typing signature. Equal signatures

@@ -117,6 +117,38 @@ func TestDomainsSeeAppendedMasterRow(t *testing.T) {
 	}
 }
 
+// Deciders over a ground instance wrap it in a throwaway c-instance;
+// their domains must not enter the memo, where 32 of them used to wipe
+// the resident c-instance's entry.
+func TestThrowawayDomainsKeepResidentMemo(t *testing.T) {
+	p, ci := catalogueProblem(t)
+	resident, err := p.domainsFor(ci, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := p.AnyModel(ci)
+	if err != nil || db == nil {
+		t.Fatalf("AnyModel = %v, %v", db, err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := p.Extensible(db); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.GroundComplete(db); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.GroundMinimal(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, err := p.domainsFor(ci, false, false); err != nil || d != resident {
+		t.Fatalf("resident domains replaced after 40 throwaway builds (%v)", err)
+	}
+	if n := len(p.memo.domains); n != 1 {
+		t.Fatalf("memo holds %d domains entries, want the resident one", n)
+	}
+}
+
 // Problems over one master data instance build their domains from its
 // cached columns concurrently, as concurrent query overrides do; the
 // race detector checks the sharing.

@@ -495,29 +495,36 @@ func (p *Problem) GroundComplete(db *relation.Database) (bool, *Counterexample, 
 }
 
 // GroundCompleteCtx is GroundComplete honoring the context's deadline.
-func (p *Problem) GroundCompleteCtx(ctx context.Context, db *relation.Database) (_ bool, _ *Counterexample, err error) {
+func (p *Problem) GroundCompleteCtx(ctx context.Context, db *relation.Database) (bool, *Counterexample, error) {
+	complete, cex, _, err := p.groundComplete(ctx, db)
+	return complete, cex, err
+}
+
+// groundComplete is GroundCompleteCtx that also returns the domains it
+// checked db over, nil when db is not partially closed.
+func (p *Problem) groundComplete(ctx context.Context, db *relation.Database) (_ bool, _ *Counterexample, _ *domains, err error) {
 	ctx, c := p.enter(ctx, "ground_complete", "no counterexample found in %d models")
 	defer c.exit(&err)
 	switch p.Query.Lang() {
 	case FO, FP:
-		return false, nil, fmt.Errorf("ground completeness for %s: %w", p.Query.Lang(), ErrUndecidable)
+		return false, nil, nil, fmt.Errorf("ground completeness for %s: %w", p.Query.Lang(), ErrUndecidable)
 	}
 	closed, err := p.satisfiesCCs(ctx, db)
 	if err != nil {
-		return false, nil, err
+		return false, nil, nil, err
 	}
 	if !closed {
-		return false, nil, nil
+		return false, nil, nil, nil
 	}
-	d, err := p.domainsFor(ctable.FromDatabase(db), true, false)
+	d, err := p.buildDomains(ctable.FromDatabase(db), true, false)
 	if err != nil {
-		return false, nil, err
+		return false, nil, nil, err
 	}
 	cex, err := p.boundedCounterexample(ctx, db, d)
 	if err != nil {
-		return false, nil, err
+		return false, nil, nil, err
 	}
-	return cex == nil, cex, nil
+	return cex == nil, cex, d, nil
 }
 
 // MINP decides the minimality problem for the given model: is T a
@@ -613,16 +620,12 @@ func (p *Problem) GroundMinimal(db *relation.Database) (bool, error) {
 func (p *Problem) GroundMinimalCtx(ctx context.Context, db *relation.Database) (_ bool, err error) {
 	ctx, c := p.enter(ctx, "ground_minimal", "no complete removal found in %d models")
 	defer c.exit(&err)
-	complete, _, err := p.GroundCompleteCtx(ctx, db)
+	complete, _, d, err := p.groundComplete(ctx, db)
 	if err != nil {
 		return false, err
 	}
 	if !complete {
 		return false, nil
-	}
-	d, err := p.domainsFor(ctable.FromDatabase(db), true, false)
-	if err != nil {
-		return false, err
 	}
 	nonMin, err := p.hasCompleteRemoval(ctx, db, d)
 	return !nonMin, err
