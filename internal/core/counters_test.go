@@ -10,6 +10,7 @@ import (
 
 	"relcomplete/internal/core"
 	"relcomplete/internal/ctable"
+	"relcomplete/internal/fault"
 	"relcomplete/internal/obs"
 	"relcomplete/internal/probjson"
 	"relcomplete/internal/query"
@@ -326,4 +327,79 @@ func TestWeakStreamEarlyStopPinned(t *testing.T) {
 	if got := m.Get(obs.ExtensionsTested); got != 45 {
 		t.Errorf("extensions_tested = %d, want 45", got)
 	}
+}
+
+// rcqpSearchDoc has one CC that is not a projection (its left side
+// selects on b), so RCQP runs the bounded witness search; no instance
+// of size 2 or less is complete, so the search runs to its bound.
+const rcqpSearchDoc = `{
+  "schema": {"relations": [{"name": "R", "attrs": [{"name": "a"}, {"name": "b"}]}]},
+  "master": {"relations": [{"name": "M", "attrs": [{"name": "a"}]}],
+             "rows": {"M": [["1"], ["2"], ["3"], ["4"]]}},
+  "ccs": [{"name": "sel", "left": "q(x) := R(x, y) & y = '1'", "right": "p(x) := M(x)"}],
+  "query": {"calc": "Q(x) := R(x, y)"},
+  "cinstance": {"rows": []}
+}`
+
+// TestRCQPSearchCountersPinned: the bounded RCQP search counts each
+// candidate instance it checks against the CCs in models_checked, and
+// the partially closed ones in models_admitted, so its deadline partial
+// "no witness found in %d models" reports the candidates checked. On
+// rcqpSearchDoc at Parallelism 1 the search checks 172 candidates, the
+// 172 its ErrInconclusive reports consumed. An expired deadline stops
+// it before its first candidate; a deadline that fires mid-search
+// reports the count its Progress carries.
+func TestRCQPSearchCountersPinned(t *testing.T) {
+	decode := func(t *testing.T) (*core.Problem, *obs.Metrics) {
+		p, _, err := probjson.Decode([]byte(rcqpSearchDoc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := obs.NewMetrics()
+		p.Options.Parallelism = 1
+		p.Options.Obs = m
+		return p, m
+	}
+	t.Run("complete run", func(t *testing.T) {
+		p, m := decode(t)
+		if _, err := p.RCQP(core.Strong); !errors.Is(err, core.ErrInconclusive) {
+			t.Fatalf("RCQP err = %v, want ErrInconclusive", err)
+		}
+		st := m.Snapshot().Counters
+		for name, want := range map[string]int64{"models_checked": 172, "models_admitted": 137, "cc_checks": 432, "cc_violations": 37} {
+			if st[name] != want {
+				t.Errorf("%s = %d, want %d", name, st[name], want)
+			}
+		}
+	})
+	t.Run("expired deadline", func(t *testing.T) {
+		p, _ := decode(t)
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		defer cancel()
+		_, err := p.RCQPCtx(ctx, core.Strong)
+		var de *core.DeadlineError
+		if !errors.As(err, &de) {
+			t.Fatalf("err = %v, want a DeadlineError", err)
+		}
+		if de.Op != "rcqp" || de.Partial != "no witness found in 0 models" {
+			t.Errorf("DeadlineError op %q partial %q, want rcqp, no witness found in 0 models", de.Op, de.Partial)
+		}
+	})
+	t.Run("mid-search deadline", func(t *testing.T) {
+		p, _ := decode(t)
+		// Every query evaluation sleeps, so the deadline fires after a
+		// few candidates whatever the machine's speed.
+		p.Options.FaultPlan = fault.NewPlan(fault.Rule{Site: fault.SiteEvalAnswers, Kind: fault.KindDelay, Delay: 2 * time.Millisecond})
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		_, err := p.RCQPCtx(ctx, core.Strong)
+		var de *core.DeadlineError
+		if !errors.As(err, &de) {
+			t.Fatalf("err = %v, want a DeadlineError", err)
+		}
+		n := de.Progress.ModelsChecked
+		if want := fmt.Sprintf("no witness found in %d models", n); de.Op != "rcqp" || de.Partial != want || n < 1 {
+			t.Errorf("DeadlineError op %q partial %q (models_checked %d), want rcqp and a positive count", de.Op, de.Partial, n)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"relcomplete/internal/adom"
 	"relcomplete/internal/cc"
 	"relcomplete/internal/ctable"
+	"relcomplete/internal/obs"
 	"relcomplete/internal/query"
 	"relcomplete/internal/relation"
 	"relcomplete/internal/search"
@@ -296,10 +297,16 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 			return false, p.budgetErr("RCQP search", "MaxValuations",
 				int64(p.Options.MaxValuations), n)
 		}
+		// Each candidate counts as a model checked, and admitted when
+		// partially closed, as checkModel counts them; the deadline
+		// partial reports the count.
+		m := p.Options.Obs
+		m.Inc(obs.ModelsChecked)
 		closed, err := p.satisfiesCCs(cctx, db)
 		if err != nil || !closed {
 			return false, err
 		}
+		m.Inc(obs.ModelsAdmitted)
 		// The search's own Adom is a valid bounded-check domain for
 		// every candidate (their constants come from it), so the
 		// single-tuple candidate set is computed once and shared.
