@@ -103,8 +103,9 @@ func (p *Problem) progressNow() Progress {
 //     decider_wall_seconds, with the trace id as its exemplar;
 //   - the models the call checked land in the per-call admitted and
 //     pruned histograms;
-//   - the call's child span, when the context carries a trace, ends
-//     with its models_checked attribute;
+//   - the call's child span, when the context carries a trace, starts
+//     and ends at the bracket's two clock readings, with its
+//     models_checked attribute;
 //   - a call at or over Options.SlowOpThreshold dumps its span tree
 //     and the histograms to Options.SlowOpSink.
 //
@@ -133,11 +134,11 @@ func (p *Problem) enter(ctx context.Context, op, partial string) (context.Contex
 	if o.Obs == nil && o.SlowOpThreshold <= 0 && sp == nil && ctx.Done() == nil {
 		return ctx, nil
 	}
-	c := &call{p: p, ctx: ctx, op: op, partial: partial, span: sp.StartChild(op)}
+	start := time.Now()
+	c := &call{p: p, ctx: ctx, op: op, partial: partial, span: sp.StartChild(op, start), start: start}
 	if c.span != nil {
 		ctx = obs.ContextWithSpan(ctx, c.span)
 	}
-	c.start = time.Now()
 	c.base = p.progressNow()
 	return ctx, c
 }
@@ -148,7 +149,8 @@ func (c *call) exit(errp *error) {
 	if c == nil {
 		return
 	}
-	elapsed := time.Since(c.start)
+	end := time.Now()
+	elapsed := end.Sub(c.start)
 	o := &c.p.Options
 	m := o.Obs
 	work := c.p.progressNow()
@@ -175,7 +177,7 @@ func (c *call) exit(errp *error) {
 	}
 	if c.span != nil {
 		c.span.SetAttr("models_checked", work.ModelsChecked)
-		c.span.End()
+		c.span.EndAt(end)
 	}
 	if o.SlowOpThreshold > 0 && elapsed >= o.SlowOpThreshold {
 		w := o.SlowOpSink

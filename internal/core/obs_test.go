@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -190,6 +191,42 @@ func TestObsFlightRecorderAndSlowOp(t *testing.T) {
 	}
 	if !strings.Contains(dump, "decider_wall_seconds") {
 		t.Fatalf("slow-op dump missing histogram snapshot:\n%s", dump)
+	}
+}
+
+// TestSlowOpElapsedIsSpanDuration: the call bracket hands its two clock
+// readings to the call's span, so the slow-op dump's header, the call's
+// recorded span and the span line of the dump report one duration.
+func TestSlowOpElapsedIsSpanDuration(t *testing.T) {
+	s := newBoundedScenario(t, "1", "2")
+	rec := obs.NewSpanRecorder(32)
+	root := rec.Root("request", "")
+	var slow strings.Builder
+	s.p.Options.SlowOpThreshold = time.Nanosecond
+	s.p.Options.SlowOpSink = &slow
+	s.p.Options.Parallelism = 1
+	if _, err := s.p.RCDPCtx(obs.ContextWithSpan(context.Background(), root), s.ground("1"), Strong); err != nil {
+		t.Fatal(err)
+	}
+	dump := slow.String()
+	_, rest, ok := strings.Cut(dump, "=== SLOW OP op=rcdp_strong elapsed=")
+	field, _, _ := strings.Cut(rest, " ")
+	elapsed, err := time.ParseDuration(field)
+	if !ok || err != nil {
+		t.Fatalf("no rcdp_strong header elapsed in the dump (%v):\n%s", err, dump)
+	}
+	ms := float64(elapsed.Nanoseconds()) / 1e6
+	var spanMS float64
+	for _, d := range rec.Spans() {
+		if d.Name == "rcdp_strong" {
+			spanMS = d.DurationMS
+		}
+	}
+	if spanMS != ms {
+		t.Errorf("rcdp_strong span lasted %v ms, the dump header says %v (%v ms)", spanMS, elapsed, ms)
+	}
+	if line := fmt.Sprintf("\n  rcdp_strong %.3fms", ms); !strings.Contains(dump, line) {
+		t.Errorf("dump lacks the span line %q for its header's elapsed=%v:\n%s", line, elapsed, dump)
 	}
 }
 

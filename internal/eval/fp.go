@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"relcomplete/internal/fault"
 	"relcomplete/internal/obs"
@@ -92,7 +93,8 @@ func FPAnswers(db *relation.Database, p *query.Program, opts Options) ([]relatio
 	if err := opts.Fault.Visit(fault.SiteEvalFP); err != nil {
 		return nil, err
 	}
-	if sp := opts.Span.StartChild("eval.fp"); sp != nil {
+	if sp := opts.Span; sp != nil {
+		sp = sp.StartChild("eval.fp", time.Now())
 		defer sp.End()
 	}
 	return fpSemiNaive(db, p, opts)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"relcomplete/internal/obs"
 )
@@ -146,7 +147,7 @@ func TestAccessLogExport(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// A handler-side child proves the whole tree is exported, not
 		// just the root.
-		child := obs.SpanFromContext(r.Context()).StartChild("decide")
+		child := obs.SpanFromContext(r.Context()).StartChild("decide", time.Now())
 		child.End()
 		w.WriteHeader(http.StatusOK)
 	})

@@ -235,7 +235,7 @@ func TestJSONLSinkShape(t *testing.T) {
 	var buf strings.Builder
 	rec := NewSpanRecorder(0)
 	root := rec.Root("GET /v1/decide", "00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01")
-	child := root.StartChild("decide")
+	child := root.StartChild("decide", time.Now())
 	child.SetAttr("problem", "orders")
 	child.End()
 	root.End()

@@ -236,7 +236,7 @@ func TestSpanRecorderConcurrentDrops(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				root.StartChild("child").End()
+				root.StartChild("child", time.Now()).End()
 			}
 		}()
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // spanNames joins the names of spans, in order.
@@ -29,7 +30,7 @@ func TestRingSinkOverwritesOldest(t *testing.T) {
 	rec := NewSpanRecorder(4)
 	root := rec.Root("root", "")
 	for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
-		root.StartChild(name).End()
+		root.StartChild(name, time.Now()).End()
 	}
 	if got := spanNames(rec.Spans()); got != "c d e f" {
 		t.Fatalf("retained %q, want c d e f", got)
@@ -52,7 +53,7 @@ func TestRingSinkDefaultSize(t *testing.T) {
 	rec := NewSpanRecorder(0)
 	root := rec.Root("root", "")
 	for i := 0; i < DefaultSpanCap+10; i++ {
-		sp := root.StartChild("child")
+		sp := root.StartChild("child", time.Now())
 		sp.SetAttr("i", i)
 		sp.End()
 	}
@@ -79,7 +80,7 @@ func TestRingSinkConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				sp := root.StartChild(fmt.Sprint("g", g))
+				sp := root.StartChild(fmt.Sprint("g", g), time.Now())
 				sp.SetAttr("i", i)
 				sp.End()
 			}
@@ -114,7 +115,7 @@ func TestTee(t *testing.T) {
 	var buf strings.Builder
 	rec := NewSpanRecorder(0).StreamEvents(&buf)
 	root := rec.Root("rcheck rcdp", "")
-	phase := root.StartChild("rcdp_strong")
+	phase := root.StartChild("rcdp_strong", time.Now())
 	phase.Event("model", F("db", "{R(1)}"))
 	phase.End()
 	root.End()
@@ -138,7 +139,7 @@ func TestCollectSinkCap(t *testing.T) {
 	rec := NewSpanRecorder(8).StreamEvents(&buf)
 	root := rec.Root("root", "")
 	for i := 0; i < 100; i++ {
-		sp := root.StartChild("child")
+		sp := root.StartChild("child", time.Now())
 		for j := 0; j < 50; j++ {
 			sp.Event("model", F("j", j))
 		}
@@ -164,12 +165,12 @@ func TestCollectSinkCap(t *testing.T) {
 // deciders skip their payloads and the CC-violation diagnosis.
 func TestFlightTracerVerbosity(t *testing.T) {
 	flight := NewSpanRecorder(8).Root("root", "")
-	if flight.Streaming() || flight.StartChild("phase").Streaming() {
+	if flight.Streaming() || flight.StartChild("phase", time.Now()).Streaming() {
 		t.Fatal("a recorder without a writer streams")
 	}
 	var buf strings.Builder
 	verbose := NewSpanRecorder(8).StreamEvents(&buf).Root("root", "")
-	if !verbose.Streaming() || !verbose.StartChild("phase").Streaming() {
+	if !verbose.Streaming() || !verbose.StartChild("phase", time.Now()).Streaming() {
 		t.Fatal("a recorder with a writer does not stream, or its children do not")
 	}
 	flight.Event("model", F("n", 1))
@@ -195,8 +196,8 @@ func TestTextSinkRendering(t *testing.T) {
 	var buf strings.Builder
 	root := NewSpanRecorder(0).StreamEvents(&buf).Root("root", "")
 	root.Event("decide", F("problem", "rcdp"))
-	phase := root.StartChild("rcdp_strong")
-	phase.StartChild("search").Event("cc_violation", F("cc", "onlyStocked"), F("gained", "a b"))
+	phase := root.StartChild("rcdp_strong", time.Now())
+	phase.StartChild("search", time.Now()).Event("cc_violation", F("cc", "onlyStocked"), F("gained", "a b"))
 	root.Event("verdict", F("complete", false))
 
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
@@ -226,7 +227,7 @@ func TestTracerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp := root.StartChild("worker")
+			sp := root.StartChild("worker", time.Now())
 			for j := 0; j < 200; j++ {
 				sp.Event("e", F("i", j))
 			}

@@ -129,8 +129,8 @@ func TestWriteSlowOpConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				sp := root.StartChild("rcdp_strong")
-				sp.StartChild("search").End()
+				sp := root.StartChild("rcdp_strong", time.Now())
+				sp.StartChild("search", time.Now()).End()
 				sp.End()
 				m.ObserveDuration(DeciderWallNs, time.Millisecond)
 				var b strings.Builder
@@ -178,7 +178,7 @@ func TestWriteSlowOpSharedSinkWhole(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < dumps; j++ {
-				sp := root.StartChild("rcdp_strong")
+				sp := root.StartChild("rcdp_strong", time.Now())
 				sp.End()
 				WriteSlowOp(&sink, "rcdp_strong", time.Second, time.Millisecond, sp, m)
 			}

@@ -253,12 +253,14 @@ type Span struct {
 	ended  bool
 }
 
-// StartChild starts a sub-span of s. On a nil receiver it returns nil.
-func (s *Span) StartChild(name string) *Span {
+// StartChild starts a sub-span of s at start, the caller's clock
+// reading, so a caller that times the same work itself reports one
+// duration. On a nil receiver it returns nil.
+func (s *Span) StartChild(name string, start time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	return &Span{rec: s.rec, id: randSpanID(), parent: s.id, name: name, start: time.Now(), depth: s.depth + 1}
+	return &Span{rec: s.rec, id: randSpanID(), parent: s.id, name: name, start: start, depth: s.depth + 1}
 }
 
 // Streaming reports whether events on s reach a writer (false on a nil
@@ -357,13 +359,16 @@ func (s *Span) SetStatus(status string) {
 	s.mu.Unlock()
 }
 
-// End finishes the span and records it into the trace's recorder.
-// Idempotent; no-op on a nil receiver.
-func (s *Span) End() {
+// End finishes the span now; see EndAt.
+func (s *Span) End() { s.EndAt(time.Now()) }
+
+// EndAt finishes the span at end, the caller's clock reading, and
+// records it into the trace's recorder. Idempotent; no-op on a nil
+// receiver.
+func (s *Span) EndAt(end time.Time) {
 	if s == nil {
 		return
 	}
-	end := time.Now()
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()

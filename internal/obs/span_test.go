@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 const sampleTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -80,10 +81,10 @@ func TestSpanTree(t *testing.T) {
 	if rec.TraceID().String() != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("recorder did not adopt the client trace id: %s", rec.TraceID())
 	}
-	phase := root.StartChild("rcdp_strong")
+	phase := root.StartChild("rcdp_strong", time.Now())
 	phase.SetAttr("models_checked", 7)
 	phase.SetStatus("ok")
-	inner := phase.StartChild("search.first_hit")
+	inner := phase.StartChild("search.first_hit", time.Now())
 	inner.End()
 	phase.End()
 	phase.End() // idempotent
@@ -135,7 +136,7 @@ func TestSpanRootWithoutTraceparent(t *testing.T) {
 
 func TestSpanNilSafety(t *testing.T) {
 	var sp *Span
-	if c := sp.StartChild("x"); c != nil {
+	if c := sp.StartChild("x", time.Now()); c != nil {
 		t.Error("StartChild of nil != nil")
 	}
 	sp.SetAttr("k", "v")
@@ -177,7 +178,7 @@ func TestSpanRecorderCapAndConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				root.StartChild("child").End()
+				root.StartChild("child", time.Now()).End()
 			}
 		}()
 	}

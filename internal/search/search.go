@@ -186,7 +186,8 @@ func ForEachOrdered[T, R any](ctx context.Context, workers int, m *obs.Metrics, 
 // failure, else (with workers) ctx.Err() when ctx is done.
 func run[T, R any](ctx context.Context, span string, workers int, m *obs.Metrics, gen Generator[T], probe Probe[T, R],
 	consume func(outcome[R]) (bool, error)) (stopped bool, err error) {
-	if sp := obs.SpanFromContext(ctx).StartChild(span); sp != nil {
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		sp = sp.StartChild(span, time.Now())
 		sp.SetAttr("workers", workers)
 		ctx = obs.ContextWithSpan(ctx, sp)
 		defer sp.End()
