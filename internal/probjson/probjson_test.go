@@ -42,16 +42,17 @@ func TestDecodeSample(t *testing.T) {
 	}
 }
 
+const finiteDomainDoc = `{
+  "schema": {"relations": [
+    {"name": "B", "attrs": [{"name": "v", "domain": ["0", "1"]}]}]},
+  "master": {"relations": [], "rows": {}},
+  "ccs": [],
+  "query": {"calc": "Q(x) := B(x)"},
+  "cinstance": {"rows": [{"rel": "B", "terms": ["?b"]}]}
+}`
+
 func TestDecodeFiniteDomain(t *testing.T) {
-	doc := `{
-	  "schema": {"relations": [
-	    {"name": "B", "attrs": [{"name": "v", "domain": ["0", "1"]}]}]},
-	  "master": {"relations": [], "rows": {}},
-	  "ccs": [],
-	  "query": {"calc": "Q(x) := B(x)"},
-	  "cinstance": {"rows": [{"rel": "B", "terms": ["?b"]}]}
-	}`
-	p, ci, err := Decode([]byte(doc))
+	p, ci, err := Decode([]byte(finiteDomainDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,16 +65,17 @@ func TestDecodeFiniteDomain(t *testing.T) {
 	}
 }
 
+const fpDoc = `{
+  "schema": {"relations": [
+    {"name": "edge", "attrs": [{"name": "a"}, {"name": "b"}]}]},
+  "master": {"relations": [], "rows": {}},
+  "ccs": [],
+  "query": {"fp": "reach(x, y) :- edge(x, y). reach(x, z) :- reach(x, y), edge(y, z). output reach."},
+  "cinstance": {"rows": []}
+}`
+
 func TestDecodeFPQuery(t *testing.T) {
-	doc := `{
-	  "schema": {"relations": [
-	    {"name": "edge", "attrs": [{"name": "a"}, {"name": "b"}]}]},
-	  "master": {"relations": [], "rows": {}},
-	  "ccs": [],
-	  "query": {"fp": "reach(x, y) :- edge(x, y). reach(x, z) :- reach(x, y), edge(y, z). output reach."},
-	  "cinstance": {"rows": []}
-	}`
-	p, _, err := Decode([]byte(doc))
+	p, _, err := Decode([]byte(fpDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,19 +84,21 @@ func TestDecodeFPQuery(t *testing.T) {
 	}
 }
 
+// badDocs are documents Decode must reject, by what is wrong with them.
+var badDocs = map[string]string{
+	"bad json":        `{`,
+	"unknown field":   `{"nope": 1}`,
+	"missing query":   `{"schema": {"relations": []}, "master": {"relations": [], "rows": {}}, "ccs": [], "cinstance": {"rows": []}}`,
+	"both queries":    strings.Replace(sampleDoc, `"calc": "Q(q) := Order('widget', q)"`, `"calc": "Q(q) := Order('widget', q)", "fp": "r(x) :- Order(x, y). output r."`, 1),
+	"bad cc":          strings.Replace(sampleDoc, `"q(i) := Order(i, q)"`, `"q(i) := Order(i"`, 1),
+	"bad query":       strings.Replace(sampleDoc, `Q(q) := Order('widget', q)`, `Q(q) := `, 1),
+	"unknown rel row": strings.Replace(sampleDoc, `"rel": "Order"`, `"rel": "Nope"`, 1),
+	"bad cond op":     strings.Replace(sampleDoc, `"!="`, `"<"`, 1),
+	"bad master row":  strings.Replace(sampleDoc, `[["widget"], ["gadget"]]`, `[["widget", "extra"]]`, 1),
+}
+
 func TestDecodeErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad json":        `{`,
-		"unknown field":   `{"nope": 1}`,
-		"missing query":   `{"schema": {"relations": []}, "master": {"relations": [], "rows": {}}, "ccs": [], "cinstance": {"rows": []}}`,
-		"both queries":    strings.Replace(sampleDoc, `"calc": "Q(q) := Order('widget', q)"`, `"calc": "Q(q) := Order('widget', q)", "fp": "r(x) :- Order(x, y). output r."`, 1),
-		"bad cc":          strings.Replace(sampleDoc, `"q(i) := Order(i, q)"`, `"q(i) := Order(i"`, 1),
-		"bad query":       strings.Replace(sampleDoc, `Q(q) := Order('widget', q)`, `Q(q) := `, 1),
-		"unknown rel row": strings.Replace(sampleDoc, `"rel": "Order"`, `"rel": "Nope"`, 1),
-		"bad cond op":     strings.Replace(sampleDoc, `"!="`, `"<"`, 1),
-		"bad master row":  strings.Replace(sampleDoc, `[["widget"], ["gadget"]]`, `[["widget", "extra"]]`, 1),
-	}
-	for name, doc := range cases {
+	for name, doc := range badDocs {
 		if _, _, err := Decode([]byte(doc)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
