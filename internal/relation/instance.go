@@ -106,9 +106,10 @@ type Instance struct {
 	// SortedColumn and cached until the row count changes: the active
 	// domain and typed-domain construction merge these instead of
 	// hashing and sorting every value of the master data on each build.
-	// Guarded by idxMu; the slices are shared read-only.
-	colRows int
-	cols    [][]Value
+	// Guarded by idxMu; the slices are shared read-only. A pointer, so
+	// the candidate instances that never need it stay in the allocation
+	// size class they had without it.
+	cols *sortedColumns
 
 	// idxMu guards indexes. Indexes are built lazily by the first query
 	// that joins on a given position set and maintained incrementally on
@@ -118,6 +119,13 @@ type Instance struct {
 	// unsupported, as it always was for rows and seen.
 	idxMu   sync.Mutex
 	indexes map[uint64]*posIndex // bitmask of key positions -> index
+}
+
+// sortedColumns holds, per column, the distinct values of an
+// instance's first rows rows in sorted order.
+type sortedColumns struct {
+	rows int
+	vals [][]Value
 }
 
 // posIndex is a hash index of the instance on a fixed set of column
@@ -548,9 +556,9 @@ func (in *Instance) SortedColumn(pos int) []Value {
 	}
 	in.idxMu.Lock()
 	defer in.idxMu.Unlock()
-	if in.cols == nil || in.colRows != len(in.rows) {
-		in.cols = make([][]Value, in.schema.Arity())
-		for p := range in.cols {
+	if in.cols == nil || in.cols.rows != len(in.rows) {
+		sc := &sortedColumns{rows: len(in.rows), vals: make([][]Value, in.schema.Arity())}
+		for p := range sc.vals {
 			col := make([]Value, len(in.rows))
 			for i, t := range in.rows {
 				col[i] = t[p]
@@ -558,11 +566,11 @@ func (in *Instance) SortedColumn(pos int) []Value {
 			if col = DedupValues(col); cap(col) > 2*len(col) {
 				col = slices.Clone(col)
 			}
-			in.cols[p] = slices.Clip(col)
+			sc.vals[p] = slices.Clip(col)
 		}
-		in.colRows = len(in.rows)
+		in.cols = sc
 	}
-	return in.cols[pos]
+	return in.cols.vals[pos]
 }
 
 // ActiveDomain collects every constant appearing in the instance into dst
