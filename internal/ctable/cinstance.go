@@ -55,6 +55,9 @@ func (ci *CInstance) AddRow(rel string, r Row) error {
 	if t == nil {
 		return fmt.Errorf("ctable: no relation %s", rel)
 	}
+	if len(r.Terms) != t.schema.Arity() {
+		return fmt.Errorf("ctable %s: row has %d terms, want %d", rel, len(r.Terms), t.schema.Arity())
+	}
 	// Cross-table compatibility: the same variable must not be bound to
 	// incompatible domains in two tables.
 	for i, term := range r.Terms {

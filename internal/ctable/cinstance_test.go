@@ -30,6 +30,11 @@ func TestCInstanceBasics(t *testing.T) {
 	if err := ci.AddRow("nope", Row{}); err == nil {
 		t.Fatal("unknown relation should fail")
 	}
+	// A row wider than its relation fails before the cross-table domain
+	// check reads a column the relation does not have.
+	if err := ci.AddRow("S", Row{Terms: []query.Term{query.V("b"), query.V("z")}}); err == nil {
+		t.Fatal("a row of the wrong arity should fail")
+	}
 }
 
 func TestCInstanceCrossTableDomainCheck(t *testing.T) {
