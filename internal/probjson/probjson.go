@@ -144,6 +144,19 @@ func Build(doc *Document) (*core.Problem, *ctable.CInstance, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("probjson: %w", err)
 		}
+		// q reads the data relations and p the master relations; a
+		// relation the schemas lack would fail every decide instead.
+		for _, side := range []struct {
+			q      *query.Query
+			schema *relation.DBSchema
+			what   string
+		}{{parsed.Left, schema, "relation"}, {parsed.Right, masterSchema, "master relation"}} {
+			for _, rel := range query.RelationsUsed(side.q) {
+				if side.schema.Relation(rel) == nil {
+					return nil, nil, fmt.Errorf("probjson: cc %s reads unknown %s %s", c.Name, side.what, rel)
+				}
+			}
+		}
 		ccSet.Add(parsed)
 	}
 	var qry core.Qry

@@ -95,6 +95,9 @@ var badDocs = map[string]string{
 	"unknown rel row": strings.Replace(sampleDoc, `"rel": "Order"`, `"rel": "Nope"`, 1),
 	"bad cond op":     strings.Replace(sampleDoc, `"!="`, `"<"`, 1),
 	"bad master row":  strings.Replace(sampleDoc, `[["widget"], ["gadget"]]`, `[["widget", "extra"]]`, 1),
+	"cc data rel":     strings.Replace(sampleDoc, `"q(i) := Order(i, q)"`, `"q(i) := Nope(i, q)"`, 1),
+	"cc master rel":   strings.Replace(sampleDoc, `"p(i) := Catalog(i)"`, `"p(i) := Order(i, 'x')"`, 1),
+	"row arity":       strings.Replace(sampleDoc, `"terms": ["widget", "?x"]`, `"terms": ["widget", "?x", "?y"]`, 1),
 }
 
 func TestDecodeErrors(t *testing.T) {
