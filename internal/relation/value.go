@@ -62,7 +62,7 @@ func MergeValues(blocks ...[]Value) []Value {
 			live = append(live, b)
 		}
 	}
-	if big >= 0 && holdsAll(live[big], live) {
+	if big >= 0 && holdsAll(live, big) {
 		return slices.Clip(live[big])
 	}
 	out := make([]Value, 0, n)
@@ -93,15 +93,15 @@ func MergeValues(blocks ...[]Value) []Value {
 	return out
 }
 
-// holdsAll reports whether the sorted block big holds every value of
-// blocks (big itself among them).
-func holdsAll(big []Value, blocks [][]Value) bool {
-	for _, b := range blocks {
-		if len(b) > 0 && &b[0] == &big[0] {
+// holdsAll reports whether blocks[big] holds every value of the other
+// blocks.
+func holdsAll(blocks [][]Value, big int) bool {
+	for i, b := range blocks {
+		if i == big {
 			continue
 		}
 		for _, v := range b {
-			if _, ok := slices.BinarySearch(big, v); !ok {
+			if _, ok := slices.BinarySearch(blocks[big], v); !ok {
 				return false
 			}
 		}
