@@ -25,8 +25,11 @@
 package probjson
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"relcomplete/internal/cc"
@@ -107,13 +110,41 @@ type OptionsDoc struct {
 // Decode parses the JSON document and builds the problem and
 // c-instance.
 func Decode(data []byte) (*core.Problem, *ctable.CInstance, error) {
-	var doc Document
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, nil, fmt.Errorf("probjson: %w", err)
+	doc, err := DecodeDocument(data)
+	if err != nil {
+		return nil, nil, err
 	}
-	return Build(&doc)
+	return Build(doc)
+}
+
+// DecodeDocument parses data as one document, strictly (see
+// DecodeStrict).
+func DecodeDocument(data []byte) (*Document, error) {
+	var doc Document
+	if err := DecodeStrict(bytes.NewReader(data), &doc); err != nil {
+		return nil, fmt.Errorf("probjson: %w", err)
+	}
+	return &doc, nil
+}
+
+// DecodeStrict decodes r as exactly one JSON value into v: an unknown
+// field is an error, and so is anything but white space after the
+// value. Errors from r pass through wrapped.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// Token, not More: More reads a stray '}' or ']' as the end of an
+	// enclosing value and reports nothing left.
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+		return err
+	}
+	return nil
 }
 
 // Build assembles a decoded document.

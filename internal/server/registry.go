@@ -3,10 +3,8 @@ package server
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"strings"
 	"sync"
 	"time"
 
@@ -104,16 +102,10 @@ func NewRegistry(maxBytes int64, base func() core.Options, m *obs.Metrics) *Regi
 	}
 }
 
-// DecodeDocument parses raw strictly (unknown fields are errors, as in
-// probjson.Decode) but keeps the document, which Entry.Doc retains.
+// DecodeDocument is probjson.DecodeDocument: the registry keeps the
+// decoded document in Entry.Doc.
 func DecodeDocument(raw []byte) (*probjson.Document, error) {
-	var doc probjson.Document
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("probjson: %w", err)
-	}
-	return &doc, nil
+	return probjson.DecodeDocument(raw)
 }
 
 // ErrTooLarge reports a document that can never fit under the cap.
