@@ -291,12 +291,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // nameRE keeps problem names URL- and log-friendly.
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9._-]{1,128}$`)
 
+// writeJSON answers with v as one line of compact JSON and a newline,
+// encoded straight into the response; `| jq .` pretty-prints it.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, kind, msg string) {
