@@ -30,6 +30,7 @@ import (
 	"relcomplete/internal/eval"
 	"relcomplete/internal/fault"
 	"relcomplete/internal/obs"
+	"relcomplete/internal/probjson"
 	"relcomplete/internal/query"
 )
 
@@ -513,10 +514,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 	// Decide bodies are bounded like PUT bodies: a decide carrying a
 	// multi-gigabyte query override must die at the transport, not in
-	// the JSON decoder's allocator.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	// the JSON decoder's allocator. Like a document, the body is one
+	// JSON object and nothing after it but white space.
+	if err := probjson.DecodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			fail(http.StatusRequestEntityTooLarge, KindTooLarge, fmt.Errorf("decide request: %w", err))
