@@ -651,9 +651,11 @@ func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest, vi
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		// Capped in milliseconds: a huge request would overflow the
+		// nanoseconds of a Duration.
+		timeout = s.cfg.MaxTimeout
+		if req.TimeoutMS <= timeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)

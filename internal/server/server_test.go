@@ -392,3 +392,17 @@ func TestErrorBodyRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// A timeout_ms past the server's maximum is capped to it, however
+// large: one whose nanoseconds overflow int64 must not wrap into an
+// already expired deadline.
+func TestDecideTimeoutCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	putOrders(t, ts.URL, "orders")
+	for _, ms := range []int64{60_000, 1 << 53, 1<<63 - 1} {
+		resp, dr := decide(t, ts.URL, "orders", DecideRequest{Property: "consistency", TimeoutMS: ms})
+		if resp.StatusCode != http.StatusOK || dr.Verdict == nil || !*dr.Verdict {
+			t.Errorf("timeout_ms %d: status=%d kind=%q error=%s", ms, resp.StatusCode, dr.Kind, dr.Error)
+		}
+	}
+}
