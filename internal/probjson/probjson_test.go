@@ -98,6 +98,9 @@ var badDocs = map[string]string{
 	"cc data rel":     strings.Replace(sampleDoc, `"q(i) := Order(i, q)"`, `"q(i) := Nope(i, q)"`, 1),
 	"cc master rel":   strings.Replace(sampleDoc, `"p(i) := Catalog(i)"`, `"p(i) := Order(i, 'x')"`, 1),
 	"row arity":       strings.Replace(sampleDoc, `"terms": ["widget", "?x"]`, `"terms": ["widget", "?x", "?y"]`, 1),
+	"second object":   sampleDoc + `{"nope": 1}`,
+	"trailing data":   sampleDoc + ` trailing garbage`,
+	"stray brace":     sampleDoc + "}\n",
 }
 
 func TestDecodeErrors(t *testing.T) {
@@ -105,6 +108,10 @@ func TestDecodeErrors(t *testing.T) {
 		if _, _, err := Decode([]byte(doc)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+	// White space after the document is not data.
+	if _, _, err := Decode([]byte(sampleDoc + " \n\t\n")); err != nil {
+		t.Errorf("trailing white space: %v", err)
 	}
 }
 

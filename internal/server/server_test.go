@@ -17,7 +17,7 @@ import (
 
 // ordersDoc loads the repo's smoke instance: RCDP(strong) = false with
 // a counterexample, consistency = true, certain answers = [].
-func ordersDoc(t *testing.T) []byte {
+func ordersDoc(t testing.TB) []byte {
 	t.Helper()
 	raw, err := os.ReadFile("../../examples/orders_rcdp.json")
 	if err != nil {
@@ -127,6 +127,22 @@ func TestPutRejectsBadInput(t *testing.T) {
 	if !strings.Contains(er.Error, "probjson") {
 		t.Fatalf("error should name the decoder: %+v", er)
 	}
+
+	// A document followed by anything but white space is rejected whole:
+	// nothing is stored or charged.
+	for _, tail := range []string{`{"nope": 1}`, ` trailing garbage`, `}`} {
+		body := append(ordersDoc(t), tail...)
+		var er ErrorResponse
+		resp := doJSON(t, http.MethodPut, ts.URL+"/v1/problems/tail", body, &er)
+		if resp.StatusCode != http.StatusBadRequest || er.Kind != KindBadRequest {
+			t.Fatalf("document + %q: status=%d %+v", tail, resp.StatusCode, er)
+		}
+	}
+	var lst ListResponse
+	doJSON(t, http.MethodGet, ts.URL+"/v1/problems", nil, &lst)
+	if len(lst.Problems) != 0 || lst.ResidentBytes != 0 {
+		t.Fatalf("rejected documents were stored: %+v", lst)
+	}
 }
 
 // The decide round trip: decode → decide → encode, verdicts matching
@@ -191,7 +207,8 @@ func TestDecideRoundTrip(t *testing.T) {
 }
 
 // 400s: malformed body, unknown property, unknown model, unknown
-// fields; 404: missing problem.
+// fields, a bad query override, data after the request object; 404:
+// missing problem.
 func TestDecideBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	putOrders(t, ts.URL, "orders")
@@ -207,6 +224,8 @@ func TestDecideBadRequests(t *testing.T) {
 		`{"property": "rcdp", "model": "quantum"}`,
 		`{"property": "rcdp", "unknown_field": 1}`,
 		`{"property": "rcdp", "query": "Q(i) := NoSuchRel(i)"}`,
+		`{"property": "rcdp"} {"property": "certain"}`,
+		`{"property": "rcdp"}}`,
 	} {
 		var dr DecideResponse
 		resp := doJSON(t, http.MethodPost, ts.URL+"/v1/problems/orders/decide", []byte(body), &dr)
