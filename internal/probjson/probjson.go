@@ -129,7 +129,7 @@ func DecodeDocument(data []byte) (*Document, error) {
 
 // DecodeStrict decodes r as exactly one JSON value into v: an unknown
 // field is an error, and so is anything but white space after the
-// value. Errors from r pass through wrapped.
+// value. An error r returns comes back as r returned it.
 func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

@@ -102,8 +102,8 @@ func NewRegistry(maxBytes int64, base func() core.Options, m *obs.Metrics) *Regi
 	}
 }
 
-// DecodeDocument is probjson.DecodeDocument: the registry keeps the
-// decoded document in Entry.Doc.
+// DecodeDocument is probjson.DecodeDocument, the decode a PUT runs
+// before it builds the document; bench/rcload calls it under this name.
 func DecodeDocument(raw []byte) (*probjson.Document, error) {
 	return probjson.DecodeDocument(raw)
 }
@@ -138,7 +138,7 @@ func (r *Registry) Put(name string, raw []byte) (*Entry, bool, error) {
 // put is Put with the WAL append optional: recovery replay (Restore)
 // re-applies already-committed records and must not re-log them.
 func (r *Registry) put(name string, raw []byte, persist bool) (*Entry, bool, error) {
-	doc, err := DecodeDocument(raw)
+	doc, err := probjson.DecodeDocument(raw)
 	if err != nil {
 		return nil, false, err
 	}
