@@ -6,6 +6,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -36,9 +37,16 @@ type RequestRecord struct {
 
 // RequestRing retains the most recent capN request records. All
 // methods are safe for concurrent use; a nil *RequestRing is inert.
+//
+// Each record is kept as its JSON encoding, the form /debug/requests
+// serves. A record and its span tree are about sixteen small objects,
+// a map per span among them, allocated all through the request;
+// retained for the next capN requests, they pin heap spans that the
+// request's garbage shared, and the heap in use after a collection
+// grows with the request rate. One buffer per record pins at most one.
 type RequestRing struct {
 	mu    sync.Mutex
-	recs  []RequestRecord
+	recs  [][]byte
 	next  int
 	total int64
 	capN  int
@@ -59,29 +67,34 @@ func (r *RequestRing) Add(rec RequestRecord) {
 	if r == nil {
 		return
 	}
+	// A record holds strings, finite durations and a clock reading, all
+	// of which encode.
+	b, _ := json.Marshal(rec)
 	r.mu.Lock()
 	if len(r.recs) < r.capN {
-		r.recs = append(r.recs, rec)
+		r.recs = append(r.recs, b)
 	} else {
-		r.recs[r.next] = rec
+		r.recs[r.next] = b
 	}
 	r.next = (r.next + 1) % r.capN
 	r.total++
 	r.mu.Unlock()
 }
 
-// Snapshot returns the retained records, most recent first.
+// Snapshot returns the retained records, most recent first, decoded
+// afresh: their times carry no monotonic clock reading.
 func (r *RequestRing) Snapshot() []RequestRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]RequestRecord, 0, len(r.recs))
+	out := make([]RequestRecord, len(r.recs))
 	// Walk backwards from the slot before next, wrapping once.
-	for i := 0; i < len(r.recs); i++ {
+	for i := range out {
 		idx := (r.next - 1 - i + len(r.recs)) % len(r.recs)
-		out = append(out, r.recs[idx])
+		// The ring's own encoding of a RequestRecord decodes.
+		_ = json.Unmarshal(r.recs[idx], &out[i])
 	}
 	return out
 }
