@@ -87,14 +87,19 @@ func (r *RequestRing) Snapshot() []RequestRecord {
 	if r == nil {
 		return nil
 	}
+	// Stored buffers are never written again, so they decode outside
+	// the lock.
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]RequestRecord, len(r.recs))
+	encoded := make([][]byte, len(r.recs))
 	// Walk backwards from the slot before next, wrapping once.
-	for i := range out {
-		idx := (r.next - 1 - i + len(r.recs)) % len(r.recs)
+	for i := range encoded {
+		encoded[i] = r.recs[(r.next-1-i+len(r.recs))%len(r.recs)]
+	}
+	r.mu.Unlock()
+	out := make([]RequestRecord, len(encoded))
+	for i, b := range encoded {
 		// The ring's own encoding of a RequestRecord decodes.
-		_ = json.Unmarshal(r.recs[idx], &out[i])
+		_ = json.Unmarshal(b, &out[i])
 	}
 	return out
 }

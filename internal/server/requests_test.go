@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,5 +37,31 @@ func TestRequestRingKeepsRecords(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("ring changed the record:\n got %s\nwant %s", got, want)
+	}
+}
+
+// Adds and snapshots race safely: a snapshot decodes buffers outside
+// the lock while later adds overwrite their slots.
+func TestRequestRingConcurrent(t *testing.T) {
+	r := NewRequestRing(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r.Add(RequestRecord{Problem: "p", Status: 200 + i%3})
+				for _, rec := range r.Snapshot() {
+					if rec.Problem != "p" || rec.Status < 200 || rec.Status > 202 {
+						t.Errorf("snapshot record: %+v", rec)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if r.Len() != 4 || r.Total() != 800 {
+		t.Fatalf("Len=%d Total=%d", r.Len(), r.Total())
 	}
 }
