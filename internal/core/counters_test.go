@@ -403,3 +403,83 @@ func TestRCQPSearchCountersPinned(t *testing.T) {
 		}
 	})
 }
+
+// reachDoc is the reach program over three ground E rows: its one
+// model derives three reach facts in the fixpoint's first round and
+// three more in the next two.
+const reachDoc = `{
+  "schema": {"relations": [{"name": "E", "attrs": [{"name": "a"}, {"name": "b"}]}]},
+  "master": {"relations": [], "rows": {}},
+  "ccs": [],
+  "query": {"fp": "reach(x, y) :- E(x, y). reach(x, z) :- reach(x, y), E(y, z). output reach."},
+  "cinstance": {"rows": [
+    {"rel": "E", "terms": ["1", "2"]},
+    {"rel": "E", "terms": ["2", "3"]},
+    {"rel": "E", "terms": ["3", "4"]}]}
+}`
+
+// TestBudgetCapsPinned pins how two caps outside the tuple lattices
+// surface, at Parallelism 1: strong RCQP on counterDoc, whose only CC is
+// an IND and whose query is unbounded, so the boundedness path
+// enumerates the query's valuations, under MaxValuations 1; and the
+// certain answers of reachDoc under MaxDerived 1, which the fixpoint on
+// its one model exceeds. It pins the error's dynamic type, the
+// BudgetError's cap, limit and consumption ("none" when the error
+// carries none), budget_errors and derived_tuples.
+func TestBudgetCapsPinned(t *testing.T) {
+	cases := []struct {
+		name         string
+		doc          string
+		cap          func(o *core.Options)
+		decide       func(p *core.Problem, ci *ctable.CInstance) error
+		errType      string
+		budget       string
+		budgetErrors int64
+		derived      int64
+	}{
+		{"rcqp_max_valuations", counterDoc, func(o *core.Options) { o.MaxValuations = 1 },
+			func(p *core.Problem, _ *ctable.CInstance) error {
+				_, err := p.RCQP(core.Strong)
+				return err
+			}, "*fmt.wrapError", "none", 0, 0},
+		{"fp_certain_max_derived", reachDoc, func(o *core.Options) { o.MaxDerived = 1 },
+			func(p *core.Problem, ci *ctable.CInstance) error {
+				_, err := p.CertainAnswers(ci)
+				return err
+			}, "*fmt.wrapError", "none", 0, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, ci, err := probjson.Decode([]byte(c.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := obs.NewMetrics()
+			p.Options.Parallelism = 1
+			p.Options.Obs = m
+			c.cap(&p.Options)
+			err = c.decide(p, ci)
+			if err == nil {
+				t.Fatal("decide succeeded, want a budget failure")
+			}
+			budget := "none"
+			var be *core.BudgetError
+			if errors.As(err, &be) {
+				budget = fmt.Sprintf("%s limit %d consumed %d", be.Cap, be.Limit, be.Consumed)
+			}
+			if got := fmt.Sprintf("%T", err); got != c.errType {
+				t.Errorf("error type %s, want %s (%v)", got, c.errType, err)
+			}
+			if budget != c.budget {
+				t.Errorf("budget %q, want %q (%v)", budget, c.budget, err)
+			}
+			st := m.Snapshot().Counters
+			if st["budget_errors"] != c.budgetErrors {
+				t.Errorf("budget_errors = %d, want %d", st["budget_errors"], c.budgetErrors)
+			}
+			if st["derived_tuples"] != c.derived {
+				t.Errorf("derived_tuples = %d, want %d", st["derived_tuples"], c.derived)
+			}
+		})
+	}
+}

@@ -425,3 +425,76 @@ func TestDecideTimeoutCapped(t *testing.T) {
 		}
 	}
 }
+
+// budgetCapDocs are two documents whose decides run out of a cap
+// outside the tuple lattices: strong RCQP on an IND-only document with
+// an unbounded query (the boundedness path enumerates the query's
+// valuations) under max_valuations 1, and the certain answers of the
+// reach program over three edges under max_derived 1.
+var budgetCapDocs = []struct {
+	name string
+	doc  string
+	req  DecideRequest
+}{
+	{"rcqp_ind", `{
+  "schema": {"relations": [{"name": "Order", "attrs": [{"name": "item"}, {"name": "qty"}]}]},
+  "master": {"relations": [{"name": "Catalog", "attrs": [{"name": "item"}]}],
+             "rows": {"Catalog": [["widget"], ["gadget"]]}},
+  "ccs": [{"name": "order_in_catalog", "left": "q(i) := Order(i, q)", "right": "p(i) := Catalog(i)"}],
+  "query": {"calc": "Q(q) := Order('aaa', q)"},
+  "cinstance": {"rows": []}
+}`, DecideRequest{Property: "rcqp", Model: "strong", Budget: &BudgetRequest{MaxValuations: 1}}},
+	{"reach", `{
+  "schema": {"relations": [{"name": "E", "attrs": [{"name": "a"}, {"name": "b"}]}]},
+  "master": {"relations": [], "rows": {}},
+  "ccs": [],
+  "query": {"fp": "reach(x, y) :- E(x, y). reach(x, z) :- reach(x, y), E(y, z). output reach."},
+  "cinstance": {"rows": [
+    {"rel": "E", "terms": ["1", "2"]}, {"rel": "E", "terms": ["2", "3"]}, {"rel": "E", "terms": ["3", "4"]}]}
+}`, DecideRequest{Property: "certain", Budget: &BudgetRequest{MaxDerived: 1}}},
+}
+
+// TestDecideBudgetCapsServed decides budgetCapDocs through
+// Server.ServeHTTP: each answers 422 kind budget with a null verdict.
+// It pins the budget object (its cap, or "none" when absent) and the
+// decide's budget_errors.
+func TestDecideBudgetCapsServed(t *testing.T) {
+	want := map[string]struct {
+		cap          string
+		budgetErrors int64
+	}{
+		"rcqp_ind": {"none", 0},
+		"reach":    {"none", 0},
+	}
+	s := New(Config{Workers: 1})
+	for _, c := range budgetCapDocs {
+		t.Run(c.name, func(t *testing.T) {
+			put := httptest.NewRecorder()
+			s.ServeHTTP(put, httptest.NewRequest(http.MethodPut, "/v1/problems/"+c.name, strings.NewReader(c.doc)))
+			if put.Code != http.StatusCreated {
+				t.Fatalf("PUT: status %d: %s", put.Code, put.Body)
+			}
+			body, err := json.Marshal(c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/problems/"+c.name+"/decide", bytes.NewReader(body)))
+			var dr DecideResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &dr); err != nil {
+				t.Fatalf("status %d: %v: %s", w.Code, err, w.Body)
+			}
+			if w.Code != http.StatusUnprocessableEntity || dr.Kind != KindBudget || dr.Verdict != nil {
+				t.Fatalf("status %d kind %q verdict %v, want 422 budget and no verdict: %s", w.Code, dr.Kind, dr.Verdict, dr.Error)
+			}
+			budget := "none"
+			if dr.Budget != nil {
+				budget = dr.Budget.Cap
+			}
+			if exp := want[c.name]; budget != exp.cap || dr.Stats.Counters["budget_errors"] != exp.budgetErrors {
+				t.Errorf("budget %s, budget_errors %d; want %s, %d (%s)",
+					budget, dr.Stats.Counters["budget_errors"], exp.cap, exp.budgetErrors, dr.Error)
+			}
+		})
+	}
+}
