@@ -425,7 +425,7 @@ func FullContainment(name string, dataRel *relation.Schema, masterRel *relation.
 func MustFullContainment(name string, dataRel, masterRel *relation.Schema) *Constraint {
 	c, err := FullContainment(name, dataRel, masterRel)
 	if err != nil {
-		panic(c)
+		panic(err)
 	}
 	return c
 }

@@ -192,6 +192,19 @@ func TestFullContainment(t *testing.T) {
 	}
 }
 
+// MustFullContainment panics with FullContainment's error, so the
+// panic names the arity mismatch instead of printing a nil constraint.
+func TestMustFullContainmentPanicsWithError(t *testing.T) {
+	f := newFixture(t)
+	defer func() {
+		r := recover()
+		if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "arity mismatch 2 vs 1") {
+			t.Fatalf("panic value %v (%T), want an error naming the arity mismatch", r, r)
+		}
+	}()
+	MustFullContainment("bad", f.data.Relation("R"), f.master.Relation("Empty"))
+}
+
 func TestMergeConstraints(t *testing.T) {
 	f := newFixture(t)
 	m, err := relation.NewMerger(f.data)
