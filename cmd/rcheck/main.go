@@ -41,9 +41,7 @@ import (
 	"io"
 	"os"
 
-	"relcomplete/internal/adom"
 	"relcomplete/internal/core"
-	"relcomplete/internal/eval"
 	"relcomplete/internal/obs"
 	"relcomplete/internal/probjson"
 	"relcomplete/internal/relation"
@@ -58,16 +56,14 @@ func main() {
 
 // exitCode distinguishes "the deadline expired" (3) and "the search
 // ran out of budget" (2) — both mean the verdict is unknown, retry
-// with more time or larger caps — from genuine failures (1). adom and
-// eval carry their own budget sentinels. The deadline check comes
-// first: a cancelled search may trip a budget on the way out, and the
-// deadline is the root cause.
+// with more time or larger caps — from genuine failures (1). The
+// deadline check comes first: a cancelled search may trip a budget on
+// the way out, and the deadline is the root cause.
 func exitCode(err error) int {
 	if errors.Is(err, core.ErrDeadline) {
 		return 3
 	}
-	if errors.Is(err, core.ErrBudget) || errors.Is(err, core.ErrInconclusive) ||
-		errors.Is(err, adom.ErrBudget) || errors.Is(err, eval.ErrBudget) {
+	if errors.Is(err, core.ErrBudget) || errors.Is(err, core.ErrInconclusive) {
 		return 2
 	}
 	return 1

@@ -8,9 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"relcomplete/internal/adom"
 	"relcomplete/internal/core"
-	"relcomplete/internal/eval"
 	"relcomplete/internal/obs"
 )
 
@@ -272,6 +270,21 @@ func TestRCheckBudgetExitCode(t *testing.T) {
 	}
 }
 
+// reachDoc is the reach program over three edges, with a fixpoint cap
+// of one derived fact.
+const reachDoc = `{
+  "schema": {"relations": [{"name": "E", "attrs": [{"name": "a"}, {"name": "b"}]}]},
+  "master": {"relations": [], "rows": {}},
+  "ccs": [],
+  "query": {"fp": "reach(x, y) :- E(x, y). reach(x, z) :- reach(x, y), E(y, z). output reach."},
+  "options": {"max_derived": 1},
+  "cinstance": {"rows": [
+    {"rel": "E", "terms": ["1", "2"]}, {"rel": "E", "terms": ["2", "3"]}, {"rel": "E", "terms": ["3", "4"]}]}
+}`
+
+// TestRCheckExitCodeMapping: both budget sentinels exit 2, other errors
+// exit 1, and a fixpoint past max_derived is a budget failure like any
+// other cap: its certain answers exit 2, and -json reports the cap.
 func TestRCheckExitCodeMapping(t *testing.T) {
 	if got := exitCode(core.ErrBudget); got != 2 {
 		t.Fatalf("exitCode(ErrBudget) = %d", got)
@@ -282,11 +295,20 @@ func TestRCheckExitCodeMapping(t *testing.T) {
 	if got := exitCode(core.ErrUndecidable); got != 1 {
 		t.Fatalf("exitCode(ErrUndecidable) = %d", got)
 	}
-	if got := exitCode(adom.ErrBudget); got != 2 {
-		t.Fatalf("exitCode(adom.ErrBudget) = %d", got)
+	path := filepath.Join(t.TempDir(), "reach.json")
+	if err := os.WriteFile(path, []byte(reachDoc), 0o600); err != nil {
+		t.Fatal(err)
 	}
-	if got := exitCode(eval.ErrBudget); got != 2 {
-		t.Fatalf("exitCode(eval.ErrBudget) = %d", got)
+	out, err := runCheck(t, "-problem", "certain", "-json", path)
+	if got := exitCode(err); err == nil || got != 2 {
+		t.Fatalf("exitCode(%v) = %d, want 2", err, got)
+	}
+	var res result
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatalf("JSON error output invalid: %v\n%s", err, out)
+	}
+	if res.Budget == nil || res.Budget.Cap != "MaxDerived" {
+		t.Fatalf("budget = %+v, want cap MaxDerived", res.Budget)
 	}
 }
 

@@ -22,9 +22,6 @@ import (
 	"relcomplete/internal/relation"
 )
 
-// ErrBudget is returned when an enumeration exceeds the configured cap.
-var ErrBudget = fmt.Errorf("adom: valuation budget exceeded")
-
 // Adom is a materialised active domain.
 type Adom struct {
 	values []relation.Value          // sorted, distinct
@@ -191,67 +188,4 @@ func (a *Adom) Fresh(varName string) relation.Value { return a.fresh[varName] }
 func (a *Adom) Contains(v relation.Value) bool {
 	_, ok := slices.BinarySearch(a.values, v)
 	return ok
-}
-
-// CandidatesFor returns the values a variable may take: the members of
-// its finite attribute domain if it has one (the paper requires
-// valuations of finite-domain variables to stay inside that domain —
-// those values are part of Adom), otherwise the whole domain.
-func (a *Adom) CandidatesFor(dom *relation.Domain) []relation.Value {
-	if dom.IsFinite() {
-		return dom.Values()
-	}
-	return a.values
-}
-
-// Enumerate calls fn with every total valuation of vars over the
-// domain (respecting per-variable finite domains in doms). Enumeration
-// stops early when fn returns false or an error. maxValuations > 0
-// caps the number of valuations tried (ErrBudget beyond).
-func (a *Adom) Enumerate(vars []string, doms map[string]*relation.Domain, maxValuations int,
-	fn func(ctable.Valuation) (bool, error)) error {
-	mu := make(ctable.Valuation, len(vars))
-	tried := 0
-	var rec func(i int) (bool, error)
-	rec = func(i int) (bool, error) {
-		if i == len(vars) {
-			tried++
-			if maxValuations > 0 && tried > maxValuations {
-				return false, fmt.Errorf("%w (> %d valuations)", ErrBudget, maxValuations)
-			}
-			return fn(mu)
-		}
-		v := vars[i]
-		for _, val := range a.CandidatesFor(doms[v]) {
-			mu[v] = val
-			cont, err := rec(i + 1)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-		delete(mu, v)
-		return true, nil
-	}
-	_, err := rec(0)
-	return err
-}
-
-// Count returns the number of total valuations Enumerate would try,
-// capped at limit (returns limit+1 when the true count exceeds it).
-func (a *Adom) Count(vars []string, doms map[string]*relation.Domain, limit int) int {
-	total := 1
-	for _, v := range vars {
-		n := len(a.CandidatesFor(doms[v]))
-		if n == 0 {
-			return 0
-		}
-		if total > limit/n+1 {
-			return limit + 1
-		}
-		total *= n
-		if total > limit {
-			return limit + 1
-		}
-	}
-	return total
 }

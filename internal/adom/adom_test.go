@@ -1,7 +1,6 @@
 package adom
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -93,91 +92,6 @@ func TestBuildMergesDatabaseColumns(t *testing.T) {
 	}
 	if got := a.Fresh("x"); got != "•x_1" {
 		t.Fatalf("Fresh(x) = %q, want •x_1 past the master's •x and •x_0", got)
-	}
-}
-
-func TestEnumerateRespectsFiniteDomains(t *testing.T) {
-	ci := testCInstance()
-	a := NewBuilder().AddCInstance(ci).Build()
-	doms := ci.VarDomains()
-
-	countB := map[relation.Value]int{}
-	total := 0
-	err := a.Enumerate([]string{"x", "b"}, doms, 0, func(mu ctable.Valuation) (bool, error) {
-		total++
-		countB[mu["b"]]++
-		return true, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// b is Boolean: only 0/1 ever assigned.
-	if len(countB) != 2 || countB["0"] == 0 || countB["1"] == 0 {
-		t.Fatalf("b assignments = %v", countB)
-	}
-	want := len(a.Values()) * 2
-	if total != want {
-		t.Fatalf("total = %d, want %d", total, want)
-	}
-	if got := a.Count([]string{"x", "b"}, doms, 1_000_000); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
-	}
-}
-
-func TestEnumerateEarlyStop(t *testing.T) {
-	a := NewBuilder().AddConstants(relation.NewValueSet("1", "2", "3")).Build()
-	calls := 0
-	err := a.Enumerate([]string{"x"}, nil, 0, func(mu ctable.Valuation) (bool, error) {
-		calls++
-		return false, nil
-	})
-	if err != nil || calls != 1 {
-		t.Fatalf("early stop failed: calls=%d err=%v", calls, err)
-	}
-}
-
-func TestEnumerateBudget(t *testing.T) {
-	a := NewBuilder().AddConstants(relation.NewValueSet("1", "2", "3")).Build()
-	err := a.Enumerate([]string{"x", "y"}, nil, 4, func(mu ctable.Valuation) (bool, error) {
-		return true, nil
-	})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("want ErrBudget, got %v", err)
-	}
-}
-
-func TestEnumerateNoVars(t *testing.T) {
-	a := NewBuilder().AddConstants(relation.NewValueSet("1")).Build()
-	calls := 0
-	err := a.Enumerate(nil, nil, 0, func(mu ctable.Valuation) (bool, error) {
-		calls++
-		if len(mu) != 0 {
-			t.Fatal("empty valuation expected")
-		}
-		return true, nil
-	})
-	if err != nil || calls != 1 {
-		t.Fatalf("no-var enumeration should call fn once: %d %v", calls, err)
-	}
-}
-
-func TestCountOverflowCap(t *testing.T) {
-	vals := relation.NewValueSet()
-	for i := 0; i < 20; i++ {
-		vals.Add(relation.Value(rune('a' + i)))
-	}
-	a := NewBuilder().AddConstants(vals).Build()
-	vars := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	if got := a.Count(vars, nil, 1000); got != 1001 {
-		t.Fatalf("Count should cap at limit+1, got %d", got)
-	}
-}
-
-func TestCountZeroWhenEmptyFiniteDomain(t *testing.T) {
-	a := NewBuilder().AddConstants(relation.NewValueSet("1")).Build()
-	doms := map[string]*relation.Domain{"x": relation.Finite("empty")}
-	if got := a.Count([]string{"x"}, doms, 10); got != 0 {
-		t.Fatalf("Count with empty domain = %d", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"relcomplete/internal/adom"
 	"relcomplete/internal/ctable"
 	"relcomplete/internal/obs"
 	"relcomplete/internal/relation"
@@ -12,8 +11,9 @@ import (
 
 // This file implements the basic analyses of Section 3: partial
 // closure, the consistency problem and the extensibility problem
-// (Proposition 3.3, both Σp2-complete), plus the shared enumeration of
-// ModAdom(T, Dm, V) every decider is built on.
+// (Proposition 3.3, both Σp2-complete), plus the enumerations every
+// decider is built on: ModAdom(T, Dm, V), the valuations behind it and
+// the candidate tuple lattice, all walked by one product enumerator.
 
 // PartiallyClosed reports whether the ground instance satisfies V, i.e.
 // (I, Dm) ⊨ V.
@@ -53,7 +53,7 @@ func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *dom
 
 // modelCandidates adapts the ModAdom candidate enumeration to a
 // search.Generator for the parallel deciders. Valuations are applied
-// and deduplicated on the generator goroutine — the enumerators reuse
+// and deduplicated on the generator goroutine — the enumerator reuses
 // one mutable valuation map, so ci.Apply must not escape to workers —
 // and each yielded database is fresh and immutable thereafter.
 // Distinct valuations yielding the same ground instance are
@@ -61,7 +61,7 @@ func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *dom
 // (ApplyKeyed). The CC check is left to the probes (it is part of the
 // per-candidate work worth parallelising), so candidates here are
 // "potential models": deduplicated ground instances not yet filtered
-// by V.
+// by V. d must be ci's domains: its variable candidates are ci's.
 //
 // Enumeration failures (ErrBudget, condition errors) are reported
 // through genErr, which the caller must read only after the search
@@ -73,10 +73,7 @@ func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *dom
 func (p *Problem) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *domains, genErr *error) search.Generator[*relation.Database] {
 	return func(yield func(*relation.Database) bool) {
 		seen := map[string]bool{}
-		visit := func(mu ctable.Valuation) (bool, error) {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
+		err := p.forEachValuation(ctx, d.vars, d.cands, func(mu ctable.Valuation) (bool, error) {
 			p.Options.Obs.Inc(obs.ValuationsEnumerated)
 			db, key, err := ci.ApplyKeyed(mu)
 			if err != nil {
@@ -87,13 +84,7 @@ func (p *Problem) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *
 			}
 			seen[key] = true
 			return yield(db), nil
-		}
-		var err error
-		if d.ty != nil {
-			err = p.enumerateTyped(ci, d.a, d.ty, visit)
-		} else {
-			err = d.a.Enumerate(ci.Vars(), ci.VarDomains(), p.Options.MaxValuations, visit)
-		}
+		})
 		if err != nil {
 			*genErr = err
 		}
@@ -205,7 +196,7 @@ func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (_ b
 func (p *Problem) forEachSingleTupleExtension(ctx context.Context, db *relation.Database, d *domains,
 	fn func(ext *relation.Database, rel string, t relation.Tuple) (bool, error)) error {
 	for _, r := range p.Schema.Relations() {
-		cont, err := p.latticeOver(ctx, r, d, func(t relation.Tuple) (bool, error) {
+		cont, err := p.latticeOver(ctx, r, d, nil, func(t relation.Tuple) (bool, error) {
 			if db.Relation(r.Name).Contains(t) {
 				return true, nil
 			}
@@ -227,42 +218,71 @@ func (p *Problem) forEachSingleTupleExtension(ctx context.Context, db *relation.
 	return nil
 }
 
-// latticeOver enumerates the candidate lattice of one relation under
-// the typing (or the full Adom lattice when typing is off).
-func (p *Problem) latticeOver(ctx context.Context, r *relation.Schema, d *domains,
+// latticeOver enumerates the candidate lattice of one relation: every
+// tuple whose column i holds pins[i] when pinned (pins may be nil) and
+// otherwise one of d's candidates at (r, i), until fn returns false or
+// an error. It reports whether the enumeration ran to completion. Each
+// tuple passed to fn is fresh.
+func (p *Problem) latticeOver(ctx context.Context, r *relation.Schema, d *domains, pins map[int]relation.Value,
 	fn func(t relation.Tuple) (bool, error)) (bool, error) {
-	if d.ty != nil {
-		return p.typedTuplesOver(ctx, r, d.a, d.ty, fn)
+	cols := make([][]relation.Value, r.Arity())
+	for i := range cols {
+		v, pinned := pins[i]
+		switch {
+		case !pinned:
+			cols[i] = d.ty.candidatesAt(position{rel: r.Name, col: i}, r.DomainAt(i), d.a)
+		case r.DomainAt(i).Contains(v):
+			cols[i] = []relation.Value{v}
+		default:
+			return true, nil // a constant outside the domain: no tuples
+		}
 	}
-	return p.tuplesOver(ctx, r, d.a, fn)
+	return p.product(ctx, "tuple lattice over "+r.Name, cols, func(row []relation.Value) (bool, error) {
+		return fn(relation.Tuple(row).Clone())
+	})
 }
 
-// tuplesOver enumerates the tuples of the lattice L for one relation:
-// every combination of active-domain values admissible in the
-// relation's attribute domains. It reports whether enumeration ran to
-// completion. The context is consulted per leaf, so a deadline
-// interrupts even a lattice whose callback never stops it.
-func (p *Problem) tuplesOver(ctx context.Context, r *relation.Schema, a *adom.Adom,
-	fn func(t relation.Tuple) (bool, error)) (bool, error) {
-	t := make(relation.Tuple, r.Arity())
+// forEachValuation calls fn with every valuation of vars that gives
+// vars[i] one of cands[i], until fn returns false or an error. The
+// valuation map is reused between calls.
+func (p *Problem) forEachValuation(ctx context.Context, vars []string, cands [][]relation.Value,
+	fn func(mu ctable.Valuation) (bool, error)) error {
+	mu := make(ctable.Valuation, len(vars))
+	_, err := p.product(ctx, "valuation enumeration", cands, func(row []relation.Value) (bool, error) {
+		for i, v := range vars {
+			mu[v] = row[i]
+		}
+		return fn(mu)
+	})
+	return err
+}
+
+// product calls fn with every row whose value i is one of cols[i], in
+// the order of the lists, until fn returns false or an error, and
+// reports whether it ran to completion. The row is reused between
+// calls. The context is consulted per row, so a deadline interrupts
+// even an enumeration whose callback never stops it, and
+// Options.MaxValuations caps the rows: the first row past the cap fails
+// with a BudgetError naming op.
+func (p *Problem) product(ctx context.Context, op string, cols [][]relation.Value,
+	fn func(row []relation.Value) (bool, error)) (bool, error) {
+	row := make([]relation.Value, len(cols))
 	tried := 0
 	var rec func(i int) (bool, error)
 	rec = func(i int) (bool, error) {
-		if i == r.Arity() {
+		if i == len(cols) {
 			if err := ctx.Err(); err != nil {
 				return false, err
 			}
 			tried++
-			if p.Options.MaxValuations > 0 && tried > p.Options.MaxValuations {
-				return false, p.budgetErr("tuple lattice over "+r.Name, "MaxValuations",
-					int64(p.Options.MaxValuations), int64(tried))
+			if limit := p.Options.MaxValuations; limit > 0 && tried > limit {
+				return false, p.budgetErr(op, "MaxValuations", int64(limit), int64(tried))
 			}
-			return fn(t.Clone())
+			return fn(row)
 		}
-		for _, v := range a.CandidatesFor(r.DomainAt(i)) {
-			t[i] = v
-			cont, err := rec(i + 1)
-			if err != nil || !cont {
+		for _, v := range cols[i] {
+			row[i] = v
+			if cont, err := rec(i + 1); err != nil || !cont {
 				return cont, err
 			}
 		}

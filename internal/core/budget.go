@@ -10,16 +10,16 @@ import "fmt"
 // BudgetError wraps one of the package sentinels, so existing checks
 // keep working unchanged:
 //
-//	errors.Is(err, core.ErrBudget)       // enumeration caps
+//	errors.Is(err, core.ErrBudget)       // enumeration and fixpoint caps
 //	errors.Is(err, core.ErrInconclusive) // bounded RCQP search exhausted
 //
 // and errors.As(err, *(*BudgetError)) recovers the detail.
 type BudgetError struct {
-	// Op names the operation that ran out, e.g. "tuple lattice" or
-	// "RCQP search".
+	// Op names the operation that ran out, e.g. "tuple lattice over R",
+	// "valuation enumeration" or "RCQP search".
 	Op string
-	// Cap is the Options field that supplied the limit, e.g.
-	// "MaxValuations", "MaxSubsets" or "RCQPSizeBound".
+	// Cap is the Options field that supplied the limit:
+	// "MaxValuations", "MaxSubsets", "MaxDerived" or "RCQPSizeBound".
 	Cap string
 	// Limit is the configured cap; Consumed is how much the operation
 	// had used when it gave up (Consumed > Limit for enumeration caps,

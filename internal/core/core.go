@@ -97,7 +97,8 @@ var (
 	// ErrInconsistent is returned when a decider requires Mod(T, Dm, V)
 	// to be non-empty (a partially closed c-instance) and it is empty.
 	ErrInconsistent = errors.New("relcomplete: c-instance is inconsistent (Mod(T, Dm, V) is empty)")
-	// ErrBudget is returned when a configured enumeration cap is hit.
+	// ErrBudget is returned when a configured enumeration or FP
+	// fixpoint cap is hit.
 	ErrBudget = errors.New("relcomplete: search budget exceeded")
 	// ErrInconclusive is returned by the bounded RCQP search when no
 	// witness exists within the configured size bound (the general
@@ -184,7 +185,8 @@ type Options struct {
 	// size exists the search returns ErrInconclusive (the exact bound
 	// of the paper's NEXPTIME procedure is exponential).
 	RCQPSizeBound int
-	// MaxDerived caps FP fixpoint derivations (0 = unlimited).
+	// MaxDerived caps FP fixpoint derivations (0 = unlimited). A
+	// fixpoint beyond the cap fails with ErrBudget.
 	MaxDerived int
 	// NoTypedDomains disables the typed-domain pruning (see
 	// internal/core/typing.go) and enumerates every variable and
@@ -270,7 +272,7 @@ type memo struct {
 	plan      *eval.Plan                // compiled query plan (positive existential only)
 	planTried bool                      // whether plan compilation was attempted
 	disjTabs  []*query.Tableau          // renamed disjunct tableaux
-	domains   map[domainsKey]*domains   // adom+typing per (c-instance, flags)
+	domains   map[domainsKey]*domains   // adom, typing, variable candidates per (c-instance, flags)
 	sigs      map[string]int            // typing signature -> small id
 	atomCands map[atomCandKey]atomCands // constant-pinned closed lattice per atom
 	closure   map[string]bool           // single-tuple closure verdicts
@@ -416,9 +418,16 @@ func (p *Problem) queryPlan() *eval.Plan {
 }
 
 // answers evaluates the problem's query on a ground database.
+// An FP fixpoint that derives more than Options.MaxDerived facts fails
+// with a BudgetError, as every other cap does.
 func (p *Problem) answers(ctx context.Context, db *relation.Database) ([]relation.Tuple, error) {
 	if p.Query.Prog != nil {
-		return eval.FPAnswers(db, p.Query.Prog, p.evalOptsCtx(ctx))
+		ans, err := eval.FPAnswers(db, p.Query.Prog, p.evalOptsCtx(ctx))
+		if errors.Is(err, eval.ErrBudget) {
+			limit := int64(p.Options.MaxDerived)
+			return nil, p.budgetErr("FP fixpoint of "+p.Query.Prog.Name, "MaxDerived", limit, limit+1)
+		}
+		return ans, err
 	}
 	if plan := p.queryPlan(); plan != nil {
 		return plan.Answers(db, p.evalOptsCtx(ctx))
@@ -701,10 +710,14 @@ func (p *Problem) checkModel(ctx context.Context, db *relation.Database) (bool, 
 	return ok, nil
 }
 
-// domains bundles an active domain with its typed pruning.
+// domains bundles an active domain with its typed pruning (nil under
+// Options.NoTypedDomains) and the candidates of the c-instance's
+// variables: cands[i] are the values vars[i] ranges over.
 type domains struct {
-	a  *adom.Adom
-	ty *typing
+	a     *adom.Adom
+	ty    *typing
+	vars  []string
+	cands [][]relation.Value
 
 	// sig is the id of the typing signature (typingSignature), the
 	// lattice caches' key: computed on first use, once per domains.
@@ -717,14 +730,14 @@ type domains struct {
 // c-instances, so eviction order is irrelevant).
 const domainsCacheCap = 32
 
-// domainsFor builds the Adom and its typing for a c-instance. The
-// result is memoised per (c-instance, flags): deciders are routinely
-// re-run against the same inputs (the reductions call several deciders
-// over one gadget, benchmarks and servers repeat calls), and both the
-// Adom and the typing are read-only after construction, so cached
-// values are shared freely across concurrent runs. Freshness rides on
-// the append-only row counts, as for the plan caches. A decider that
-// wraps a ground instance in a c-instance of its own calls
+// domainsFor builds the Adom, its typing and the variables' candidates
+// for a c-instance. The result is memoised per (c-instance, flags):
+// deciders are routinely re-run against the same inputs (the
+// reductions call several deciders over one gadget, benchmarks and
+// servers repeat calls), and domains are read-only after construction,
+// so cached values are shared freely across concurrent runs. Freshness
+// rides on the append-only row counts, as for the plan caches. A
+// decider that wraps a ground instance in a c-instance of its own calls
 // buildDomains instead: no later call could hit that entry, and each
 // would push the resident ones towards the wipe at domainsCacheCap.
 func (p *Problem) domainsFor(ci *ctable.CInstance, withQueryVars, withExtRow bool) (*domains, error) {
@@ -761,18 +774,37 @@ func (p *Problem) domainsFor(ci *ctable.CInstance, withQueryVars, withExtRow boo
 	return d, nil
 }
 
-// buildDomains builds the Adom and its typing for a c-instance without
-// memoising them.
+// buildDomains builds the Adom for a c-instance and the domains over
+// it without memoising them.
 func (p *Problem) buildDomains(ci *ctable.CInstance, withQueryVars, withExtRow bool) (*domains, error) {
 	a, err := p.adomFor(ci, withQueryVars, withExtRow)
 	if err != nil {
 		return nil, err
 	}
-	ty, err := p.computeTyping(ci, a)
-	if err != nil {
-		return nil, err
+	return p.domainsOver(ci, a)
+}
+
+// domainsOver types the positions over a, unless
+// Options.NoTypedDomains, and lists the candidates of ci's variables
+// (ci may be nil).
+func (p *Problem) domainsOver(ci *ctable.CInstance, a *adom.Adom) (*domains, error) {
+	d := &domains{a: a}
+	if !p.Options.NoTypedDomains {
+		cp, err := p.classify(ci, a)
+		if err != nil {
+			return nil, err
+		}
+		d.ty = cp.compact()
 	}
-	return &domains{a: a, ty: ty}, nil
+	if ci != nil {
+		sites, doms := ciVarSiteMap(ci), ci.VarDomains()
+		d.vars = ci.Vars()
+		d.cands = make([][]relation.Value, len(d.vars))
+		for i, v := range d.vars {
+			d.cands[i] = d.ty.varCandidates(sites[v], doms[v], a)
+		}
+	}
+	return d, nil
 }
 
 // latticeSig returns the id of d's typing signature. Equal signatures

@@ -441,12 +441,12 @@ func TestBudgetCapsPinned(t *testing.T) {
 			func(p *core.Problem, _ *ctable.CInstance) error {
 				_, err := p.RCQP(core.Strong)
 				return err
-			}, "*fmt.wrapError", "none", 0, 0},
+			}, "*core.BudgetError", "MaxValuations limit 1 consumed 2", 1, 0},
 		{"fp_certain_max_derived", reachDoc, func(o *core.Options) { o.MaxDerived = 1 },
 			func(p *core.Problem, ci *ctable.CInstance) error {
 				_, err := p.CertainAnswers(ci)
 				return err
-			}, "*fmt.wrapError", "none", 0, 2},
+			}, "*core.BudgetError", "MaxDerived limit 1 consumed 2", 1, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -179,11 +179,12 @@ func (p *Problem) querySatisfiableUnderCCs(ctx context.Context) (bool, error) {
 		return false, err
 	}
 	for _, tab := range tabs {
+		cands := make([][]relation.Value, len(tab.Vars))
+		for i := range cands {
+			cands[i] = a.Values()
+		}
 		found := false
-		err := a.Enumerate(tab.Vars, nil, p.Options.MaxValuations, func(mu ctable.Valuation) (bool, error) {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
+		err := p.forEachValuation(ctx, tab.Vars, cands, func(mu ctable.Valuation) (bool, error) {
 			if !tab.SatisfiedBy(mu) {
 				return true, nil
 			}
@@ -260,26 +261,20 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 			builder.AddVars(tab.Vars)
 		}
 	}
-	a := builder.Build()
-	ty, err := p.computeTyping(nil, a)
+	d, err := p.domainsOver(nil, builder.Build())
 	if err != nil {
 		return false, err
 	}
-	d := &domains{a: a, ty: ty}
 
 	// Materialise the tuple lattice.
 	var lattice []relation.Located
 	for _, r := range p.Schema.Relations() {
-		done, err := p.latticeOver(ctx, r, d, func(t relation.Tuple) (bool, error) {
+		_, err := p.latticeOver(ctx, r, d, nil, func(t relation.Tuple) (bool, error) {
 			lattice = append(lattice, relation.Located{Rel: r.Name, Tuple: t})
 			return true, nil
 		})
 		if err != nil {
 			return false, err
-		}
-		if !done {
-			return false, p.budgetErr("RCQP lattice over "+r.Name, "MaxValuations",
-				int64(p.Options.MaxValuations), int64(p.Options.MaxValuations))
 		}
 	}
 

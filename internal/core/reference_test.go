@@ -45,9 +45,10 @@ func (p *Problem) ReferenceGroundCompleteCtx(ctx context.Context, db *relation.D
 	if err != nil {
 		return false, err
 	}
+	full := &domains{a: a} // the untyped lattice over a
 	var lattice []relation.Located
 	for _, r := range p.Schema.Relations() {
-		done, err := p.tuplesOver(ctx, r, a, func(t relation.Tuple) (bool, error) {
+		_, err := p.latticeOver(ctx, r, full, nil, func(t relation.Tuple) (bool, error) {
 			if !db.Relation(r.Name).Contains(t) {
 				lattice = append(lattice, relation.Located{Rel: r.Name, Tuple: t})
 			}
@@ -55,10 +56,6 @@ func (p *Problem) ReferenceGroundCompleteCtx(ctx context.Context, db *relation.D
 		})
 		if err != nil {
 			return false, err
-		}
-		if !done {
-			return false, p.budgetErr("reference lattice over "+r.Name, "MaxValuations",
-				int64(p.Options.MaxValuations), int64(p.Options.MaxValuations))
 		}
 	}
 	base, err := p.answers(ctx, db)
@@ -175,7 +172,7 @@ func (p *Problem) referenceWeakComplete(ctx context.Context, ci *ctable.CInstanc
 	if err != nil {
 		return false, err
 	}
-	adm := dom.a
+	full := &domains{a: dom.a} // the untyped lattice over dom's Adom
 	var certT []relation.Tuple
 	universeT := true
 	var certExt []relation.Tuple
@@ -203,7 +200,7 @@ func (p *Problem) referenceWeakComplete(ctx context.Context, ci *ctable.CInstanc
 		// Enumerate extensions of db with up to extra added tuples.
 		var lattice []relation.Located
 		for _, r := range p.Schema.Relations() {
-			done, err := p.tuplesOver(ctx, r, adm, func(t relation.Tuple) (bool, error) {
+			_, err := p.latticeOver(ctx, r, full, nil, func(t relation.Tuple) (bool, error) {
 				if !db.Relation(r.Name).Contains(t) {
 					lattice = append(lattice, relation.Located{Rel: r.Name, Tuple: t})
 				}
@@ -211,10 +208,6 @@ func (p *Problem) referenceWeakComplete(ctx context.Context, ci *ctable.CInstanc
 			})
 			if err != nil {
 				return s, err
-			}
-			if !done {
-				return s, p.budgetErr("reference lattice over "+r.Name, "MaxValuations",
-					int64(p.Options.MaxValuations), int64(p.Options.MaxValuations))
 			}
 		}
 		var rec func(start int, cur *relation.Database, added int) error

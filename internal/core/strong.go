@@ -207,7 +207,7 @@ func (p *Problem) atomCandidates(ctx context.Context, atom *query.Atom, d *domai
 		m.atomCands[key] = e
 	}
 	if limit := p.Options.MaxValuations; limit > 0 && e.visited > limit {
-		return nil, p.budgetErr("pinned tuple lattice over "+atom.Rel, "MaxValuations",
+		return nil, p.budgetErr("tuple lattice over "+atom.Rel, "MaxValuations",
 			int64(limit), int64(limit)+1)
 	}
 	return e.tuples, nil
@@ -235,7 +235,7 @@ func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d 
 	probe := relation.NewDatabase(p.Schema)
 	var out atomCands
 	keyBuf := make([]byte, 0, 64)
-	err := p.pinnedLatticeOver(ctx, r, d, pins, func(t relation.Tuple) error {
+	_, err := p.latticeOver(ctx, r, d, pins, func(t relation.Tuple) (bool, error) {
 		out.visited++
 		keyBuf = t.AppendKey(relation.AppendValueKey(keyBuf[:0], relation.Value(atom.Rel)))
 		closed, ok := m.closure[string(keyBuf)]
@@ -243,58 +243,16 @@ func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d 
 			var err error
 			closed, err = p.satisfiesCCs(ctx, probe.WithTuple(r.Name, t))
 			if err != nil {
-				return err
+				return false, err
 			}
 			m.closure[string(keyBuf)] = closed
 		}
 		if closed {
 			out.tuples = append(out.tuples, t)
 		}
-		return nil
+		return true, nil
 	})
 	return out, err
-}
-
-// pinnedLatticeOver enumerates the candidate lattice of one relation
-// with some positions pinned to constants, consulting the context per
-// leaf.
-func (p *Problem) pinnedLatticeOver(ctx context.Context, r *relation.Schema, d *domains, pins map[int]relation.Value,
-	fn func(t relation.Tuple) error) error {
-	cols := make([][]relation.Value, r.Arity())
-	for i := range cols {
-		if v, ok := pins[i]; ok {
-			if !r.DomainAt(i).Contains(v) {
-				return nil // constant outside the domain: no tuples
-			}
-			cols[i] = []relation.Value{v}
-			continue
-		}
-		cols[i] = d.ty.candidatesAt(position{rel: r.Name, col: i}, r.DomainAt(i), d.a)
-	}
-	t := make(relation.Tuple, r.Arity())
-	tried := 0
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == r.Arity() {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			tried++
-			if p.Options.MaxValuations > 0 && tried > p.Options.MaxValuations {
-				return p.budgetErr("pinned tuple lattice over "+r.Name, "MaxValuations",
-					int64(p.Options.MaxValuations), int64(tried))
-			}
-			return fn(t.Clone())
-		}
-		for _, v := range cols[i] {
-			t[i] = v
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0)
 }
 
 // tableauCounterexample backtracks over one disjunct tableau's atoms.

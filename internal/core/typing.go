@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 
@@ -34,8 +33,10 @@ import (
 // errs on the side of merging and of attributing constants broadly, so
 // over-approximation only enlarges candidate sets.
 //
-// Options.NoTypedDomains disables the pruning (every enumeration falls
-// back to the full Adom); the test-suite runs both paths differentially.
+// Options.NoTypedDomains disables the pruning: the domains then carry a
+// nil typing, whose candidates are the full Adom at every position, and
+// the enumerations run over it unchanged. The test-suite runs both
+// differentially.
 
 // position identifies one column of a data, master or IDB relation.
 type position struct {
@@ -119,20 +120,6 @@ func (u *unionFind) union(a, b position) {
 type varSites map[string][]position
 
 func (vs varSites) add(v string, p position) { vs[v] = append(vs[v], p) }
-
-// computeTyping builds the typed domains for this problem and
-// c-instance over the already-built Adom (whose fresh values are
-// reused). It returns nil when typing is disabled.
-func (p *Problem) computeTyping(ci *ctable.CInstance, a *adom.Adom) (*typing, error) {
-	if p.Options.NoTypedDomains {
-		return nil, nil
-	}
-	cp, err := p.classify(ci, a)
-	if err != nil {
-		return nil, err
-	}
-	return cp.compact(), nil
-}
 
 // classify partitions the positions into compatibility classes and
 // attributes the constants and fresh values of Adom to them.
@@ -503,29 +490,26 @@ func (ty *typing) candidatesAt(pos position, dom *relation.Domain, a *adom.Adom)
 	return ty.shared
 }
 
-// varCandidates returns the candidate values for a c-instance variable:
-// the intersection semantics of multiple sites reduces to any one site
-// (same class after linking); finite attribute domains win outright.
-func (ty *typing) varCandidates(name string, sites []position, dom *relation.Domain, a *adom.Adom) []relation.Value {
+// varCandidates returns the candidate values for a c-instance variable
+// occupying the given sites: its finite attribute domain if it has one,
+// else the candidates at any one site (they are all in one class after
+// linking), and the full domain for a variable without a site.
+func (ty *typing) varCandidates(sites []position, dom *relation.Domain, a *adom.Adom) []relation.Value {
 	if dom.IsFinite() {
 		return dom.Values()
 	}
-	if ty == nil || len(sites) == 0 {
+	if len(sites) == 0 {
 		return a.Values()
 	}
 	return ty.candidatesAt(sites[0], dom, a)
 }
 
-// ciVarSites recomputes the (already linked) sites of each c-instance
-// variable for candidate lookup.
+// ciVarSiteMap returns the column positions each c-instance variable
+// occupies.
 func ciVarSiteMap(ci *ctable.CInstance) map[string][]position {
 	out := map[string][]position{}
-	if ci == nil {
-		return out
-	}
 	for _, rname := range ci.Schema().Names() {
-		tb := ci.Table(rname)
-		for _, row := range tb.Rows() {
+		for _, row := range ci.Table(rname).Rows() {
 			for i, t := range row.Terms {
 				if t.IsVar {
 					out[t.Name] = append(out[t.Name], position{rel: rname, col: i})
@@ -536,91 +520,11 @@ func ciVarSiteMap(ci *ctable.CInstance) map[string][]position {
 	return out
 }
 
-// enumerateTyped enumerates valuations of vars where each variable
-// ranges over its typed candidates; budget and early stop as in
-// adom.Enumerate.
-func (p *Problem) enumerateTyped(ci *ctable.CInstance, a *adom.Adom, ty *typing,
-	fn func(ctable.Valuation) (bool, error)) error {
-	vars := ci.Vars()
-	doms := ci.VarDomains()
-	sites := ciVarSiteMap(ci)
-	cands := make([][]relation.Value, len(vars))
-	for i, v := range vars {
-		cands[i] = ty.varCandidates(v, sites[v], doms[v], a)
-	}
-	mu := make(ctable.Valuation, len(vars))
-	tried := 0
-	var rec func(i int) (bool, error)
-	rec = func(i int) (bool, error) {
-		if i == len(vars) {
-			tried++
-			if p.Options.MaxValuations > 0 && tried > p.Options.MaxValuations {
-				return false, p.budgetErr("typed valuation enumeration", "MaxValuations",
-					int64(p.Options.MaxValuations), int64(tried))
-			}
-			return fn(mu)
-		}
-		for _, val := range cands[i] {
-			mu[vars[i]] = val
-			cont, err := rec(i + 1)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-		delete(mu, vars[i])
-		return true, nil
-	}
-	_, err := rec(0)
-	return err
-}
-
-// typedTuplesOver enumerates the candidate lattice of one relation
-// under the typing, consulting the context per leaf.
-func (p *Problem) typedTuplesOver(ctx context.Context, r *relation.Schema, a *adom.Adom, ty *typing,
-	fn func(t relation.Tuple) (bool, error)) (bool, error) {
-	cols := make([][]relation.Value, r.Arity())
-	for i := range cols {
-		cols[i] = ty.candidatesAt(position{rel: r.Name, col: i}, r.DomainAt(i), a)
-	}
-	t := make(relation.Tuple, r.Arity())
-	tried := 0
-	var rec func(i int) (bool, error)
-	rec = func(i int) (bool, error) {
-		if i == r.Arity() {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			tried++
-			if p.Options.MaxValuations > 0 && tried > p.Options.MaxValuations {
-				return false, p.budgetErr("typed tuple lattice over "+r.Name, "MaxValuations",
-					int64(p.Options.MaxValuations), int64(tried))
-			}
-			return fn(t.Clone())
-		}
-		for _, v := range cols[i] {
-			t[i] = v
-			cont, err := rec(i + 1)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-		return true, nil
-	}
-	return rec(0)
-}
-
 // typingSignature canonically serialises the per-column candidates so
 // lattice caches can key on them (see latticeSig). Each value is
 // length-prefixed, so distinct candidate lists never serialise alike.
 func (p *Problem) typingSignature(a *adom.Adom, ty *typing) string {
-	if ty == nil {
-		buf := append(make([]byte, 0, 16*a.Len()+8), "untyped|"...)
-		for _, v := range a.Values() {
-			buf = relation.AppendValueKey(buf, v)
-		}
-		return string(buf)
-	}
-	buf := append(make([]byte, 0, 256), "typed|"...)
+	buf := make([]byte, 0, 256)
 	for _, r := range p.Schema.Relations() {
 		buf = relation.AppendValueKey(buf, relation.Value(r.Name))
 		for i := 0; i < r.Arity(); i++ {

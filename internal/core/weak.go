@@ -305,7 +305,7 @@ func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (_ *relation.D
 	// Greedy maximality: a tuple rejected now stays rejected forever
 	// because CC violation is monotone in the data.
 	for _, r := range p.Schema.Relations() {
-		_, err := p.latticeOver(ctx, r, d, func(t relation.Tuple) (bool, error) {
+		_, err := p.latticeOver(ctx, r, d, nil, func(t relation.Tuple) (bool, error) {
 			ext := db.WithTuple(r.Name, t)
 			ok, err := p.satisfiesCCs(ctx, ext)
 			if err != nil {

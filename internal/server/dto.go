@@ -9,10 +9,8 @@ import (
 	"net/http"
 	"time"
 
-	"relcomplete/internal/adom"
 	"relcomplete/internal/core"
 	"relcomplete/internal/durable"
-	"relcomplete/internal/eval"
 	"relcomplete/internal/fault"
 	"relcomplete/internal/obs"
 	"relcomplete/internal/search"
@@ -210,8 +208,7 @@ func classify(err error) (status int, kind string) {
 		return http.StatusServiceUnavailable, KindStorage
 	case errors.Is(err, core.ErrDeadline):
 		return http.StatusRequestTimeout, KindDeadline
-	case errors.Is(err, core.ErrBudget), errors.Is(err, core.ErrInconclusive),
-		errors.Is(err, adom.ErrBudget), errors.Is(err, eval.ErrBudget):
+	case errors.Is(err, core.ErrBudget), errors.Is(err, core.ErrInconclusive):
 		return http.StatusUnprocessableEntity, KindBudget
 	case errors.Is(err, core.ErrUndecidable), errors.Is(err, core.ErrOpen):
 		return http.StatusUnprocessableEntity, KindUndecidable

@@ -463,8 +463,8 @@ func TestDecideBudgetCapsServed(t *testing.T) {
 		cap          string
 		budgetErrors int64
 	}{
-		"rcqp_ind": {"none", 0},
-		"reach":    {"none", 0},
+		"rcqp_ind": {"MaxValuations", 1},
+		"reach":    {"MaxDerived", 1},
 	}
 	s := New(Config{Workers: 1})
 	for _, c := range budgetCapDocs {
