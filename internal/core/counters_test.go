@@ -120,6 +120,20 @@ func TestDecideCountersPinned(t *testing.T) {
 		}, []int64{9, 8, 1, 9, 0, 17, 15, 2, 17, 0, 0, 0, 0, 0, 0, 0, 0,
 			16, 77, 77, 0, 0},
 			perCall{"any_model:1 extensibility:1", 2, [2]int64{1, 1}, [2]int64{1, 7}}},
+		{"certain", func(p *core.Problem, ci *ctable.CInstance) error {
+			_, err := p.CertainAnswers(ci)
+			return err
+		}, []int64{9, 8, 1, 0, 0, 8, 7, 3, 9, 0, 1, 1, 0, 0, 8, 0, 0,
+			7, 32, 32, 0, 1},
+			perCall{"certain_answers:1", 1, [2]int64{1, 1}, [2]int64{1, 7}}},
+		// Strong MINP decides strong RCDP first, then enumerates the
+		// models again to look for a complete single-tuple removal.
+		{"minp_strong", func(p *core.Problem, ci *ctable.CInstance) error {
+			_, err := p.MINP(ci, core.Strong)
+			return err
+		}, []int64{58, 36, 4, 0, 0, 42, 38, 3, 46, 0, 4, 4, 0, 0, 36, 0, 0,
+			44, 159, 159, 0, 4},
+			perCall{"minp_strong:1 rcdp_strong:1", 2, [2]int64{2, 7}, [2]int64{2, 57}}},
 	}
 	for _, c := range cases {
 		t.Run(c.property, func(t *testing.T) {
