@@ -154,3 +154,53 @@ func BenchmarkCandidateChecks(b *testing.B) {
 		})
 	}
 }
+
+// growingMasterDoc's only order is on widget, the only catalogue item.
+// Q asks for gizmo's quantities; gizmo is a query constant, so it is in
+// the lattice's candidates before the catalogue lists it.
+const growingMasterDoc = `{
+  "schema": {"relations": [{"name": "Order", "attrs": [{"name": "item"}, {"name": "qty"}]}]},
+  "master": {"relations": [{"name": "Catalog", "attrs": [{"name": "item"}]}], "rows": {"Catalog": [["widget"]]}},
+  "ccs": [{"name": "item_bound", "left": "q(i) := Order(i, q)", "right": "p(i) := Catalog(i)"}],
+  "query": {"calc": "Q(q) := Order('gizmo', q)"},
+  "cinstance": {"rows": [{"rel": "Order", "terms": ["widget", "1"]}]}
+}`
+
+// TestMasterGrowthRefreshesMemos: a warm problem decides over its
+// master data as it is now. While the catalogue lists only widget, no
+// gizmo order can be added and T is strongly complete; once gizmo is
+// listed, the warm problem must find the counterexample a fresh problem
+// over the grown catalogue finds, although the lattice's candidates are
+// unchanged and gizmo's orders were memoised as not closed.
+func TestMasterGrowthRefreshesMemos(t *testing.T) {
+	decide := func(p *core.Problem, ci *ctable.CInstance) string {
+		t.Helper()
+		ok, cex, err := p.RCDPExplain(ci, core.Strong)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%v %v", ok, cex)
+	}
+	warm, ci, err := probjson.Decode([]byte(growingMasterDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Options.Parallelism = 1
+	if got := decide(warm, ci); got != "true <complete>" {
+		t.Fatalf("before the catalogue grows: %s, want true <complete>", got)
+	}
+	warm.Master.MustInsert("Catalog", relation.T("gizmo"))
+	fresh, freshCI, err := probjson.Decode([]byte(growingMasterDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Options.Parallelism = 1
+	fresh.Master.MustInsert("Catalog", relation.T("gizmo"))
+	want := decide(fresh, freshCI)
+	if !strings.HasPrefix(want, "false ") {
+		t.Fatalf("fresh problem over the grown catalogue: %s, want a counterexample", want)
+	}
+	if got := decide(warm, ci); got != want {
+		t.Errorf("warm problem after the catalogue grows: %s, want %s", got, want)
+	}
+}

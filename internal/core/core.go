@@ -277,6 +277,12 @@ type memo struct {
 	atomCands map[atomCandKey]atomCands // constant-pinned closed lattice per atom
 	closure   map[string]bool           // single-tuple closure verdicts
 
+	// closureMaster is the master's row count that atomCands and closure
+	// were computed against. Master data only grows, and a grown master
+	// can close a tuple that was not closed, so both memos are dropped
+	// when the count moves (refreshClosureLocked).
+	closureMaster int
+
 	// profiles aggregates sampled per-node wall-time profiles of the
 	// plans the problem executes (eval/profile.go). Profiling rides the
 	// observability switch: it is armed only while Options.Obs is set,

@@ -182,9 +182,9 @@ type atomCands struct {
 }
 
 // atomCandidates returns the constant-pinned closed lattice for one
-// atom, memoised per typing signature. Concurrent probes and views
-// share the memo: the first caller computes under its lock, later
-// callers reuse the cached slice (read-only by convention).
+// atom, memoised per typing signature and master row count. Concurrent
+// probes and views share the memo: the first caller computes under its
+// lock, later callers reuse the cached slice (read-only by convention).
 //
 // The lattice enumeration is budget-counted work, and the memo is what
 // makes its outcome independent of cache warmth: an entry records the
@@ -195,6 +195,7 @@ func (p *Problem) atomCandidates(ctx context.Context, atom *query.Atom, d *domai
 	m := p.memo
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.refreshClosureLocked(p.Master.Size())
 	e, ok := m.atomCands[key]
 	if !ok {
 		var err error
@@ -229,9 +230,6 @@ func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d 
 		}
 	}
 	m := p.memo
-	if m.closure == nil {
-		m.closure = map[string]bool{}
-	}
 	probe := relation.NewDatabase(p.Schema)
 	var out atomCands
 	keyBuf := make([]byte, 0, 64)
@@ -245,7 +243,7 @@ func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d 
 			if err != nil {
 				return false, err
 			}
-			m.closure[string(keyBuf)] = closed
+			m.storeClosureLocked(string(keyBuf), closed)
 		}
 		if closed {
 			out.tuples = append(out.tuples, t)
@@ -253,6 +251,31 @@ func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d 
 		return true, nil
 	})
 	return out, err
+}
+
+// closureCacheCap bounds the memoised single-tuple closure verdicts; the
+// memo is wiped wholesale when full. A resident problem's memo is not
+// charged to the registry's cap, and a lattice can be far larger than
+// the tuples a decide keeps coming back to.
+const closureCacheCap = 1 << 14
+
+// refreshClosureLocked drops the lattice and closure memos when the
+// master's row count is not the one they were computed against. The
+// caller holds m.mu.
+func (m *memo) refreshClosureLocked(masterTuples int) {
+	if m.closureMaster != masterTuples {
+		m.atomCands, m.closure, m.closureMaster = nil, nil, masterTuples
+	}
+}
+
+// storeClosureLocked memoises one single-tuple closure verdict under
+// its relation-qualified tuple key. The caller holds m.mu and has
+// refreshed the memo for the current master.
+func (m *memo) storeClosureLocked(key string, closed bool) {
+	if m.closure == nil || len(m.closure) >= closureCacheCap {
+		m.closure = make(map[string]bool)
+	}
+	m.closure[key] = closed
 }
 
 // tableauCounterexample backtracks over one disjunct tableau's atoms.
