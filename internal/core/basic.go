@@ -29,18 +29,19 @@ func (p *Problem) PartiallyClosedCtx(ctx context.Context, db *relation.Database)
 	return p.satisfiesCCs(ctx, db)
 }
 
-// forEachModel enumerates ModAdom(T, Dm, V): for every candidate of
-// modelCandidates with (µ(T), Dm) ⊨ V, fn is called with µ(T), until fn
+// forEachModel enumerates ModAdom(T, Dm, V): for every candidate µ(T)
+// (candidates) with (µ(T), Dm) ⊨ V, fn is called with µ(T), until fn
 // returns false. The context is consulted per valuation, so a deadline
 // interrupts the enumeration itself, not just the work between
-// candidates.
+// candidates. d must be ci's domains.
 func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *domains,
 	fn func(db *relation.Database) (bool, error)) error {
 	var genErr, err error
 	cont := true
-	p.modelCandidates(ctx, ci, d, &genErr)(func(db *relation.Database) bool {
+	p.candidates(ctx, ci, d, &genErr)(func(c ctable.Candidate) bool {
+		var db *relation.Database
 		var model bool
-		if model, err = p.checkModel(ctx, db); model {
+		if db, model, err = p.checkModel(ctx, d, c); model {
 			cont, err = fn(db)
 		}
 		return cont && err == nil
@@ -51,17 +52,19 @@ func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *dom
 	return genErr
 }
 
-// modelCandidates adapts the ModAdom candidate enumeration to a
+// candidates adapts the ModAdom candidate enumeration to a
 // search.Generator for the parallel deciders. Valuations are applied
 // and deduplicated on the generator goroutine — the enumerator reuses
-// one mutable valuation map, so ci.Apply must not escape to workers —
-// and each yielded database is fresh and immutable thereafter.
-// Distinct valuations yielding the same ground instance are
-// deduplicated by the tuples each adds beyond T's ground prefix
-// (ApplyKeyed). The CC check is left to the probes (it is part of the
-// per-candidate work worth parallelising), so candidates here are
-// "potential models": deduplicated ground instances not yet filtered
-// by V. d must be ci's domains: its variable candidates are ci's.
+// one mutable valuation map, so it must not escape to workers — and
+// each yielded candidate is fresh and immutable thereafter. Distinct
+// valuations yielding the same ground instance are deduplicated by the
+// key of the tuples each adds beyond T's ground prefix
+// (CInstance.Candidate), which is computed before, and instead of,
+// building the instance. The CC check is left to the probes (it is part
+// of the per-candidate work worth parallelising, see checkModel), so
+// candidates here are "potential models": deduplicated ground instances
+// not yet filtered by V. d must be ci's domains: its variable
+// candidates are ci's.
 //
 // Enumeration failures (ErrBudget, condition errors) are reported
 // through genErr, which the caller must read only after the search
@@ -70,20 +73,20 @@ func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *dom
 // over genErr: the sequential loop would have stopped at the decisive
 // candidate before ever reaching the enumeration failure, since the
 // generator outruns the probes only in the parallel schedule.
-func (p *Problem) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *domains, genErr *error) search.Generator[*relation.Database] {
-	return func(yield func(*relation.Database) bool) {
+func (p *Problem) candidates(ctx context.Context, ci *ctable.CInstance, d *domains, genErr *error) search.Generator[ctable.Candidate] {
+	return func(yield func(ctable.Candidate) bool) {
 		seen := map[string]bool{}
 		err := p.forEachValuation(ctx, d.vars, d.cands, func(mu ctable.Valuation) (bool, error) {
 			p.Options.Obs.Inc(obs.ValuationsEnumerated)
-			db, key, err := ci.ApplyKeyed(mu)
+			c, err := ci.Candidate(mu)
 			if err != nil {
 				return false, err
 			}
-			if seen[key] {
+			if seen[c.Key] {
 				return true, nil
 			}
-			seen[key] = true
-			return yield(db), nil
+			seen[c.Key] = true
+			return yield(c), nil
 		})
 		if err != nil {
 			*genErr = err
@@ -108,12 +111,12 @@ func (p *Problem) ConsistentCtx(ctx context.Context, ci *ctable.CInstance) (_ bo
 		return false, err
 	}
 	var genErr error
-	probe := func(ctx context.Context, idx int, db *relation.Database) (struct{}, bool, error) {
-		ok, err := p.checkModel(ctx, db)
+	probe := func(ctx context.Context, idx int, c ctable.Candidate) (struct{}, bool, error) {
+		_, ok, err := p.checkModel(ctx, d, c)
 		return struct{}{}, ok, err
 	}
 	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.modelCandidates(ctx, ci, d, &genErr), probe)
+		p.candidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, err
 	}
@@ -182,27 +185,46 @@ func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (_ b
 	if err != nil {
 		return false, err
 	}
+	// One full check of I lets each extension be checked by its tuple.
+	closed := false
+	if p.locality().ccs {
+		if closed, err = p.satisfiesCCs(ctx, db); err != nil {
+			return false, err
+		}
+	}
 	found := false
-	err = p.forEachSingleTupleExtension(ctx, db, d, func(ext *relation.Database, rel string, t relation.Tuple) (bool, error) {
+	err = p.forEachExtension(ctx, db, d, closed, func(*relation.Database, string, relation.Tuple) (bool, error) {
 		found = true
 		return false, nil
 	})
 	return found, err
 }
 
-// forEachSingleTupleExtension enumerates every partially closed
+// forEachExtension enumerates every partially closed
 // extension I ∪ {t} of db with t a fresh tuple over the active domain
-// (respecting finite attribute domains).
-func (p *Problem) forEachSingleTupleExtension(ctx context.Context, db *relation.Database, d *domains,
+// (respecting finite attribute domains). closed reports that db itself
+// is partially closed: with tuple-local CCs each extension is then
+// checked by {t} alone and fn gets a nil ext, to build with
+// db.WithTuple if it needs it. Otherwise fn gets the extension it was
+// checked on.
+func (p *Problem) forEachExtension(ctx context.Context, db *relation.Database, d *domains, closed bool,
 	fn func(ext *relation.Database, rel string, t relation.Tuple) (bool, error)) error {
+	delta := closed && p.locality().ccs
 	for _, r := range p.Schema.Relations() {
 		cont, err := p.latticeOver(ctx, r, d, nil, func(t relation.Tuple) (bool, error) {
 			if db.Relation(r.Name).Contains(t) {
 				return true, nil
 			}
 			p.Options.Obs.Inc(obs.ExtensionsTested)
-			ext := db.WithTuple(r.Name, t)
-			ok, err := p.satisfiesCCs(ctx, ext)
+			var ext *relation.Database
+			var ok bool
+			var err error
+			if delta {
+				ok, err = p.satisfiesCCs(ctx, p.deltaDatabase(relation.Located{Rel: r.Name, Tuple: t}))
+			} else {
+				ext = db.WithTuple(r.Name, t)
+				ok, err = p.satisfiesCCs(ctx, ext)
+			}
 			if err != nil {
 				return false, err
 			}

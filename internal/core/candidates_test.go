@@ -96,9 +96,9 @@ var candidateCounters = []string{
 func TestCandidateCountersPinned(t *testing.T) {
 	want := map[string][]int64{
 		"rcdp_strong": {16, 1, 0, 5, 0, 6, 58, 1},
-		"rcdp_weak":   {17, 2, 1, 3, 0, 5, 159, 2},
+		"rcdp_weak":   {17, 2, 1, 3, 0, 6, 109, 3},
 		"certain":     {16, 1, 0, 1, 0, 2, 54, 1},
-		"minp_strong": {17, 2, 4, 10, 0, 20, 340, 10},
+		"minp_strong": {17, 2, 4, 5, 0, 15, 78, 10},
 	}
 	doc := heavySearchDocument()
 	for _, c := range heavySearchDecides {

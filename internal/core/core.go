@@ -283,6 +283,11 @@ type memo struct {
 	// when the count moves (refreshClosureLocked).
 	closureMaster int
 
+	// local classifies the CCs and the query as tuple-local or not
+	// (delta.go), once: both are fixed inputs.
+	localOnce sync.Once
+	local     locality
+
 	// profiles aggregates sampled per-node wall-time profiles of the
 	// plans the problem executes (eval/profile.go). Profiling rides the
 	// observability switch: it is armed only while Options.Obs is set,
@@ -688,24 +693,42 @@ func (p *Problem) traceCCViolation(ctx context.Context, sp *obs.Span, db *relati
 	}
 }
 
-// checkModel is satisfiesCCs applied to a candidate model of the
-// c-instance: the same verdict, with the candidate-level counters and
-// decision events attached. Every decider probe routes its model
-// admission through here.
-func (p *Problem) checkModel(ctx context.Context, db *relation.Database) (bool, error) {
+// checkModel checks a candidate model µ(T) of the c-instance against V:
+// the verdict of satisfiesCCs on µ(T), with the candidate-level
+// counters and decision events attached. Every decider probe routes its
+// model admission through here. With tuple-local CCs (delta.go) the
+// candidate is checked by what it adds: T's ground prefix once per d,
+// which must be the c-instance's domains, then each added tuple alone.
+// Otherwise µ(T) is built and checked whole. µ(T) is returned built
+// when the candidate is admitted, nil otherwise.
+func (p *Problem) checkModel(ctx context.Context, d *domains, c ctable.Candidate) (*relation.Database, bool, error) {
 	if err := p.Options.FaultPlan.Visit(fault.SiteSearchWorker); err != nil {
-		return false, err
+		return nil, false, err
 	}
 	m := p.Options.Obs
 	m.Inc(obs.ModelsChecked)
-	ok, err := p.satisfiesCCs(ctx, db)
+	var db *relation.Database
+	var ok bool
+	var err error
+	if p.locality().ccs {
+		ok, err = p.prefixClosed(ctx, d, c.Prefix())
+		if err == nil && ok {
+			ok, err = p.tuplesClosed(ctx, c.Added)
+		}
+	} else {
+		db = c.Build()
+		ok, err = p.satisfiesCCs(ctx, db)
+	}
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
 	if ok {
 		m.Inc(obs.ModelsAdmitted)
 	}
 	if sp := obs.SpanFromContext(ctx); sp.Streaming() {
+		if db == nil {
+			db = c.Build()
+		}
 		if ok {
 			sp.Event("model", obs.F("db", db))
 		} else {
@@ -713,7 +736,13 @@ func (p *Problem) checkModel(ctx context.Context, db *relation.Database) (bool, 
 			p.traceCCViolation(ctx, sp, db)
 		}
 	}
-	return ok, nil
+	if !ok {
+		return nil, false, nil
+	}
+	if db == nil {
+		db = c.Build()
+	}
+	return db, true, nil
 }
 
 // domains bundles an active domain with its typed pruning (nil under
@@ -729,6 +758,10 @@ type domains struct {
 	// lattice caches' key: computed on first use, once per domains.
 	sigOnce sync.Once
 	sig     int
+
+	// prefix is the verdict of V on the c-instance's ground prefix, the
+	// base every candidate model adds to (prefixClosed).
+	prefix prefixVerdict
 }
 
 // domainsCacheCap bounds the memoised domains computations; the cache

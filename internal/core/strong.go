@@ -98,8 +98,8 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 	}
 	var consistent atomic.Bool
 	var genErr error
-	probe := func(ctx context.Context, idx int, db *relation.Database) (*Counterexample, bool, error) {
-		ok, err := p.checkModel(ctx, db)
+	probe := func(ctx context.Context, idx int, c ctable.Candidate) (*Counterexample, bool, error) {
+		db, ok, err := p.checkModel(ctx, d, c)
 		if err != nil {
 			return nil, false, err
 		}
@@ -107,14 +107,14 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 			return nil, false, nil
 		}
 		consistent.Store(true)
-		c, err := p.boundedCounterexample(ctx, db, d)
+		cex, err := p.boundedCounterexample(ctx, db, d)
 		if err != nil {
 			return nil, false, err
 		}
-		return c, c != nil, nil
+		return cex, cex != nil, nil
 	}
 	hit, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.modelCandidates(ctx, ci, d, &genErr), probe)
+		p.candidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, nil, err
 	}
@@ -141,9 +141,19 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 // partially closed extension only when ({t}, Dm) ⊨ V (CC satisfaction
 // is antimonotone in the data), which prunes the lattice down to the
 // master-bounded fragment. Variables occurring only in comparisons or
-// the head do not influence the extension and are skipped. Full
-// closure of the assembled extension is still checked, so multi-tuple
-// CC violations are caught exactly.
+// the head do not influence the extension and are skipped.
+//
+// I must be partially closed. Every caller passes one: rcdpStrong,
+// rcdpViable and minpViable an admitted model, hasCompleteRemoval a
+// subset of one (Lemma 4.7(b): CC satisfaction is antimonotone), and
+// groundComplete and the RCQP search an instance they have just
+// checked. So with tuple-local CCs an extension, whose picks are each
+// in I or closed by themselves, is partially closed by the delta rule
+// (delta.go) and needs no check; otherwise the whole extension is
+// checked, which catches multi-tuple CC violations exactly. With a
+// tuple-local query the answers gained are Q(Δ) \ Q(I), Δ being the
+// picks I lacks, and the extension is built only for a counterexample
+// or a decision event that names it.
 func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Database, d *domains) (*Counterexample, error) {
 	baseAnswers, err := p.answers(ctx, db)
 	if err != nil {
@@ -332,6 +342,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 	var added, sorted []pick
 	var keyBuf []byte
 	sp := obs.SpanFromContext(ctx)
+	loc := p.locality()
 	var process func() error
 	process = func() error {
 		if err := ctx.Err(); err != nil {
@@ -364,9 +375,15 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 			return nil
 		}
 		seenExt[string(keyBuf)] = true
-		ext := db.Clone()
-		for _, pk := range added {
-			ext.MustInsert(pk.rel, pk.t) // a repeated pick is a no-op
+		var ext *relation.Database
+		build := func() *relation.Database {
+			if ext == nil {
+				ext = db.Clone()
+				for _, pk := range added {
+					ext.MustInsert(pk.rel, pk.t) // a repeated pick is a no-op
+				}
+			}
+			return ext
 		}
 		tried++
 		if p.Options.MaxValuations > 0 && tried > p.Options.MaxValuations {
@@ -374,30 +391,42 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 				int64(p.Options.MaxValuations), int64(tried))
 		}
 		p.Options.Obs.Inc(obs.ExtensionsTested)
-		ok, err := p.satisfiesCCs(ctx, ext)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if sp.Streaming() {
-				sp.Event("extension_pruned", obs.F("extension", ext))
-				p.traceCCViolation(ctx, sp, ext)
+		if !loc.ccs {
+			ok, err := p.satisfiesCCs(ctx, build())
+			if err != nil {
+				return err
 			}
-			return nil // not a partially closed extension
+			if !ok {
+				if sp.Streaming() {
+					sp.Event("extension_pruned", obs.F("extension", ext))
+					p.traceCCViolation(ctx, sp, ext)
+				}
+				return nil // not a partially closed extension
+			}
 		}
-		extAnswers, err := p.answers(ctx, ext)
+		var extAnswers []relation.Tuple
+		var err error
+		if loc.query {
+			delta := relation.NewDatabase(p.Schema)
+			for _, pk := range added {
+				delta.MustInsert(pk.rel, pk.t)
+			}
+			extAnswers, err = p.answers(ctx, delta) // Q(Δ); Q(I) ∪ Q(Δ) gains the same
+		} else {
+			extAnswers, err = p.answers(ctx, build())
+		}
 		if err != nil {
 			return err
 		}
 		gained := diffTuples(baseAnswers, extAnswers)
 		if len(gained) > 0 {
-			cex = &Counterexample{Model: db, Extension: ext, Gained: gained}
+			cex = &Counterexample{Model: db, Extension: build(), Gained: gained}
 			p.Options.Obs.Inc(obs.CounterexamplesFound)
 			if sp.Streaming() {
 				sp.Event("counterexample", obs.F("model", db), obs.F("extension", ext), obs.F("gained", gained))
 			}
 		} else if sp.Streaming() {
-			sp.Event("extension_agrees", obs.F("extension", ext))
+			sp.Event("extension_agrees", obs.F("extension", build()))
 		}
 		return nil
 	}
@@ -552,8 +581,8 @@ func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 	// First hit = some model with a complete single-tuple removal,
 	// which refutes minimality; the models fan out over the workers.
 	var genErr error
-	probe := func(ctx context.Context, idx int, db *relation.Database) (struct{}, bool, error) {
-		ok, err := p.checkModel(ctx, db)
+	probe := func(ctx context.Context, idx int, c ctable.Candidate) (struct{}, bool, error) {
+		db, ok, err := p.checkModel(ctx, d, c)
 		if err != nil || !ok {
 			return struct{}{}, false, err
 		}
@@ -561,7 +590,7 @@ func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 		return struct{}{}, nonMin, err
 	}
 	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.modelCandidates(ctx, ci, d, &genErr), probe)
+		p.candidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, err
 	}

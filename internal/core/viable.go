@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"relcomplete/internal/ctable"
-	"relcomplete/internal/relation"
 	"relcomplete/internal/search"
 )
 
@@ -42,8 +41,8 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 	var mu sync.Mutex
 	lastIdx := -1
 	var lastCex *Counterexample
-	probe := func(ctx context.Context, idx int, db *relation.Database) (struct{}, bool, error) {
-		ok, err := p.checkModel(ctx, db)
+	probe := func(ctx context.Context, idx int, c ctable.Candidate) (struct{}, bool, error) {
+		db, ok, err := p.checkModel(ctx, d, c)
 		if err != nil {
 			return struct{}{}, false, err
 		}
@@ -66,7 +65,7 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 		return struct{}{}, false, nil
 	}
 	_, viable, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.modelCandidates(ctx, ci, d, &genErr), probe)
+		p.candidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, nil, err
 	}
@@ -98,8 +97,8 @@ func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 	}
 	var consistent atomic.Bool
 	var genErr error
-	probe := func(ctx context.Context, idx int, db *relation.Database) (struct{}, bool, error) {
-		ok, err := p.checkModel(ctx, db)
+	probe := func(ctx context.Context, idx int, c ctable.Candidate) (struct{}, bool, error) {
+		db, ok, err := p.checkModel(ctx, d, c)
 		if err != nil {
 			return struct{}{}, false, err
 		}
@@ -121,7 +120,7 @@ func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 		return struct{}{}, !nonMin, nil
 	}
 	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.modelCandidates(ctx, ci, d, &genErr), probe)
+		p.candidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, err
 	}

@@ -54,9 +54,9 @@ func (p *Problem) certainAnswers(ctx context.Context, ci *ctable.CInstance, d *d
 	any := false
 	var genErr error
 	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
-		p.modelCandidates(ctx, ci, d, &genErr),
-		func(ctx context.Context, idx int, db *relation.Database) (modelAnswers, error) {
-			ok, err := p.checkModel(ctx, db)
+		p.candidates(ctx, ci, d, &genErr),
+		func(ctx context.Context, idx int, c ctable.Candidate) (modelAnswers, error) {
+			db, ok, err := p.checkModel(ctx, d, c)
 			if err != nil || !ok {
 				return modelAnswers{}, err
 			}
@@ -133,7 +133,10 @@ type extFold struct {
 // caller's containment check. At workers <= 1 a probe starts from
 // exactly the running intersection, so it stops on the same extension
 // as a single sequential loop; at workers > 1 it may start from a
-// superset, which only makes it stop later.
+// superset, which only makes it stop later. A probe's model is
+// partially closed, so with tuple-local CCs its extensions are checked
+// by their tuples alone, and with a tuple-local query Q(I ∪ {t}) is
+// Q(I) ∪ Q({t}), Q(I) evaluated once per model.
 func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, stopWithin map[string]bool) ([]relation.Tuple, bool, error) {
 	if !p.Query.Monotone() {
 		return nil, false, fmt.Errorf("certain answers of extensions for FO: %w", ErrUndecidable)
@@ -155,17 +158,37 @@ func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, st
 	}
 	var folded atomic.Pointer[extFold]
 	folded.Store(&extFold{universe: true})
-	probe := func(ctx context.Context, idx int, base *relation.Database) (extFold, error) {
-		ok, err := p.checkModel(ctx, base)
+	localQuery := p.locality().query
+	probe := func(ctx context.Context, idx int, c ctable.Candidate) (extFold, error) {
+		base, ok, err := p.checkModel(ctx, d, c)
 		if err != nil || !ok {
 			return extFold{}, err
 		}
 		s := *folded.Load()
-		err = p.forEachSingleTupleExtension(ctx, base, d, func(ext *relation.Database, _ string, _ relation.Tuple) (bool, error) {
+		var baseAns []relation.Tuple // Q(I), on the first qualifying extension
+		baseDone := false
+		err = p.forEachExtension(ctx, base, d, true, func(ext *relation.Database, rel string, t relation.Tuple) (bool, error) {
 			s.anyExt = true
-			ans, err := p.answers(ctx, ext)
-			if err != nil {
-				return false, err
+			var ans []relation.Tuple
+			var err error
+			if localQuery {
+				if !baseDone {
+					if baseAns, err = p.answers(ctx, base); err != nil {
+						return false, err
+					}
+					baseDone = true
+				}
+				if ans, err = p.answers(ctx, p.deltaDatabase(relation.Located{Rel: rel, Tuple: t})); err != nil {
+					return false, err
+				}
+				ans = unionTuples(baseAns, ans)
+			} else {
+				if ext == nil {
+					ext = base.WithTuple(rel, t)
+				}
+				if ans, err = p.answers(ctx, ext); err != nil {
+					return false, err
+				}
 			}
 			s.acc, s.universe = intersectTuples(s.acc, s.universe, ans)
 			return !settled(&s), nil
@@ -175,7 +198,7 @@ func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, st
 	anyExt := false
 	var genErr error
 	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
-		p.modelCandidates(ctx, ci, d, &genErr), probe,
+		p.candidates(ctx, ci, d, &genErr), probe,
 		func(idx int, s extFold) (bool, error) {
 			if !s.anyExt {
 				return true, nil
@@ -303,9 +326,19 @@ func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (_ *relation.D
 	}
 	db := relation.NewDatabase(p.Schema)
 	// Greedy maximality: a tuple rejected now stays rejected forever
-	// because CC violation is monotone in the data.
+	// because CC violation is monotone in the data. db stays partially
+	// closed, so with tuple-local CCs a tuple joins it exactly when it
+	// is closed by itself.
+	delta := p.locality().ccs
 	for _, r := range p.Schema.Relations() {
 		_, err := p.latticeOver(ctx, r, d, nil, func(t relation.Tuple) (bool, error) {
+			if delta {
+				ok, err := p.satisfiesCCs(ctx, p.deltaDatabase(relation.Located{Rel: r.Name, Tuple: t}))
+				if ok {
+					db.MustInsert(r.Name, t)
+				}
+				return err == nil, err
+			}
 			ext := db.WithTuple(r.Name, t)
 			ok, err := p.satisfiesCCs(ctx, ext)
 			if err != nil {

@@ -29,9 +29,9 @@ func applyBenchTable(varFirst bool) *CInstance {
 	return ci
 }
 
-// BenchmarkApply measures one candidate model µ(T) and its
-// deduplication key, as the deciders build them (ApplyKeyed), cycling µ
-// over the variable's domain.
+// BenchmarkApply measures one candidate model µ(T): its deduplication
+// key (Candidate) and the database built from it, cycling µ over the
+// variable's domain.
 func BenchmarkApply(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -43,9 +43,11 @@ func BenchmarkApply(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ci.ApplyKeyed(mus[i%len(mus)]); err != nil {
+				c, err := ci.Candidate(mus[i%len(mus)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				c.Build()
 			}
 		})
 	}

@@ -156,9 +156,10 @@ func sameBuild(t *testing.T, what string, got, want *relation.Database) {
 	}
 }
 
-// checkApplyEquivalence compares Apply and ApplyKeyed with the
-// row-by-row build for every valuation, and checks that keys are equal
-// exactly when the databases are.
+// checkApplyEquivalence compares Apply and a built Candidate with the
+// row-by-row build for every valuation, checks that a candidate's added
+// tuples are the rows the build appends after the prefix's, and that
+// keys are equal exactly when the databases are.
 func checkApplyEquivalence(t *testing.T, ci *CInstance, label string, val func(relation.Value) relation.Value) {
 	t.Helper()
 	mus := allValuations(val)
@@ -172,11 +173,21 @@ func checkApplyEquivalence(t *testing.T, ci *CInstance, label string, val func(r
 			t.Fatal(err)
 		}
 		sameBuild(t, what+" Apply", db, want)
-		dbs[i], keys[i], err = ci.ApplyKeyed(mu)
+		c, err := ci.Candidate(mu)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBuild(t, what+" ApplyKeyed", dbs[i], want)
+		dbs[i], keys[i] = c.Build(), c.Key
+		sameBuild(t, what+" Candidate", dbs[i], want)
+		var added []relation.Located
+		for _, r := range ci.schema.Relations() {
+			for _, tup := range want.Relation(r.Name).Tuples()[c.Prefix().Relation(r.Name).Len():] {
+				added = append(added, relation.Located{Rel: r.Name, Tuple: tup})
+			}
+		}
+		if fmt.Sprint(c.Added) != fmt.Sprint(added) {
+			t.Fatalf("%s: Candidate adds %v, the row-by-row build appends %v", what, c.Added, added)
+		}
 	}
 	for i := range mus {
 		for j := range mus {
@@ -189,7 +200,7 @@ func checkApplyEquivalence(t *testing.T, ci *CInstance, label string, val func(r
 }
 
 // Apply from a ground prefix builds what the row-by-row build builds,
-// in order, and ApplyKeyed's keys identify the databases,
+// in order, and Candidate's keys identify the databases,
 // on generated c-instances before and after rows are added.
 func TestApplyMatchesRowByRowBuild(t *testing.T) {
 	forEachValueMode(t, func(t *testing.T, val func(relation.Value) relation.Value) {
@@ -253,10 +264,11 @@ func TestApplyConcurrent(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i, mu := range mus {
-					db, _, err := ci.ApplyKeyed(mus[(i+g)%len(mus)])
+					c, err := ci.Candidate(mus[(i+g)%len(mus)])
 					if err != nil {
 						panic(err)
 					}
+					db := c.Build()
 					// Candidates are independent: inserting into one
 					// touches neither the prefix nor other candidates.
 					db.MustInsert("R", relation.T(relation.Value(fmt.Sprint("g", g)), mu["x"]))

@@ -198,10 +198,16 @@ func (t *CTable) Apply(mu Valuation) (*relation.Instance, error) {
 }
 
 // applyRows inserts µ(r) into out for every row r of rows whose
-// condition holds under µ, in order. It is the one row application of
-// both Apply paths: CTable.Apply over all rows, and CInstance.Apply
-// over the rows after the ground prefix.
+// condition holds under µ, in order. It is the row application of
+// CTable.Apply over all rows and of the ground prefixes.
 func (t *CTable) applyRows(out *relation.Instance, rows []Row, mu Valuation) error {
+	return t.eachRowTuple(rows, mu, out.Insert)
+}
+
+// eachRowTuple calls fn with µ(r) for every row r of rows whose
+// condition holds under µ, in order, until fn or a row fails. Each
+// tuple passed to fn is fresh.
+func (t *CTable) eachRowTuple(rows []Row, mu Valuation, fn func(relation.Tuple) error) error {
 	for _, r := range rows {
 		keep, err := r.Cond.Eval(mu)
 		if err != nil {
@@ -222,7 +228,7 @@ func (t *CTable) applyRows(out *relation.Instance, rows []Row, mu Valuation) err
 				tup[i] = term.Const
 			}
 		}
-		if err := out.Insert(tup); err != nil {
+		if err := fn(tup); err != nil {
 			return err
 		}
 	}

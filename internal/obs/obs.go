@@ -33,7 +33,7 @@ const (
 	ModelsAdmitted                      // candidates that satisfied every CC
 	ExtensionsTested                    // candidate extensions tested (RCDP/MINP searches)
 	CounterexamplesFound                // witnesses of relative incompleteness found
-	CCChecks                            // containment-constraint evaluations
+	CCChecks                            // evaluations of V on one database (whole, ground prefix or one tuple)
 	CCViolations                        // CC evaluations that failed
 	BudgetErrors                        // decides aborted by a budget cap, one per aborted decide
 

@@ -125,7 +125,7 @@ var counterHelp = [numCounters]string{
 	ModelsAdmitted:        "candidates that satisfied every CC",
 	ExtensionsTested:      "candidate extensions tested (RCDP/MINP searches)",
 	CounterexamplesFound:  "witnesses of relative incompleteness found",
-	CCChecks:              "containment-constraint evaluations",
+	CCChecks:              "evaluations of the CC set on one database: a whole candidate, a ground prefix or one added tuple (a check the delta rule makes needless counts none)",
 	CCViolations:          "CC evaluations that failed",
 	BudgetErrors:          "decides aborted by a budget cap, one per aborted decide",
 	PlanCompilations:      "query plans compiled",

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"sort"
@@ -318,8 +317,8 @@ func (in *Instance) IsEmpty() bool { return in.Len() == 0 }
 
 // Insert adds t (validated against the schema); duplicates are ignored.
 func (in *Instance) Insert(t Tuple) error {
-	if !in.schema.Admits(t) {
-		return fmt.Errorf("relation: tuple %v does not fit schema %s", t, in.schema)
+	if err := in.schema.Check(t); err != nil {
+		return err
 	}
 	in.insertUnchecked(t)
 	return nil

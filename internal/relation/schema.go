@@ -94,6 +94,14 @@ func (s *Schema) Admits(t Tuple) bool {
 	return true
 }
 
+// Check is Admits as an error: the one an insert of t fails with.
+func (s *Schema) Check(t Tuple) error {
+	if !s.Admits(t) {
+		return fmt.Errorf("relation: tuple %v does not fit schema %s", t, s)
+	}
+	return nil
+}
+
 // String renders the schema as R(A:dom, ...).
 func (s *Schema) String() string {
 	parts := make([]string, len(s.Attrs))
