@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"relcomplete/internal/adom"
@@ -180,8 +181,8 @@ func (p *Problem) querySatisfiableUnderCCs(ctx context.Context) (bool, error) {
 	}
 	for _, tab := range tabs {
 		cands := make([][]relation.Value, len(tab.Vars))
-		for i := range cands {
-			cands[i] = a.Values()
+		for i, v := range tab.Vars {
+			cands[i] = p.tableauVarCandidates(tab, v, a)
 		}
 		found := false
 		err := p.forEachValuation(ctx, tab.Vars, cands, func(mu ctable.Valuation) (bool, error) {
@@ -213,6 +214,34 @@ func (p *Problem) querySatisfiableUnderCCs(ctx context.Context) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// tableauVarCandidates lists the values the satisfiability check gives
+// a tableau variable: the Adom's values that lie in the finite domain of
+// every column the variable fills, in Adom order, or the whole Adom when
+// none of its columns is finite. factsToDatabase discards a valuation
+// that puts a value outside a finite domain, so the rest are exactly
+// the valuations that can yield a database, in the same order.
+func (p *Problem) tableauVarCandidates(tab *query.Tableau, v string, a *adom.Adom) []relation.Value {
+	var doms []*relation.Domain
+	for _, atom := range tab.Atoms {
+		r := p.Schema.Relation(atom.Rel)
+		for i, t := range atom.Terms {
+			if r != nil && t.IsVar && t.Name == v && r.DomainAt(i).IsFinite() {
+				doms = append(doms, r.DomainAt(i))
+			}
+		}
+	}
+	if len(doms) == 0 {
+		return a.Values()
+	}
+	var out []relation.Value
+	for _, x := range a.Values() {
+		if !slices.ContainsFunc(doms, func(d *relation.Domain) bool { return !d.Contains(x) }) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // factsToDatabase materialises µ(TQ) as a database; ok is false when a
