@@ -819,7 +819,9 @@ func (rt *planRun) orderFor(a *andNode) []int {
 
 // conjCost estimates the fan-out of executing kid under the simulated
 // bound set: 0 for pure filters, cardinality-scaled for atoms, and
-// large penalties for operators that enumerate the active domain. Atom
+// large penalties for operators that enumerate the active domain. The
+// penalties are constants: pricing a node must not build the domain it
+// would range over, which a positive plan may never need. Atom
 // estimates come from the storage layer's per-position distinct counts
 // (estimateRows), so the greedy order reacts to the actual data shape
 // rather than a fixed per-bound-column discount.
@@ -856,10 +858,9 @@ func conjCost(rt *planRun, kid planNode, boundSim []bool) float64 {
 			if n.op == query.Eq {
 				return 1 // pins one variable
 			}
-			return 50000 + float64(len(rt.domain())) // ≠ ranges the domain
+			return 50000 // ≠ ranges the domain
 		default:
-			n := float64(len(rt.domain()))
-			return 100000 + n*n
+			return 100000 // ranges the domain squared
 		}
 	case *existsNode:
 		if u := unboundFree(n.free); u > 0 {
