@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"relcomplete/internal/core"
@@ -202,5 +203,49 @@ func TestMasterGrowthRefreshesMemos(t *testing.T) {
 	}
 	if got := decide(warm, ci); got != want {
 		t.Errorf("warm problem after the catalogue grows: %s, want %s", got, want)
+	}
+}
+
+// TestConcurrentDecidesShareCandidateChecks decides the heavy_search
+// deciders and consistency from eight goroutines at once on one fresh
+// resident problem at Parallelism 2, so the decides race to build and
+// share its domains, the ground prefix's CC verdict and the closure
+// memo. Every result must be the sequential one. Run it under -race.
+func TestConcurrentDecidesShareCandidateChecks(t *testing.T) {
+	doc := heavySearchDocument()
+	decides := append(heavySearchDecides[:len(heavySearchDecides):len(heavySearchDecides)], struct {
+		name   string
+		decide func(p *core.Problem, ci *ctable.CInstance) error
+	}{"consistency", func(p *core.Problem, ci *ctable.CInstance) error {
+		ok, err := p.Consistent(ci)
+		if err == nil && !ok {
+			err = fmt.Errorf("consistency = false, want consistent")
+		}
+		return err
+	}})
+	p, ci, err := probjson.Decode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Options.Parallelism = 2
+	const goroutines = 8
+	errs := make(chan error, goroutines*len(decides))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range decides {
+				c := decides[(i+g)%len(decides)]
+				if err := c.decide(p, ci); err != nil {
+					errs <- fmt.Errorf("goroutine %d %s: %w", g, c.name, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
