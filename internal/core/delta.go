@@ -181,11 +181,14 @@ func (p *Problem) prefixClosed(ctx context.Context, d *domains, prefix *relation
 // problem's closure memo, which the pinned lattices fill too; a miss is
 // checked without holding the memo's lock.
 func (p *Problem) tuplesClosed(ctx context.Context, added []relation.Located) (bool, error) {
+	if len(added) == 0 {
+		return true, nil
+	}
 	m := p.memo
+	masterTuples := p.Master.Size()
 	var keyBuf []byte
 	for _, l := range added {
 		keyBuf = l.Tuple.AppendKey(relation.AppendValueKey(keyBuf[:0], relation.Value(l.Rel)))
-		masterTuples := p.Master.Size()
 		m.mu.Lock()
 		m.refreshClosureLocked(masterTuples)
 		closed, ok := m.closure[string(keyBuf)]

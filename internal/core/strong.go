@@ -292,12 +292,8 @@ func (m *memo) storeClosureLocked(key string, closed bool) {
 func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Database, tab *query.Tableau,
 	d *domains, baseAnswers []relation.Tuple, seenExt map[string]bool) (*Counterexample, error) {
 
-	type pick struct {
-		rel string
-		t   relation.Tuple
-	}
 	binding := ctable.Valuation{}
-	picks := make([]pick, 0, len(tab.Atoms))
+	picks := make([]relation.Located, 0, len(tab.Atoms))
 	var cex *Counterexample
 	tried := 0
 
@@ -339,7 +335,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 	// The extension I' is I plus the picks I lacks, in pick order.
 	// seenExt lives for one I, so the sorted distinct new picks key I'
 	// canonically, and an extension is built only when its key is new.
-	var added, sorted []pick
+	var added, sorted []relation.Located
 	var keyBuf []byte
 	sp := obs.SpanFromContext(ctx)
 	loc := p.locality()
@@ -350,7 +346,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 		}
 		added = added[:0]
 		for _, pk := range picks {
-			if !db.Relation(pk.rel).Contains(pk.t) {
+			if !db.Relation(pk.Rel).Contains(pk.Tuple) {
 				added = append(added, pk)
 			}
 		}
@@ -358,18 +354,18 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 			return nil // I' = I: answers trivially agree
 		}
 		sorted = append(sorted[:0], added...)
-		slices.SortFunc(sorted, func(a, b pick) int {
-			if c := strings.Compare(a.rel, b.rel); c != 0 {
+		slices.SortFunc(sorted, func(a, b relation.Located) int {
+			if c := strings.Compare(a.Rel, b.Rel); c != 0 {
 				return c
 			}
-			return a.t.Compare(b.t)
+			return a.Tuple.Compare(b.Tuple)
 		})
 		keyBuf = keyBuf[:0]
 		for i, pk := range sorted {
-			if i > 0 && pk.rel == sorted[i-1].rel && pk.t.Equal(sorted[i-1].t) {
+			if i > 0 && pk.Rel == sorted[i-1].Rel && pk.Tuple.Equal(sorted[i-1].Tuple) {
 				continue
 			}
-			keyBuf = pk.t.AppendKey(relation.AppendValueKey(keyBuf, relation.Value(pk.rel)))
+			keyBuf = pk.Tuple.AppendKey(relation.AppendValueKey(keyBuf, relation.Value(pk.Rel)))
 		}
 		if seenExt[string(keyBuf)] {
 			return nil
@@ -380,7 +376,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 			if ext == nil {
 				ext = db.Clone()
 				for _, pk := range added {
-					ext.MustInsert(pk.rel, pk.t) // a repeated pick is a no-op
+					ext.MustInsert(pk.Rel, pk.Tuple) // a repeated pick is a no-op
 				}
 			}
 			return ext
@@ -407,11 +403,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 		var extAnswers []relation.Tuple
 		var err error
 		if loc.query {
-			delta := relation.NewDatabase(p.Schema)
-			for _, pk := range added {
-				delta.MustInsert(pk.rel, pk.t)
-			}
-			extAnswers, err = p.answers(ctx, delta) // Q(Δ); Q(I) ∪ Q(Δ) gains the same
+			extAnswers, err = p.answers(ctx, p.deltaDatabase(added...)) // Q(Δ): Q(I) ∪ Q(Δ) gains the same
 		} else {
 			extAnswers, err = p.answers(ctx, build())
 		}
@@ -458,7 +450,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 				assigned = append(assigned, term.Name)
 			}
 			if ok {
-				picks = append(picks, pick{rel: atom.Rel, t: t})
+				picks = append(picks, relation.Located{Rel: atom.Rel, Tuple: t})
 				if err := rec(i + 1); err != nil {
 					return err
 				}
