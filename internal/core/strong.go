@@ -240,7 +240,6 @@ func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d 
 		}
 	}
 	m := p.memo
-	probe := relation.NewDatabase(p.Schema)
 	var out atomCands
 	keyBuf := make([]byte, 0, 64)
 	_, err := p.latticeOver(ctx, r, d, pins, func(t relation.Tuple) (bool, error) {
@@ -249,7 +248,7 @@ func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d 
 		closed, ok := m.closure[string(keyBuf)]
 		if !ok {
 			var err error
-			closed, err = p.satisfiesCCs(ctx, probe.WithTuple(r.Name, t))
+			closed, err = p.satisfiesCCs(ctx, p.deltaDatabase(relation.Located{Rel: r.Name, Tuple: t}))
 			if err != nil {
 				return false, err
 			}

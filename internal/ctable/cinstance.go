@@ -277,7 +277,6 @@ type prefixTable struct {
 	t    *CTable
 	rows int // the table's row count when the prefix was built
 	next int // index of the first row the prefix does not cover
-	size int // tuples in the prefix's relation
 }
 
 // groundPrefix returns the current ground prefix, building it under
@@ -296,7 +295,7 @@ func (ci *CInstance) groundPrefix() *groundPrefix {
 		t, inst := ci.tables[r.Name], pre.db.Relation(r.Name)
 		next := t.applyGroundPrefix(inst)
 		inst.Freeze()
-		pre.tables = append(pre.tables, prefixTable{t: t, rows: t.Len(), next: next, size: inst.Len()})
+		pre.tables = append(pre.tables, prefixTable{t: t, rows: t.Len(), next: next})
 	}
 	ci.prefix.Store(pre)
 	return pre
