@@ -107,7 +107,7 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 			return nil, false, nil
 		}
 		consistent.Store(true)
-		cex, err := p.boundedCounterexample(ctx, db, d)
+		cex, err := p.boundedCounterexample(ctx, db, d, true)
 		if err != nil {
 			return nil, false, err
 		}
@@ -153,8 +153,10 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 // checked, which catches multi-tuple CC violations exactly. With a
 // tuple-local query the answers gained are Q(Δ) \ Q(I), Δ being the
 // picks I lacks, and the extension is built only for a counterexample
-// or a decision event that names it.
-func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Database, d *domains) (*Counterexample, error) {
+// or a decision event that names it. Callers that use the result only
+// as a verdict pass witness false, and a counterexample then carries an
+// Extension only if one was built anyway.
+func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Database, d *domains, witness bool) (*Counterexample, error) {
 	baseAnswers, err := p.answers(ctx, db)
 	if err != nil {
 		return nil, err
@@ -165,7 +167,7 @@ func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Databa
 	}
 	seenExt := map[string]bool{}
 	for _, tab := range tabs {
-		cex, err := p.tableauCounterexample(ctx, db, tab, d, baseAnswers, seenExt)
+		cex, err := p.tableauCounterexample(ctx, db, tab, d, baseAnswers, seenExt, witness)
 		if err != nil {
 			return nil, err
 		}
@@ -289,7 +291,7 @@ func (m *memo) storeClosureLocked(key string, closed bool) {
 
 // tableauCounterexample backtracks over one disjunct tableau's atoms.
 func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Database, tab *query.Tableau,
-	d *domains, baseAnswers []relation.Tuple, seenExt map[string]bool) (*Counterexample, error) {
+	d *domains, baseAnswers []relation.Tuple, seenExt map[string]bool, witness bool) (*Counterexample, error) {
 
 	binding := ctable.Valuation{}
 	picks := make([]relation.Located, 0, len(tab.Atoms))
@@ -411,10 +413,13 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 		}
 		gained := diffTuples(baseAnswers, extAnswers)
 		if len(gained) > 0 {
-			cex = &Counterexample{Model: db, Extension: build(), Gained: gained}
+			cex = &Counterexample{Model: db, Extension: ext, Gained: gained}
+			if witness {
+				cex.Extension = build()
+			}
 			p.Options.Obs.Inc(obs.CounterexamplesFound)
 			if sp.Streaming() {
-				sp.Event("counterexample", obs.F("model", db), obs.F("extension", ext), obs.F("gained", gained))
+				sp.Event("counterexample", obs.F("model", db), obs.F("extension", build()), obs.F("gained", gained))
 			}
 		} else if sp.Streaming() {
 			sp.Event("extension_agrees", obs.F("extension", build()))
@@ -521,7 +526,7 @@ func (p *Problem) groundComplete(ctx context.Context, db *relation.Database) (_ 
 	if err != nil {
 		return false, nil, nil, err
 	}
-	cex, err := p.boundedCounterexample(ctx, db, d)
+	cex, err := p.boundedCounterexample(ctx, db, d, true)
 	if err != nil {
 		return false, nil, nil, err
 	}
@@ -600,7 +605,7 @@ func (p *Problem) hasCompleteRemoval(ctx context.Context, db *relation.Database,
 			return false, err
 		}
 		smaller := db.WithoutTuple(loc.Rel, loc.Tuple)
-		cex, err := p.boundedCounterexample(ctx, smaller, d)
+		cex, err := p.boundedCounterexample(ctx, smaller, d, false)
 		if err != nil {
 			return false, err
 		}

@@ -50,7 +50,7 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 			return struct{}{}, false, nil
 		}
 		consistent.Store(true)
-		cex, err := p.boundedCounterexample(ctx, db, d)
+		cex, err := p.boundedCounterexample(ctx, db, d, true)
 		if err != nil {
 			return struct{}{}, false, err
 		}
@@ -106,7 +106,7 @@ func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 			return struct{}{}, false, nil
 		}
 		consistent.Store(true)
-		cex, err := p.boundedCounterexample(ctx, db, d)
+		cex, err := p.boundedCounterexample(ctx, db, d, false)
 		if err != nil {
 			return struct{}{}, false, err
 		}
