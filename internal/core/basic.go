@@ -185,15 +185,8 @@ func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (_ b
 	if err != nil {
 		return false, err
 	}
-	// One full check of I lets each extension be checked by its tuple.
-	closed := false
-	if p.locality().ccs {
-		if closed, err = p.satisfiesCCs(ctx, db); err != nil {
-			return false, err
-		}
-	}
 	found := false
-	err = p.forEachExtension(ctx, db, d, closed, func(*relation.Database, string, relation.Tuple) (bool, error) {
+	err = p.forEachExtension(ctx, db, d, false, func(*relation.Database, string, relation.Tuple) (bool, error) {
 		found = true
 		return false, nil
 	})

@@ -117,8 +117,8 @@ func TestDecideCountersPinned(t *testing.T) {
 			}
 			_, err = p.Extensible(db)
 			return err
-		}, []int64{9, 8, 1, 9, 0, 13, 9, 2, 13, 0, 0, 0, 0, 0, 0, 0, 0,
-			12, 18, 18, 0, 0},
+		}, []int64{9, 8, 1, 9, 0, 12, 9, 2, 12, 0, 0, 0, 0, 0, 0, 0, 0,
+			11, 50, 50, 0, 0},
 			perCall{"any_model:1 extensibility:1", 2, [2]int64{1, 1}, [2]int64{1, 7}}},
 		{"certain", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.CertainAnswers(ci)

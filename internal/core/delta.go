@@ -178,8 +178,9 @@ func (p *Problem) prefixClosed(ctx context.Context, d *domains, prefix *relation
 
 // tuplesClosed reports whether ({t}, Dm) ⊨ V for every t in added,
 // stopping at the first that is not. Verdicts are shared through the
-// problem's closure memo, which the pinned lattices fill too; a miss is
-// checked without holding the memo's lock.
+// problem's closure memo, which the pinned lattices fill too, so a
+// tuple that appears twice in added is checked once; a miss is checked
+// without holding the memo's lock.
 func (p *Problem) tuplesClosed(ctx context.Context, added []relation.Located) (bool, error) {
 	if len(added) == 0 {
 		return true, nil

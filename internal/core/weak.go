@@ -326,19 +326,9 @@ func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (_ *relation.D
 	}
 	db := relation.NewDatabase(p.Schema)
 	// Greedy maximality: a tuple rejected now stays rejected forever
-	// because CC violation is monotone in the data. db stays partially
-	// closed, so with tuple-local CCs a tuple joins it exactly when it
-	// is closed by itself.
-	delta := p.locality().ccs
+	// because CC violation is monotone in the data.
 	for _, r := range p.Schema.Relations() {
 		_, err := p.latticeOver(ctx, r, d, nil, func(t relation.Tuple) (bool, error) {
-			if delta {
-				ok, err := p.satisfiesCCs(ctx, p.deltaDatabase(relation.Located{Rel: r.Name, Tuple: t}))
-				if ok {
-					db.MustInsert(r.Name, t)
-				}
-				return err == nil, err
-			}
 			ext := db.WithTuple(r.Name, t)
 			ok, err := p.satisfiesCCs(ctx, ext)
 			if err != nil {

@@ -160,16 +160,18 @@ func (ci *CInstance) Apply(mu Valuation) (*relation.Database, error) {
 // which is the same database for every µ, and the tuples µ adds to it.
 type Candidate struct {
 	pre *groundPrefix
-	// Added lists the tuples µ(T) holds beyond the ground prefixes, per
-	// relation in schema order and in row order within a relation, each
-	// once: exactly the tuples the row-by-row build appends after the
-	// prefix's.
+	// Added lists µ of the rows after the ground prefixes whose tuples
+	// the prefixes lack, per relation in schema order and in row order
+	// within a relation. Two rows may yield one tuple, so a tuple can
+	// appear more than once; its first appearances are exactly the
+	// tuples the row-by-row build appends after the prefix's.
 	Added []relation.Located
 	// Key fingerprints µ(T) by Added: per relation in schema order, the
-	// count and the sorted encodings of its added tuples. The prefixes
-	// are fixed for the c-instance, so two valuations get equal keys
-	// exactly when they yield equal databases, and the deciders
-	// deduplicate candidates by the key before building any of them.
+	// count and the sorted encodings of its distinct added tuples. The
+	// prefixes are fixed for the c-instance, so two valuations get
+	// equal keys exactly when they yield equal databases, and the
+	// deciders deduplicate candidates by the key before building any of
+	// them.
 	Key string
 }
 
@@ -183,15 +185,13 @@ func (ci *CInstance) Candidate(mu Valuation) (Candidate, error) {
 	for _, pt := range pre.tables {
 		inst := pre.db.Relation(pt.t.schema.Name)
 		start := len(c.Added)
-		var seen map[string]bool // the added tuples' keys, once they are many
 		err := pt.t.eachRowTuple(pt.t.rows[pt.next:], mu, func(tup relation.Tuple) error {
 			if err := pt.t.schema.Check(tup); err != nil {
 				return err
 			}
-			if inst.Contains(tup) || addedHas(c.Added[start:], &seen, tup) {
-				return nil
+			if !inst.Contains(tup) {
+				c.Added = append(c.Added, relation.Located{Rel: pt.t.schema.Name, Tuple: tup})
 			}
-			c.Added = append(c.Added, relation.Located{Rel: pt.t.schema.Name, Tuple: tup})
 			return nil
 		})
 		if err != nil {
@@ -203,44 +203,15 @@ func (ci *CInstance) Candidate(mu Valuation) (Candidate, error) {
 	return c, nil
 }
 
-// addedHas reports whether t is among one relation's added tuples. A
-// few are scanned; past addedScanMax their keys go into *seen, which is
-// kept up to date with the tuple the caller appends next.
-func addedHas(added []relation.Located, seen *map[string]bool, t relation.Tuple) bool {
-	if len(added) < addedScanMax {
-		for _, l := range added {
-			if l.Tuple.Equal(t) {
-				return true
-			}
-		}
-		return false
-	}
-	if *seen == nil {
-		*seen = make(map[string]bool, 2*len(added))
-		for _, l := range added {
-			(*seen)[l.Tuple.Key()] = true
-		}
-	}
-	k := t.Key()
-	if (*seen)[k] {
-		return true
-	}
-	(*seen)[k] = true
-	return false
-}
-
-// addedScanMax is how many added tuples of one relation addedHas scans
-// before it keys them.
-const addedScanMax = 8
-
 // Prefix returns the ground prefix the candidate adds to: µ(T) over
 // every table's ground prefix. It is shared by every candidate of the
 // c-instance and frozen, so callers must not insert into it.
 func (c Candidate) Prefix() *relation.Database { return c.pre.db }
 
 // Build returns µ(T): a copy-on-write clone of the ground prefix with
-// the added tuples inserted in order, so its rows and their order are
-// those of the row-by-row build. Each call returns a fresh database.
+// the added tuples inserted in order, a repeat ignored, so its rows and
+// their order are those of the row-by-row build. Each call returns a
+// fresh database.
 func (c Candidate) Build() *relation.Database {
 	db := c.pre.db.Clone()
 	for _, l := range c.Added {
@@ -250,13 +221,14 @@ func (c Candidate) Build() *relation.Database {
 }
 
 // appendAddedKey appends the count and the sorted encodings of the
-// tuples one relation gained beyond its prefix.
+// distinct tuples one relation gained beyond its prefix.
 func appendAddedKey(dst []byte, added []relation.Located) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(added)))
 	if len(added) > 1 {
 		added = slices.Clone(added)
 		slices.SortFunc(added, func(a, b relation.Located) int { return a.Tuple.Compare(b.Tuple) })
+		added = slices.CompactFunc(added, func(a, b relation.Located) bool { return a.Tuple.Equal(b.Tuple) })
 	}
+	dst = binary.AppendUvarint(dst, uint64(len(added)))
 	for _, l := range added {
 		dst = l.Tuple.AppendKey(dst)
 	}

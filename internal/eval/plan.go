@@ -418,6 +418,17 @@ func (rt *planRun) domain() []relation.Value {
 	return rt.adom
 }
 
+// valueSlots is the number of values the plan's relations hold: rows
+// times arity, summed. It reads only row counts, and it is at least the
+// row estimate of every atom that can bind a variable.
+func (rt *planRun) valueSlots() float64 {
+	n := 0
+	for _, inst := range rt.insts {
+		n += inst.Len() * inst.Schema().Arity()
+	}
+	return float64(n)
+}
+
 // unboundOf filters slots down to the ones not bound in rt.
 func (rt *planRun) unboundOf(slots []int) []int {
 	out := make([]int, 0, len(slots))
@@ -819,12 +830,15 @@ func (rt *planRun) orderFor(a *andNode) []int {
 
 // conjCost estimates the fan-out of executing kid under the simulated
 // bound set: 0 for pure filters, cardinality-scaled for atoms, and
-// large penalties for operators that enumerate the active domain. The
-// penalties are constants: pricing a node must not build the domain it
-// would range over, which a positive plan may never need. Atom
-// estimates come from the storage layer's per-position distinct counts
-// (estimateRows), so the greedy order reacts to the actual data shape
-// rather than a fixed per-bound-column discount.
+// large penalties for operators that enumerate the active domain. A
+// comparison that ranges the domain is priced by the plan's value
+// slots (valueSlots) rather than by the domain itself: pricing a node
+// must not build the domain it would range over, which a positive plan
+// may never need, and the slots bound the estimate of every atom that
+// can bind its variables, so it still runs after those atoms.
+// Atom estimates come from the storage layer's per-position distinct
+// counts (estimateRows), so the greedy order reacts to the actual data
+// shape rather than a fixed per-bound-column discount.
 func conjCost(rt *planRun, kid planNode, boundSim []bool) float64 {
 	known := func(t planTerm) bool { return t.isConst || boundSim[t.slot] }
 	unboundFree := func(slots []int) int {
@@ -858,9 +872,10 @@ func conjCost(rt *planRun, kid planNode, boundSim []bool) float64 {
 			if n.op == query.Eq {
 				return 1 // pins one variable
 			}
-			return 50000 // ≠ ranges the domain
+			return 50000 + rt.valueSlots() // ≠ ranges the domain
 		default:
-			return 100000 // ranges the domain squared
+			v := rt.valueSlots()
+			return 100000 + v*v // ranges the domain squared
 		}
 	case *existsNode:
 		if u := unboundFree(n.free); u > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -417,6 +418,44 @@ func TestBoolAgreesWithAnswers(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s %s: Bool=%v, answers say %v", src, name, got, want)
 			}
+		}
+	}
+}
+
+// TestPlanOrdersComparisonsAfterLargeAtoms: a comparison that ranges
+// the domain runs after the atom that binds its variables even when
+// the atom's estimate exceeds the comparison's base penalty (50000 with
+// one side known, 100000 with neither), and pricing it builds no
+// domain. Ranging the domain first would cost about 10^5 values per
+// frame for x != 'c' and 10^10 pairs for x != y, where the atom scans
+// 10^5 rows.
+func TestPlanOrdersComparisonsAfterLargeAtoms(t *testing.T) {
+	schema := relation.MustDBSchema(
+		relation.MustSchema("R", relation.Attr("A", nil), relation.Attr("B", nil)))
+	db := relation.NewDatabase(schema)
+	const rows = 100001
+	for i := range rows {
+		db.MustInsert("R", relation.T(relation.Value(strconv.Itoa(i)), relation.Value(strconv.Itoa(i+1))))
+	}
+	for _, src := range []string{
+		"Q(x, y) := R(x, y) & x != y",
+		"Q(x, y) := x != 'c' & R(x, y)",
+	} {
+		plan := MustCompile(query.MustParseQuery(src))
+		and, ok := plan.root.(*andNode)
+		if !ok {
+			t.Fatalf("%s: root is %T, want a conjunction", src, plan.root)
+		}
+		rt, err := plan.newRun(db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := and.kids[rt.orderFor(and)[0]]
+		if _, ok := first.(*atomNode); !ok {
+			t.Errorf("%s: %T runs first, want the atom", src, first)
+		}
+		if rt.adomDone {
+			t.Errorf("%s: ordering the conjuncts built the domain", src)
 		}
 	}
 }
