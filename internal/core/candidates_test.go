@@ -83,6 +83,34 @@ var heavySearchDecides = []struct {
 	}},
 }
 
+// removalDecides are the deciders besides strong MINP that reach its
+// removal check: viable MINP, and GroundMinimal on the c-instance's one
+// model. ci.Apply builds that model without probing an index or
+// touching the problem, so the decide's counters are GroundMinimal's.
+var removalDecides = []struct {
+	name   string
+	decide func(p *core.Problem, ci *ctable.CInstance) error
+}{
+	{"minp_viable", func(p *core.Problem, ci *ctable.CInstance) error {
+		ok, err := p.MINP(ci, core.Viable)
+		if err == nil && ok {
+			err = fmt.Errorf("viable MINP = true, want not minimal")
+		}
+		return err
+	}},
+	{"ground_minimal", func(p *core.Problem, ci *ctable.CInstance) error {
+		db, err := ci.Apply(ctable.Valuation{"v0": "1", "v1": "1"})
+		if err != nil {
+			return err
+		}
+		ok, err := p.GroundMinimal(db)
+		if err == nil && ok {
+			err = fmt.Errorf("GroundMinimal = true, want not minimal")
+		}
+		return err
+	}},
+}
+
 // candidateCounters lists the counters TestCandidateCountersPinned
 // asserts, in the order of each case's want.
 var candidateCounters = []string{
@@ -91,40 +119,63 @@ var candidateCounters = []string{
 }
 
 // TestCandidateCountersPinned pins how many candidates each
-// heavy_search decider enumerates and checks on heavySearchDocument at
-// Parallelism 1, and what checking them costs in CC checks, plan runs,
-// rows probed and index builds. Each decide runs on a fresh problem.
+// heavy_search decider, viable MINP and GroundMinimal enumerate and
+// check on heavySearchDocument at Parallelism 1, and what checking them
+// costs in CC checks, plan runs, rows probed and index builds. A cold
+// case decides once on a fresh problem; a warm case decides twice on
+// one resident problem, as the served path does, and pins the second
+// decide.
 func TestCandidateCountersPinned(t *testing.T) {
 	want := map[string][]int64{
-		"rcdp_strong": {16, 1, 0, 5, 0, 6, 58, 1},
-		"rcdp_weak":   {17, 2, 1, 3, 0, 6, 109, 3},
-		"certain":     {16, 1, 0, 1, 0, 2, 54, 1},
-		"minp_strong": {17, 2, 4, 5, 0, 15, 78, 10},
+		"cold/rcdp_strong":    {16, 1, 0, 5, 0, 6, 58, 1},
+		"cold/rcdp_weak":      {17, 2, 1, 3, 0, 6, 109, 3},
+		"cold/certain":        {16, 1, 0, 1, 0, 2, 54, 1},
+		"cold/minp_strong":    {17, 2, 4, 5, 0, 15, 78, 10},
+		"cold/minp_viable":    {16, 1, 4, 5, 0, 15, 78, 10},
+		"cold/ground_minimal": {0, 0, 4, 5, 0, 15, 78, 10},
+		"warm/rcdp_strong":    {16, 1, 0, 0, 0, 1, 4, 1},
+		"warm/rcdp_weak":      {17, 2, 1, 1, 0, 4, 9, 3},
+		"warm/certain":        {16, 1, 0, 0, 0, 1, 4, 1},
+		"warm/minp_strong":    {17, 2, 4, 0, 0, 10, 24, 10},
+		"warm/minp_viable":    {16, 1, 4, 0, 0, 10, 24, 10},
+		"warm/ground_minimal": {0, 0, 4, 1, 0, 11, 74, 10},
 	}
 	doc := heavySearchDocument()
-	for _, c := range heavySearchDecides {
-		t.Run(c.name, func(t *testing.T) {
-			p, ci, err := probjson.Decode(doc)
-			if err != nil {
-				t.Fatal(err)
+	decides := append(heavySearchDecides[:len(heavySearchDecides):len(heavySearchDecides)], removalDecides...)
+	for _, warm := range []bool{false, true} {
+		for _, c := range decides {
+			name := "cold/" + c.name
+			if warm {
+				name = "warm/" + c.name
 			}
-			m := obs.NewMetrics()
-			p.Options.Parallelism = 1
-			p.Options.Obs = m
-			relation.SetMetrics(m)
-			defer relation.SetMetrics(nil)
-			if err := c.decide(p, ci); err != nil {
-				t.Fatal(err)
-			}
-			st := m.Snapshot().Counters
-			got := make([]int64, len(candidateCounters))
-			for i, name := range candidateCounters {
-				got[i] = st[name]
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want[c.name]) {
-				t.Errorf("%v = %v, want %v", candidateCounters, got, want[c.name])
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				p, ci, err := probjson.Decode(doc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Options.Parallelism = 1
+				if warm {
+					if err := c.decide(p, ci); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m := obs.NewMetrics()
+				p.Options.Obs = m
+				relation.SetMetrics(m)
+				defer relation.SetMetrics(nil)
+				if err := c.decide(p, ci); err != nil {
+					t.Fatal(err)
+				}
+				st := m.Snapshot().Counters
+				got := make([]int64, len(candidateCounters))
+				for i, name := range candidateCounters {
+					got[i] = st[name]
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want[name]) {
+					t.Errorf("%v = %v, want %v", candidateCounters, got, want[name])
+				}
+			})
+		}
 	}
 }
 
