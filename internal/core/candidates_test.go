@@ -128,17 +128,17 @@ var candidateCounters = []string{
 func TestCandidateCountersPinned(t *testing.T) {
 	want := map[string][]int64{
 		"cold/rcdp_strong":    {16, 1, 0, 5, 0, 6, 58, 1},
-		"cold/rcdp_weak":      {17, 2, 1, 3, 0, 6, 109, 3},
+		"cold/rcdp_weak":      {17, 2, 1, 3, 0, 6, 109, 2},
 		"cold/certain":        {16, 1, 0, 1, 0, 2, 54, 1},
-		"cold/minp_strong":    {17, 2, 4, 5, 0, 15, 78, 10},
-		"cold/minp_viable":    {16, 1, 4, 5, 0, 15, 78, 10},
-		"cold/ground_minimal": {0, 0, 4, 5, 0, 15, 78, 10},
-		"warm/rcdp_strong":    {16, 1, 0, 0, 0, 1, 4, 1},
-		"warm/rcdp_weak":      {17, 2, 1, 1, 0, 4, 9, 3},
-		"warm/certain":        {16, 1, 0, 0, 0, 1, 4, 1},
-		"warm/minp_strong":    {17, 2, 4, 0, 0, 10, 24, 10},
-		"warm/minp_viable":    {16, 1, 4, 0, 0, 10, 24, 10},
-		"warm/ground_minimal": {0, 0, 4, 1, 0, 11, 74, 10},
+		"cold/minp_strong":    {17, 2, 0, 5, 0, 6, 58, 1},
+		"cold/minp_viable":    {16, 1, 0, 5, 0, 6, 58, 1},
+		"cold/ground_minimal": {0, 0, 0, 5, 0, 6, 58, 1},
+		"warm/rcdp_strong":    {16, 1, 0, 0, 0, 0, 0, 0},
+		"warm/rcdp_weak":      {17, 2, 1, 1, 0, 2, 1, 1},
+		"warm/certain":        {16, 1, 0, 0, 0, 0, 0, 0},
+		"warm/minp_strong":    {17, 2, 0, 0, 0, 0, 0, 0},
+		"warm/minp_viable":    {16, 1, 0, 0, 0, 0, 0, 0},
+		"warm/ground_minimal": {0, 0, 0, 1, 0, 2, 54, 1},
 	}
 	doc := heavySearchDocument()
 	decides := append(heavySearchDecides[:len(heavySearchDecides):len(heavySearchDecides)], removalDecides...)

@@ -759,9 +759,11 @@ type domains struct {
 	sigOnce sync.Once
 	sig     int
 
-	// prefix is the verdict of V on the c-instance's ground prefix, the
-	// base every candidate model adds to (prefixClosed).
-	prefix prefixVerdict
+	// prefixOK and prefixAns are V's verdict and Q's answers on the
+	// c-instance's ground prefix, the base every candidate model adds to
+	// (prefixClosed, modelAnswers).
+	prefixOK  prefixMemo[bool]
+	prefixAns prefixMemo[[]relation.Tuple]
 }
 
 // domainsCacheCap bounds the memoised domains computations; the cache

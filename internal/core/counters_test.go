@@ -83,16 +83,16 @@ func TestDecideCountersPinned(t *testing.T) {
 		{"rcdp_strong", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.RCDP(ci, core.Strong)
 			return err
-		}, []int64{49, 28, 3, 0, 0, 13, 10, 3, 16, 0, 3, 3, 0, 0, 28, 0, 0,
-			14, 15, 15, 0, 3},
+		}, []int64{49, 28, 3, 0, 0, 13, 10, 3, 17, 0, 4, 4, 0, 0, 28, 0, 0,
+			15, 15, 15, 0, 4},
 			perCall{"rcdp_strong:1", 1, [2]int64{1, 3}, [2]int64{1, 25}}},
 		// search_items: 8 candidates for the certain answers over the
 		// models, then 12 for the extension stream's per-model scans.
 		{"rcdp_weak", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.RCDP(ci, core.Weak)
 			return err
-		}, []int64{22, 20, 2, 9, 0, 13, 9, 3, 16, 0, 3, 3, 0, 0, 20, 0, 0,
-			14, 17, 17, 0, 3},
+		}, []int64{22, 20, 2, 9, 0, 13, 9, 3, 18, 0, 4, 5, 0, 0, 20, 0, 0,
+			16, 17, 17, 0, 5},
 			perCall{"certain_answers:1 rcdp_weak:1", 2, [2]int64{2, 3}, [2]int64{2, 25}}},
 		// The document's inputs with Q(q) := Order('widget', q): widget
 		// is a catalogue item, so extending the first model by a widget
@@ -107,8 +107,8 @@ func TestDecideCountersPinned(t *testing.T) {
 				return fmt.Errorf("RCDP = %v, %v; want a counterexample", ok, err)
 			}
 			return nil
-		}, []int64{1, 1, 1, 1, 1, 8, 0, 3, 10, 0, 2, 2, 0, 0, 1, 0, 0,
-			8, 13, 13, 2, 0},
+		}, []int64{1, 1, 1, 1, 1, 8, 0, 3, 11, 0, 3, 3, 0, 0, 1, 0, 0,
+			9, 13, 13, 2, 1},
 			perCall{"rcdp_strong:1", 1, [2]int64{1, 1}, [2]int64{1, 0}}},
 		{"extensibility", func(p *core.Problem, ci *ctable.CInstance) error {
 			db, err := p.AnyModel(ci)
@@ -123,8 +123,8 @@ func TestDecideCountersPinned(t *testing.T) {
 		{"certain", func(p *core.Problem, ci *ctable.CInstance) error {
 			_, err := p.CertainAnswers(ci)
 			return err
-		}, []int64{9, 8, 1, 0, 0, 3, 1, 3, 4, 0, 1, 1, 0, 0, 8, 0, 0,
-			2, 5, 5, 0, 1},
+		}, []int64{9, 8, 1, 0, 0, 3, 1, 3, 5, 0, 2, 2, 0, 0, 8, 0, 0,
+			3, 5, 5, 0, 2},
 			perCall{"certain_answers:1", 1, [2]int64{1, 1}, [2]int64{1, 7}}},
 		// Strong MINP decides strong RCDP first, then enumerates the
 		// models again to look for a complete single-tuple removal.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"relcomplete/internal/ctable"
 	"relcomplete/internal/query"
 	"relcomplete/internal/relation"
 )
@@ -150,30 +151,57 @@ func rebindsVars(q *query.Query) bool {
 	return walk(q.Body)
 }
 
-// prefixVerdict memoises whether a c-instance's ground prefix satisfies
-// V, per domains. domainsKey holds the c-instance's and the master's
-// row counts, so the prefix and Dm the verdict was computed over are
-// the current ones. An evaluation that fails (a deadline, say) is not
-// memoised.
-type prefixVerdict struct {
+// prefixMemo memoises one value computed on a c-instance's ground
+// prefix, per domains: V's verdict (prefixClosed) or Q's answers
+// (modelAnswers). domainsKey holds the c-instance's and the master's
+// row counts, so the prefix and Dm the value was computed over are the
+// current ones. The computation runs under the lock, released by a
+// deferred unlock, and one that fails (a deadline, say) or panics is
+// not memoised: the next caller computes it again.
+type prefixMemo[T any] struct {
 	mu   sync.Mutex
 	done bool
-	ok   bool
+	val  T
+}
+
+// get returns the memoised value, computing it first if need be.
+func (m *prefixMemo[T]) get(compute func() (T, error)) (T, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.done {
+		v, err := compute()
+		if err != nil {
+			return v, err
+		}
+		m.val, m.done = v, true
+	}
+	return m.val, nil
 }
 
 // prefixClosed reports (prefix, Dm) ⊨ V, checking it once per d.
 func (p *Problem) prefixClosed(ctx context.Context, d *domains, prefix *relation.Database) (bool, error) {
-	v := &d.prefix
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if !v.done {
-		ok, err := p.satisfiesCCs(ctx, prefix)
-		if err != nil {
-			return false, err
-		}
-		v.done, v.ok = true, ok
+	return d.prefixOK.get(func() (bool, error) { return p.satisfiesCCs(ctx, prefix) })
+}
+
+// modelAnswers returns Q(µ(T)) for a candidate c that checkModel
+// admitted as db. With a tuple-local Q it is Q(prefix) ∪ Q(Added):
+// Q(prefix), on the frozen ground prefix, is evaluated once per d,
+// which must be the c-instance's domains, and is the whole answer when
+// c adds nothing. Otherwise Q is evaluated on db. The result may be
+// the memoised slice and is read-only.
+func (p *Problem) modelAnswers(ctx context.Context, d *domains, c ctable.Candidate, db *relation.Database) ([]relation.Tuple, error) {
+	if !p.locality().query {
+		return p.answers(ctx, db)
 	}
-	return v.ok, nil
+	ans, err := d.prefixAns.get(func() ([]relation.Tuple, error) { return p.answers(ctx, c.Prefix()) })
+	if err != nil || len(c.Added) == 0 {
+		return ans, err
+	}
+	added, err := p.answers(ctx, p.deltaDatabase(c.Added...))
+	if err != nil {
+		return nil, err
+	}
+	return unionTuples(ans, added), nil
 }
 
 // tuplesClosed reports whether ({t}, Dm) ⊨ V for every t in added,

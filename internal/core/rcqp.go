@@ -334,7 +334,11 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 		// The search's own Adom is a valid bounded-check domain for
 		// every candidate (their constants come from it), so the
 		// single-tuple candidate set is computed once and shared.
-		cex, err := p.boundedCounterexample(cctx, db, d, false)
+		ans, err := p.answers(cctx, db)
+		if err != nil {
+			return false, err
+		}
+		cex, err := p.boundedCounterexample(cctx, db, ans, d, false)
 		if err != nil {
 			return false, err
 		}

@@ -107,7 +107,11 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 			return nil, false, nil
 		}
 		consistent.Store(true)
-		cex, err := p.boundedCounterexample(ctx, db, d, true)
+		ans, err := p.modelAnswers(ctx, d, c, db)
+		if err != nil {
+			return nil, false, err
+		}
+		cex, err := p.boundedCounterexample(ctx, db, ans, d, true)
 		if err != nil {
 			return nil, false, err
 		}
@@ -133,7 +137,9 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 // boundedCounterexample checks whether the ground instance I is
 // bounded by (Dm, V): for every disjunct tableau Ti of Q and every
 // valuation ν of Ti over Adom, if I ∪ ν(Ti) is partially closed then
-// Q(I) = Q(I ∪ ν(Ti)). It returns a counterexample when not.
+// Q(I) = Q(I ∪ ν(Ti)). It returns a counterexample when not. The
+// caller passes Q(I) as baseAnswers: the deciders that check candidate
+// models take it from modelAnswers, the others evaluate Q on I.
 //
 // Rather than enumerating Adom^|vars| valuations blindly, it
 // backtracks over the tableau's atoms, drawing each atom's tuple from
@@ -156,11 +162,8 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 // or a decision event that names it. Callers that use the result only
 // as a verdict pass witness false, and a counterexample then carries an
 // Extension only if one was built anyway.
-func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Database, d *domains, witness bool) (*Counterexample, error) {
-	baseAnswers, err := p.answers(ctx, db)
-	if err != nil {
-		return nil, err
-	}
+func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Database, baseAnswers []relation.Tuple,
+	d *domains, witness bool) (*Counterexample, error) {
 	tabs, err := p.disjunctTableaux()
 	if err != nil {
 		return nil, err
@@ -304,17 +307,6 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 	// thousands of candidate instances against one lattice). Variable
 	// positions are checked during unification; lattice tuples already
 	// present in the instance are skipped during iteration.
-	matches := func(atom *query.Atom, t relation.Tuple) bool {
-		if len(t) != len(atom.Terms) {
-			return false
-		}
-		for j, term := range atom.Terms {
-			if !term.IsVar && term.Const != t[j] {
-				return false
-			}
-		}
-		return true
-	}
 	instCands := make([][]relation.Tuple, len(tab.Atoms))
 	latticeCands := make([][]relation.Tuple, len(tab.Atoms))
 	for i, atom := range tab.Atoms {
@@ -322,7 +314,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 			return nil, fmt.Errorf("relcomplete: query atom over unknown relation %s", atom.Rel)
 		}
 		for _, t := range db.Relation(atom.Rel).Tuples() {
-			if matches(atom, t) {
+			if matchesConstants(atom, t) {
 				instCands[i] = append(instCands[i], t)
 			}
 		}
@@ -526,7 +518,11 @@ func (p *Problem) groundComplete(ctx context.Context, db *relation.Database) (_ 
 	if err != nil {
 		return false, nil, nil, err
 	}
-	cex, err := p.boundedCounterexample(ctx, db, d, true)
+	ans, err := p.answers(ctx, db)
+	if err != nil {
+		return false, nil, nil, err
+	}
+	cex, err := p.boundedCounterexample(ctx, db, ans, d, true)
 	if err != nil {
 		return false, nil, nil, err
 	}
@@ -597,15 +593,42 @@ func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 }
 
 // hasCompleteRemoval reports whether some I \ {t} is still complete
-// (Lemma 4.7(b): I \ {t} remains partially closed automatically). The
-// context is consulted per removal candidate.
+// (Lemma 4.7(b): I \ {t} remains partially closed automatically). I
+// must be complete, as every caller's is: minpStrong's after rcdpStrong,
+// minpViable's after the model's bounded check and GroundMinimal's
+// after groundComplete, each under the same options.
+//
+// When V and Q are tuple-local, a tuple t of I that matches the
+// constant positions of no atom of Q's disjunct tableaux settles the
+// question with no bounded check. t derives no answer, so
+// Q(I \ {t}) = Q(I). And t is never a pick of the bounded check, from
+// the instance or from a pinned lattice, since both offer an atom only
+// tuples that match its constants. So the bounded check of I \ {t}
+// visits exactly I's extensions, within the same budget; a tuple-local
+// V needs no check of them, and each gains over Q(I \ {t}) what it
+// gains over Q(I), which is nothing, since I's check found no
+// counterexample. Hence I \ {t} is complete and I is not minimal.
+//
+// Every other removal, and every input that is not tuple-local, is
+// checked by the bounded check of I \ {t}, consulting the context per
+// removal candidate.
 func (p *Problem) hasCompleteRemoval(ctx context.Context, db *relation.Database, d *domains) (bool, error) {
+	if loc := p.locality(); loc.ccs && loc.query {
+		unseen, err := p.hasUnseenTuple(db)
+		if err != nil || unseen {
+			return unseen, err
+		}
+	}
 	for _, loc := range db.AllTuples() {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
 		smaller := db.WithoutTuple(loc.Rel, loc.Tuple)
-		cex, err := p.boundedCounterexample(ctx, smaller, d, false)
+		ans, err := p.answers(ctx, smaller)
+		if err != nil {
+			return false, err
+		}
+		cex, err := p.boundedCounterexample(ctx, smaller, ans, d, false)
 		if err != nil {
 			return false, err
 		}
@@ -614,6 +637,46 @@ func (p *Problem) hasCompleteRemoval(ctx context.Context, db *relation.Database,
 		}
 	}
 	return false, nil
+}
+
+// hasUnseenTuple reports whether db holds a tuple that matches the
+// constant positions of no atom of Q's disjunct tableaux.
+func (p *Problem) hasUnseenTuple(db *relation.Database) (bool, error) {
+	tabs, err := p.disjunctTableaux()
+	if err != nil {
+		return false, err
+	}
+	var atoms []*query.Atom
+	for _, r := range p.Schema.Relations() {
+		atoms = atoms[:0]
+		for _, tab := range tabs {
+			for _, a := range tab.Atoms {
+				if a.Rel == r.Name {
+					atoms = append(atoms, a)
+				}
+			}
+		}
+		for _, t := range db.Relation(r.Name).Tuples() {
+			if !slices.ContainsFunc(atoms, func(a *query.Atom) bool { return matchesConstants(a, t) }) {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
+}
+
+// matchesConstants reports whether t fits an atom's arity and agrees
+// with it on every constant position.
+func matchesConstants(atom *query.Atom, t relation.Tuple) bool {
+	if len(t) != len(atom.Terms) {
+		return false
+	}
+	for j, term := range atom.Terms {
+		if !term.IsVar && term.Const != t[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // GroundMinimal decides whether a ground instance is a minimal complete

@@ -50,7 +50,11 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 			return struct{}{}, false, nil
 		}
 		consistent.Store(true)
-		cex, err := p.boundedCounterexample(ctx, db, d, true)
+		ans, err := p.modelAnswers(ctx, d, c, db)
+		if err != nil {
+			return struct{}{}, false, err
+		}
+		cex, err := p.boundedCounterexample(ctx, db, ans, d, true)
 		if err != nil {
 			return struct{}{}, false, err
 		}
@@ -106,7 +110,11 @@ func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 			return struct{}{}, false, nil
 		}
 		consistent.Store(true)
-		cex, err := p.boundedCounterexample(ctx, db, d, false)
+		ans, err := p.modelAnswers(ctx, d, c, db)
+		if err != nil {
+			return struct{}{}, false, err
+		}
+		cex, err := p.boundedCounterexample(ctx, db, ans, d, false)
 		if err != nil {
 			return struct{}{}, false, err
 		}

@@ -45,7 +45,7 @@ func (p *Problem) CertainAnswersCtx(ctx context.Context, ci *ctable.CInstance) (
 // bit for bit, and the early stop on an empty intersection fires at
 // the same model.
 func (p *Problem) certainAnswers(ctx context.Context, ci *ctable.CInstance, d *domains) ([]relation.Tuple, error) {
-	type modelAnswers struct {
+	type modelResult struct {
 		ans     []relation.Tuple
 		isModel bool
 	}
@@ -55,18 +55,18 @@ func (p *Problem) certainAnswers(ctx context.Context, ci *ctable.CInstance, d *d
 	var genErr error
 	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
 		p.candidates(ctx, ci, d, &genErr),
-		func(ctx context.Context, idx int, c ctable.Candidate) (modelAnswers, error) {
+		func(ctx context.Context, idx int, c ctable.Candidate) (modelResult, error) {
 			db, ok, err := p.checkModel(ctx, d, c)
 			if err != nil || !ok {
-				return modelAnswers{}, err
+				return modelResult{}, err
 			}
-			ans, err := p.answers(ctx, db)
+			ans, err := p.modelAnswers(ctx, d, c, db)
 			if err != nil {
-				return modelAnswers{}, err
+				return modelResult{}, err
 			}
-			return modelAnswers{ans: ans, isModel: true}, nil
+			return modelResult{ans: ans, isModel: true}, nil
 		},
-		func(idx int, r modelAnswers) (bool, error) {
+		func(idx int, r modelResult) (bool, error) {
 			if !r.isModel {
 				return true, nil
 			}
@@ -136,7 +136,7 @@ type extFold struct {
 // superset, which only makes it stop later. A probe's model is
 // partially closed, so with tuple-local CCs its extensions are checked
 // by their tuples alone, and with a tuple-local query Q(I ∪ {t}) is
-// Q(I) ∪ Q({t}), Q(I) evaluated once per model.
+// Q(I) ∪ Q({t}), Q(I) taken from modelAnswers.
 func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, stopWithin map[string]bool) ([]relation.Tuple, bool, error) {
 	if !p.Query.Monotone() {
 		return nil, false, fmt.Errorf("certain answers of extensions for FO: %w", ErrUndecidable)
@@ -164,20 +164,18 @@ func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, st
 		if err != nil || !ok {
 			return extFold{}, err
 		}
+		var baseAns []relation.Tuple // Q(I)
+		if localQuery {
+			if baseAns, err = p.modelAnswers(ctx, d, c, base); err != nil {
+				return extFold{}, err
+			}
+		}
 		s := *folded.Load()
-		var baseAns []relation.Tuple // Q(I), on the first qualifying extension
-		baseDone := false
 		err = p.forEachExtension(ctx, base, d, true, func(ext *relation.Database, rel string, t relation.Tuple) (bool, error) {
 			s.anyExt = true
 			var ans []relation.Tuple
 			var err error
 			if localQuery {
-				if !baseDone {
-					if baseAns, err = p.answers(ctx, base); err != nil {
-						return false, err
-					}
-					baseDone = true
-				}
 				if ans, err = p.answers(ctx, p.deltaDatabase(relation.Located{Rel: rel, Tuple: t})); err != nil {
 					return false, err
 				}
