@@ -1,16 +1,20 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"relcomplete/internal/core"
 	"relcomplete/internal/ctable"
+	"relcomplete/internal/fault"
 	"relcomplete/internal/obs"
 	"relcomplete/internal/probjson"
 	"relcomplete/internal/relation"
+	"relcomplete/internal/search"
 )
 
 // heavySearchDocument is the shape of the served benchmark's
@@ -121,18 +125,18 @@ var candidateCounters = []string{
 // TestCandidateCountersPinned pins how many candidates each
 // heavy_search decider, viable MINP and GroundMinimal enumerate and
 // check on heavySearchDocument at Parallelism 1, and what checking them
-// costs in CC checks, plan runs, rows probed and index builds. A cold
-// case decides once on a fresh problem; a warm case decides twice on
-// one resident problem, as the served path does, and pins the second
+// costs in CC checks, plan runs, rows probed and index builds. A case
+// decides once on a fresh problem; its warm/ twin decides twice on one
+// resident problem, as the served path does, and pins the second
 // decide.
 func TestCandidateCountersPinned(t *testing.T) {
 	want := map[string][]int64{
-		"cold/rcdp_strong":    {16, 1, 0, 5, 0, 6, 58, 1},
-		"cold/rcdp_weak":      {17, 2, 1, 3, 0, 6, 109, 2},
-		"cold/certain":        {16, 1, 0, 1, 0, 2, 54, 1},
-		"cold/minp_strong":    {17, 2, 0, 5, 0, 6, 58, 1},
-		"cold/minp_viable":    {16, 1, 0, 5, 0, 6, 58, 1},
-		"cold/ground_minimal": {0, 0, 0, 5, 0, 6, 58, 1},
+		"rcdp_strong":         {16, 1, 0, 5, 0, 6, 58, 1},
+		"rcdp_weak":           {17, 2, 1, 3, 0, 6, 109, 2},
+		"certain":             {16, 1, 0, 1, 0, 2, 54, 1},
+		"minp_strong":         {17, 2, 0, 5, 0, 6, 58, 1},
+		"minp_viable":         {16, 1, 0, 5, 0, 6, 58, 1},
+		"ground_minimal":      {0, 0, 0, 5, 0, 6, 58, 1},
 		"warm/rcdp_strong":    {16, 1, 0, 0, 0, 0, 0, 0},
 		"warm/rcdp_weak":      {17, 2, 1, 1, 0, 2, 1, 1},
 		"warm/certain":        {16, 1, 0, 0, 0, 0, 0, 0},
@@ -144,7 +148,7 @@ func TestCandidateCountersPinned(t *testing.T) {
 	decides := append(heavySearchDecides[:len(heavySearchDecides):len(heavySearchDecides)], removalDecides...)
 	for _, warm := range []bool{false, true} {
 		for _, c := range decides {
-			name := "cold/" + c.name
+			name := c.name
 			if warm {
 				name = "warm/" + c.name
 			}
@@ -260,8 +264,9 @@ func TestMasterGrowthRefreshesMemos(t *testing.T) {
 // TestConcurrentDecidesShareCandidateChecks decides the heavy_search
 // deciders and consistency from eight goroutines at once on one fresh
 // resident problem at Parallelism 2, so the decides race to build and
-// share its domains, the ground prefix's CC verdict and the closure
-// memo. Every result must be the sequential one. Run it under -race.
+// share its domains, the ground prefix's CC verdict and answers, and
+// the closure memo. Every result must be the sequential one. Run it
+// under -race.
 func TestConcurrentDecidesShareCandidateChecks(t *testing.T) {
 	doc := heavySearchDocument()
 	decides := append(heavySearchDecides[:len(heavySearchDecides):len(heavySearchDecides)], struct {
@@ -298,5 +303,96 @@ func TestConcurrentDecidesShareCandidateChecks(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestInjectedPrefixAnswersFaultNotMemoised injects an error and then a
+// panic into a resident problem's first, cold evaluation of Q on T's
+// ground prefix, under certain answers and under strong RCDP's bounded
+// check. Both must come back typed. The same problem must then decide
+// fault-free as a fresh problem does, and promptly: a failed evaluation
+// memoises no answers and leaves no lock held.
+func TestInjectedPrefixAnswersFaultNotMemoised(t *testing.T) {
+	doc := heavySearchDocument()
+	decode := func() (*core.Problem, *ctable.CInstance) {
+		p, ci, err := probjson.Decode(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Options.Parallelism = 1
+		return p, ci
+	}
+	// A model's first evaluations are V's on the ground prefix; count
+	// them on a fresh problem, whose consistency decide runs only those.
+	counter := fault.NewPlan(fault.Rule{Site: fault.SiteEvalAnswers, Kind: fault.KindDelay})
+	p, ci := decode()
+	p.Options.FaultPlan = counter
+	if _, err := p.Consistent(ci); err != nil {
+		t.Fatal(err)
+	}
+	ccVisits := counter.Visits(fault.SiteEvalAnswers)
+
+	decides := []struct {
+		name   string
+		decide func(p *core.Problem, ci *ctable.CInstance) (string, error)
+	}{
+		{"certain", func(p *core.Problem, ci *ctable.CInstance) (string, error) {
+			ans, err := p.CertainAnswers(ci)
+			return fmt.Sprint(ans), err
+		}},
+		{"rcdp_strong", func(p *core.Problem, ci *ctable.CInstance) (string, error) {
+			ok, cex, err := p.RCDPExplain(ci, core.Strong)
+			return fmt.Sprint(ok, cex), err
+		}},
+	}
+	for _, c := range decides {
+		t.Run(c.name, func(t *testing.T) {
+			fresh, freshCI := decode()
+			want, err := c.decide(fresh, freshCI)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, ci := decode()
+			// The first fault lands after the prefix's CC check, which
+			// is then memoised, so the second lands on the first visit.
+			for i, kind := range []fault.Kind{fault.KindError, fault.KindPanic} {
+				after := int64(0)
+				if i == 0 {
+					after = ccVisits
+				}
+				plan := fault.NewPlan(fault.Rule{Site: fault.SiteEvalAnswers, Kind: kind, After: after})
+				p.Options.FaultPlan = plan
+				_, err := c.decide(p, ci)
+				p.Options.FaultPlan = nil
+				if got := plan.Visits(fault.SiteEvalAnswers); got != after+1 {
+					t.Fatalf("%v: %d evaluations, want the prefix's CC check (%d) and Q on the prefix", kind, got, after)
+				}
+				var pe *search.PanicError
+				switch {
+				case kind == fault.KindError && !errors.Is(err, fault.ErrInjected):
+					t.Fatalf("injected error came back as %v", err)
+				case kind == fault.KindPanic && !errors.As(err, &pe):
+					t.Fatalf("injected panic came back as %v", err)
+				case kind == fault.KindPanic:
+					if _, ok := pe.Recovered.(fault.PanicValue); !ok {
+						t.Fatalf("recovered %v, want the injected panic", pe.Recovered)
+					}
+				}
+			}
+			var got string
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				got, err = c.decide(p, ci)
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the fault-free decide did not return: a lock was left held")
+			}
+			if err != nil || got != want {
+				t.Errorf("fault-free decide after the faults: %s, %v; a fresh problem decides %s", got, err, want)
+			}
+		})
 	}
 }

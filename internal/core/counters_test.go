@@ -63,7 +63,10 @@ var pinnedCounters = []string{
 // plan_cache_hits counts the compiled plans reused from the problem's
 // and the CCs' caches; rows_probed and rows_emitted the rows the plans'
 // atom nodes fetched and kept; index_probe_hits and index_probe_misses
-// split index_probes by whether the probe found a row. Each case also
+// split index_probes by whether the probe found a row. counterDoc's
+// query is tuple-local and every model adds a tuple to T's ground
+// prefix, so Q on a model costs a plan run on the prefix, once per
+// domains, and one on the added tuples. Each case also
 // pins its per-call observations: the phases it ran (name:count), the
 // decider_wall_seconds observation count, and the count/sum of the
 // models_admitted_per_call and models_pruned_per_call histograms.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,6 +94,8 @@ func deltaQueries(data *relation.DBSchema) []struct {
 		{calc("Q(x) := R(x, y) | S(x)"), true},
 		{calc("Q(x, z) := R(x, y) & z = 'b'"), true},
 		{calc("Q(x, y) := R(x, y) & x != y"), true},
+		{calc("Q() := exists y: R('a', y)"), true},
+		{calc("Q(x) := R(x, 'b')"), true},
 		{calc("Q(x) := R(x, y) & S(y)"), false},
 		{calc("Q(x) := exists y: R(x, y) & R(y, x)"), false},
 		{calc("Q(x) := R(x, y) & z != x"), false},
@@ -117,8 +121,8 @@ type deltaCase struct {
 	queryO bool // the expected query classification
 }
 
-func genDeltaCase(t *testing.T, rng *rand.Rand) deltaCase {
-	data, master := deltaSchemas()
+// deltaMaster is the parity suite's master data.
+func deltaMaster(master *relation.DBSchema) *relation.Database {
 	dm := relation.NewDatabase(master)
 	for _, v := range []relation.Value{"a", "b", "c"} {
 		dm.MustInsert("M", relation.T(v))
@@ -126,6 +130,12 @@ func genDeltaCase(t *testing.T, rng *rand.Rand) deltaCase {
 	for _, r := range [][2]relation.Value{{"a", "b"}, {"b", "c"}, {"c", "a"}, {"a", "d"}} {
 		dm.MustInsert("N", relation.T(r[0], r[1]))
 	}
+	return dm
+}
+
+func genDeltaCase(t *testing.T, rng *rand.Rand) deltaCase {
+	data, master := deltaSchemas()
+	dm := deltaMaster(master)
 	pool, queries := deltaCCPool(t, data, master), deltaQueries(data)
 	c := deltaCase{ccsOK: true}
 	v := cc.NewSet()
@@ -294,13 +304,20 @@ func TestDeltaParity(t *testing.T) {
 	}
 }
 
-// TestDeltaDecidersMatchFullPath decides generated problems twice at
-// Parallelism 1: as they are, and on a twin problem whose CCs and query
+// TestDeltaDecidersMatchFullPath decides generated problems at
+// Parallelism 1 as they are, and on a twin problem whose CCs and query
 // are classified as not tuple-local, so that every candidate takes the
-// full check. Verdicts, counterexamples, certain answers, the weakly
-// complete witness and errors must be identical.
+// full check and every removal of strong MINP, viable MINP and
+// GroundMinimal its bounded check. Each twin decides twice, cold and
+// then warm. Verdicts, counterexamples, certain answers, the weakly
+// complete witness and errors must be identical in all four runs. The
+// suite must meet admitted models that add tuples to T's ground prefix,
+// whose answers are Q(prefix) ∪ Q(Added), and complete models that
+// hasCompleteRemoval settles without a bounded check.
 func TestDeltaDecidersMatchFullPath(t *testing.T) {
 	ctx := context.Background()
+	addedModels, settled := 0, 0
+	var cases []deltaDecideCase
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := genDeltaCase(t, rng)
@@ -320,6 +337,10 @@ func TestDeltaDecidersMatchFullPath(t *testing.T) {
 			}
 			ci.MustAddRow(rel, r)
 		}
+		cases = append(cases, deltaDecideCase{fmt.Sprintf("seed %d", seed), c.p, ci})
+	}
+	for _, c := range append(cases, deltaRemovalCases(t)...) {
+		ci := c.ci
 		full := MustProblem(c.p.Schema, c.p.Query, c.p.Master, c.p.CCs, c.p.Options)
 		full.memo.localOnce.Do(func() {}) // nothing is tuple-local
 		decide := func(p *Problem) string {
@@ -337,6 +358,8 @@ func TestDeltaDecidersMatchFullPath(t *testing.T) {
 			add("certain_ext ", ans, " ", any, " ", err)
 			ok, err = p.MINPCtx(ctx, ci, Strong)
 			add("minp ", ok, " ", err)
+			ok, err = p.MINPCtx(ctx, ci, Viable)
+			add("minp_viable ", ok, " ", err)
 			db, err := p.ConstructWeaklyCompleteCtx(ctx)
 			add("witness ", db, " ", err)
 			if model, err := p.AnyModelCtx(ctx, ci); err == nil && model != nil {
@@ -344,11 +367,115 @@ func TestDeltaDecidersMatchFullPath(t *testing.T) {
 				add("extensible ", ok, " ", err)
 				ok, cex, err = p.GroundCompleteCtx(ctx, model)
 				add("ground ", ok, " ", cex, " ", err)
+				ok, err = p.GroundMinimalCtx(ctx, model)
+				add("ground_minimal ", ok, " ", err)
 			}
 			return strings.Join(out, "\n")
 		}
-		if got, want := decide(c.p), decide(full); got != want {
-			t.Fatalf("seed %d: V %v, Q %s, T %v:\ndelta path:\n%s\nfull path:\n%s", seed, c.p.CCs, c.p.Query, ci, got, want)
+		want := decide(full)
+		for _, run := range []struct {
+			name string
+			p    *Problem
+		}{{"full path, warm", full}, {"delta path, cold", c.p}, {"delta path, warm", c.p}} {
+			if got := decide(run.p); got != want {
+				t.Fatalf("%s: V %v, Q %s, T %v:\n%s:\n%s\nfull path, cold:\n%s", c.label, c.p.CCs, c.p.Query, ci, run.name, got, want)
+			}
 		}
+		a, s := countDeltaModels(t, c.p, ci)
+		addedModels += a
+		settled += s
 	}
+	if addedModels == 0 {
+		t.Error("no admitted model added tuples to T's ground prefix: Q(prefix) ∪ Q(Added) is not exercised")
+	}
+	if settled == 0 {
+		t.Error("no complete model held a tuple that Q cannot see: hasCompleteRemoval's rule is not exercised")
+	}
+}
+
+// deltaDecideCase is one input of the decider parity suite.
+type deltaDecideCase struct {
+	label string
+	p     *Problem
+	ci    *ctable.CInstance
+}
+
+// deltaRemovalCases put the edges of hasCompleteRemoval's rule in play,
+// beside the generated cases:
+//   - under the FD R: a → b and r_neq, which are not all tuple-local, Q
+//     sees neither of T's tuples R(a, d) and R(b, c), yet each blocks an
+//     extension Q sees (R(a, b) and R(b, b)), so T is minimal;
+//   - under r_in_m, Q sees the one tuple R(a, v) of every model of T,
+//     and every model is minimal;
+//   - the same with an S row that Q cannot see, whose removal the rule
+//     settles, and which adds a tuple to T's ground prefix.
+func deltaRemovalCases(t *testing.T) []deltaDecideCase {
+	data, master := deltaSchemas()
+	dm := deltaMaster(master)
+	pool := map[string][]*cc.Constraint{}
+	for _, c := range deltaCCPool(t, data, master) {
+		pool[c.ccs[0].Name] = append(pool[c.ccs[0].Name], c.ccs...)
+	}
+	build := func(ccs []*cc.Constraint, q string, rows map[string][]ctable.Row) deltaDecideCase {
+		p := MustProblem(data, CalcQuery(query.MustParseQuery(q)), dm, cc.NewSet(ccs...), Options{Parallelism: 1})
+		ci := ctable.NewCInstance(data)
+		for _, rel := range []string{"R", "S"} {
+			for _, r := range rows[rel] {
+				ci.MustAddRow(rel, r)
+			}
+		}
+		return deltaDecideCase{label: "removal case " + q, p: p, ci: ci}
+	}
+	row := func(terms ...query.Term) ctable.Row { return ctable.Row{Terms: terms} }
+	a, b, c, d, x := query.C("a"), query.C("b"), query.C("c"), query.C("d"), query.V("x")
+	return []deltaDecideCase{
+		build(append(slices.Clone(pool["fd_R_b"]), pool["r_neq"]...), "Q(x) := R(x, 'b')",
+			map[string][]ctable.Row{"R": {row(a, d), row(b, c)}}),
+		build(pool["r_in_m"], "Q() := exists y: R('a', y)",
+			map[string][]ctable.Row{"R": {row(a, x)}}),
+		build(append(slices.Clone(pool["r_in_m"]), pool["s_in_m"]...), "Q() := exists y: R('a', y)",
+			map[string][]ctable.Row{"R": {row(a, c)}, "S": {row(x)}}),
+	}
+}
+
+// countDeltaModels counts ci's admitted models that add tuples to its
+// ground prefix, and, when V and Q are tuple-local, its complete models
+// whose removal check hasCompleteRemoval settles without a bounded
+// check: those holding a tuple that no atom of Q matches.
+func countDeltaModels(t *testing.T, p *Problem, ci *ctable.CInstance) (added, settled int) {
+	t.Helper()
+	ctx := context.Background()
+	d, err := p.domainsFor(ci, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := p.locality()
+	var genErr error
+	p.candidates(ctx, ci, d, &genErr)(func(c ctable.Candidate) bool {
+		db, ok, err := p.checkModel(ctx, d, c)
+		if err == nil && ok && len(c.Added) > 0 {
+			added++
+		}
+		if err == nil && ok && loc.ccs && loc.query {
+			var ans []relation.Tuple
+			var cex *Counterexample
+			var unseen bool
+			if ans, err = p.modelAnswers(ctx, d, c, db); err == nil {
+				cex, err = p.boundedCounterexample(ctx, db, ans, d, false)
+			}
+			if err == nil && cex == nil {
+				if unseen, err = p.hasUnseenTuple(db); unseen {
+					settled++
+				}
+			}
+		}
+		if err != nil {
+			genErr = err
+		}
+		return err == nil
+	})
+	if genErr != nil && !errors.Is(genErr, ErrBudget) {
+		t.Fatal(genErr)
+	}
+	return added, settled
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"relcomplete/internal/ctable"
 	"relcomplete/internal/fault"
 	"relcomplete/internal/relation"
 	"relcomplete/internal/search"
@@ -45,14 +46,14 @@ func assertNoGoroutineLeak(t *testing.T, base int) {
 // runContained invokes fn with panic capture: injected panics on the
 // sequential (non-search) paths propagate to the caller by design, and
 // the chaos suite must treat them as contained typed failures.
-func runContained(fn func() (bool, error)) (ok bool, err error, panicked any) {
+func runContained[T any](fn func() (T, error)) (v T, err error, panicked any) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = r
 		}
 	}()
-	ok, err = fn()
-	return ok, err, nil
+	v, err = fn()
+	return v, err, nil
 }
 
 // chaosAcceptable reports whether err is a typed failure the chaos
@@ -83,46 +84,74 @@ func chaosSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
+// TestChaosCorrectVerdictOrTypedError decides random problems under
+// each seed's fault plan in two passes: a cold one, on fresh problems
+// whose memos fill under the faults, and a warm one, on problems that
+// decided fault-free first. Every decide must return the fault-free
+// verdict or a typed error. After the cold pass its problems decide
+// again fault-free and must return the fault-free verdicts exactly: no
+// memo keeps what a fault left behind.
 func TestChaosCorrectVerdictOrTypedError(t *testing.T) {
 	base := runtime.NumGoroutine()
-	probs := randomProblems(t, 909, 12)
-	models := []Model{Strong, Weak, Viable}
+	const seed, n = 909, 12
+	deciders := []struct {
+		name   string
+		decide func(p *Problem, ci *ctable.CInstance) (string, error)
+	}{
+		{"rcdp_strong", func(p *Problem, ci *ctable.CInstance) (string, error) {
+			ok, err := p.RCDP(ci, Strong)
+			return fmt.Sprint(ok), err
+		}},
+		{"rcdp_weak", func(p *Problem, ci *ctable.CInstance) (string, error) {
+			ok, err := p.RCDP(ci, Weak)
+			return fmt.Sprint(ok), err
+		}},
+		{"rcdp_viable", func(p *Problem, ci *ctable.CInstance) (string, error) {
+			ok, err := p.RCDP(ci, Viable)
+			return fmt.Sprint(ok), err
+		}},
+		{"minp_strong", func(p *Problem, ci *ctable.CInstance) (string, error) {
+			ok, err := p.MINP(ci, Strong)
+			return fmt.Sprint(ok), err
+		}},
+		{"certain", func(p *Problem, ci *ctable.CInstance) (string, error) {
+			ans, err := p.CertainAnswers(ci)
+			return fmt.Sprint(ans), err
+		}},
+	}
 
 	// Fault-free baselines, sequential (the reference execution).
 	type verdict struct {
-		ok  bool
+		out string
 		err error
 	}
-	baseline := make([][]verdict, len(probs))
-	for i, rp := range probs {
-		baseline[i] = make([]verdict, len(models))
-		for j, m := range models {
-			ok, err := rp.p.RCDP(rp.ci, m)
-			baseline[i][j] = verdict{ok: ok, err: err}
+	warm := randomProblems(t, seed, n)
+	baseline := make([][]verdict, len(warm))
+	for i, rp := range warm {
+		baseline[i] = make([]verdict, len(deciders))
+		for j, d := range deciders {
+			out, err := d.decide(rp.p, rp.ci)
+			baseline[i][j] = verdict{out: out, err: err}
 		}
 	}
 
-	for _, seed := range chaosSeeds(t) {
-		plan := fault.Chaos(seed)
-		relation.SetFaultPlan(plan)
+	decideAll := func(pass string, probs []randomProblem, plan *fault.Plan) {
 		for i, rp := range probs {
 			rp.p.Options.FaultPlan = plan
 			rp.p.Options.Parallelism = parWorkers
-			for j, m := range models {
-				label := fmt.Sprintf("seed %d case %d model %s", seed, i, m)
+			for j, d := range deciders {
+				label := fmt.Sprintf("%s case %d %s", pass, i, d.name)
 				want := baseline[i][j]
-				got, err, panicked := runContained(func() (bool, error) {
-					return rp.p.RCDP(rp.ci, m)
-				})
+				got, err, panicked := runContained(func() (string, error) { return d.decide(rp.p, rp.ci) })
 				switch {
 				case panicked != nil:
 					// A panic that escaped the decider must be the
 					// injected one, propagated from a sequential path.
-					if _, isInjected := panicked.(fault.PanicValue); !isInjected {
+					if _, isInjected := panicked.(fault.PanicValue); !isInjected || plan == nil {
 						t.Fatalf("%s: foreign panic %v", label, panicked)
 					}
 				case err != nil:
-					if chaosAcceptable(err) {
+					if plan != nil && chaosAcceptable(err) {
 						break
 					}
 					// The fault-free error (e.g. ErrInconsistent) may
@@ -133,19 +162,27 @@ func TestChaosCorrectVerdictOrTypedError(t *testing.T) {
 					t.Fatalf("%s: untyped error %v (baseline %v)", label, err, want.err)
 				default:
 					if want.err != nil {
-						t.Fatalf("%s: clean verdict %v but baseline errored with %v", label, got, want.err)
+						t.Fatalf("%s: clean verdict %s but baseline errored with %v", label, got, want.err)
 					}
-					if got != want.ok {
-						t.Fatalf("%s: verdict %v under faults, fault-free %v", label, got, want.ok)
+					if got != want.out {
+						t.Fatalf("%s: verdict %s, fault-free %s", label, got, want.out)
 					}
 				}
 			}
 			rp.p.Options.FaultPlan = nil
 			rp.p.Options.Parallelism = 0
 		}
-		relation.SetFaultPlan(nil)
 	}
 	defer relation.SetFaultPlan(nil)
+	for _, s := range chaosSeeds(t) {
+		plan := fault.Chaos(s)
+		relation.SetFaultPlan(plan)
+		cold := randomProblems(t, seed, n)
+		decideAll(fmt.Sprintf("seed %d cold", s), cold, plan)
+		decideAll(fmt.Sprintf("seed %d warm", s), warm, plan)
+		relation.SetFaultPlan(nil)
+		decideAll(fmt.Sprintf("seed %d fault-free after the cold pass", s), cold, nil)
+	}
 	assertNoGoroutineLeak(t, base)
 }
 
