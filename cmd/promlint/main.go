@@ -1,8 +1,9 @@
 // Command promlint validates a metrics text-exposition document (file
 // argument or stdin with "-") against the in-repo grammar checkers,
-// obs.ValidatePrometheusText and obs.ValidateOpenMetricsText. CI's
-// server-smoke job pipes the live /metrics scrape through it so an
-// exposition regression fails the round-trip, not a downstream scraper.
+// promcheck.ValidatePrometheusText and
+// promcheck.ValidateOpenMetricsText. CI's server-smoke job pipes the
+// live /metrics scrape through it so an exposition regression fails
+// the round-trip, not a downstream scraper.
 //
 // The format is auto-detected: a document containing a "# EOF" line is
 // checked as OpenMetrics (exemplars allowed, EOF terminator required),
@@ -28,7 +29,7 @@ import (
 	"io"
 	"os"
 
-	"relcomplete/internal/obs"
+	"relcomplete/internal/promcheck"
 )
 
 func main() {
@@ -60,14 +61,14 @@ func run(args []string, stdin io.Reader) error {
 	}
 	switch *format {
 	case "prometheus":
-		return obs.ValidatePrometheusText(data)
+		return promcheck.ValidatePrometheusText(data)
 	case "openmetrics":
-		return obs.ValidateOpenMetricsText(data)
+		return promcheck.ValidateOpenMetricsText(data)
 	case "auto":
 		if isOpenMetrics(data) {
-			return obs.ValidateOpenMetricsText(data)
+			return promcheck.ValidateOpenMetricsText(data)
 		}
-		return obs.ValidatePrometheusText(data)
+		return promcheck.ValidatePrometheusText(data)
 	}
 	return fmt.Errorf("unknown -format %q", *format)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"relcomplete/internal/obs"
+	"relcomplete/internal/promcheck"
 )
 
 // The experiment driver end to end on the fastest experiments: every
@@ -115,7 +116,7 @@ func TestServeDebug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidatePrometheusText(body); err != nil {
+	if err := promcheck.ValidatePrometheusText(body); err != nil {
 		t.Fatalf("/metrics failed the exposition grammar: %v", err)
 	}
 	if !strings.Contains(string(body), "relcomplete_models_checked_total") {

@@ -10,6 +10,7 @@ import (
 
 	"relcomplete/internal/core"
 	"relcomplete/internal/obs"
+	"relcomplete/internal/promcheck"
 )
 
 const sampleDoc = `{
@@ -323,7 +324,7 @@ func TestRCheckMetricsOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidatePrometheusText(data); err != nil {
+	if err := promcheck.ValidatePrometheusText(data); err != nil {
 		t.Fatalf("metrics-out fails the exposition grammar: %v\n%s", err, data)
 	}
 	for _, want := range []string{
@@ -364,7 +365,7 @@ func TestRCheckMetricsOutOnBudgetError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidatePrometheusText(data); err != nil {
+	if err := promcheck.ValidatePrometheusText(data); err != nil {
 		t.Fatalf("metrics after budget error invalid: %v", err)
 	}
 	if !strings.Contains(string(data), "relcomplete_budget_errors_total 1") {

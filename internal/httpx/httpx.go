@@ -195,7 +195,9 @@ func AccessLogExport(l *slog.Logger, exporter *obs.SpanExporter, next http.Handl
 			root = rec.Root(r.Method+" "+r.URL.Path, r.Header.Get("traceparent"))
 			defer func() {
 				root.End()
-				exporter.Enqueue(rec.Spans())
+				if exporter != nil {
+					exporter.Enqueue(rec.Spans())
+				}
 			}()
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), root))
 		}
@@ -207,7 +209,7 @@ func AccessLogExport(l *slog.Logger, exporter *obs.SpanExporter, next http.Handl
 		}
 		if l != nil {
 			l.LogAttrs(r.Context(), slog.LevelInfo, "access",
-				slog.String("trace_id", root.Trace().String()),
+				slog.String("trace_id", root.TraceHex()),
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.Int("status", sw.status),

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"relcomplete/internal/obs"
+	"relcomplete/internal/promcheck"
 )
 
 // The /metrics route negotiates the OpenMetrics exposition: an Accept
@@ -50,7 +51,7 @@ func TestMetricsOpenMetricsNegotiation(t *testing.T) {
 	if ctype != obs.ContentTypeOpenMetrics {
 		t.Fatalf("Accept negotiation Content-Type = %q", ctype)
 	}
-	if err := obs.ValidateOpenMetricsText([]byte(body)); err != nil {
+	if err := promcheck.ValidateOpenMetricsText([]byte(body)); err != nil {
 		t.Fatalf("negotiated OpenMetrics body invalid: %v", err)
 	}
 	if !strings.Contains(body, `# {trace_id="aaaabbbbccccddddaaaabbbbccccdddd"}`) {
@@ -66,7 +67,7 @@ func TestMetricsOpenMetricsNegotiation(t *testing.T) {
 	if ctype != obs.ContentTypePrometheus {
 		t.Fatalf("default Content-Type = %q", ctype)
 	}
-	if err := obs.ValidatePrometheusText([]byte(body)); err != nil {
+	if err := promcheck.ValidatePrometheusText([]byte(body)); err != nil {
 		t.Fatalf("default body failed the Prometheus grammar: %v", err)
 	}
 	if strings.Contains(body, "# {") {

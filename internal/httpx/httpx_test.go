@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"relcomplete/internal/obs"
+	"relcomplete/internal/promcheck"
 )
 
 // The debug mux end to end: /metrics must pass the in-repo Prometheus
@@ -41,7 +42,7 @@ func TestDebugMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidatePrometheusText(body); err != nil {
+	if err := promcheck.ValidatePrometheusText(body); err != nil {
 		t.Fatalf("/metrics failed the exposition grammar: %v", err)
 	}
 	if !strings.Contains(string(body), "relcomplete_models_checked_total") {

@@ -61,13 +61,19 @@ const (
 // float64: 6e10/1e9 is exactly 60), and its ascending upper bucket
 // bounds in recorded units. A final +Inf bucket is implicit. labels
 // holds the bucket labels every snapshot and exposition renders: each
-// bound in the exposed unit, then "+Inf"; init computes them once.
+// bound in the exposed unit, then "+Inf"; init computes them once,
+// with the JSON fragments AppendJSON writes: jsonHead opens the
+// histogram's object up to its count, and jsonBuckets[i] opens bucket
+// i's object up to its count.
 type histoDef struct {
 	name   string
 	help   string
 	div    float64
 	bounds []int64
 	labels []string
+
+	jsonHead    string
+	jsonBuckets []string
 }
 
 // maxHistoBuckets bounds len(bounds)+1 across all defs so Metrics can
@@ -139,6 +145,11 @@ func init() {
 			d.labels = append(d.labels, formatBound(float64(b)/d.div))
 		}
 		d.labels = append(d.labels, "+Inf")
+		d.jsonHead = `{"name":` + string(AppendJSONString(nil, d.name)) + `,"count":`
+		d.jsonBuckets = make([]string, len(d.labels))
+		for i, le := range d.labels {
+			d.jsonBuckets[i] = `{"le":` + string(AppendJSONString(nil, le)) + `,"count":`
+		}
 	}
 }
 

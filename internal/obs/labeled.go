@@ -387,3 +387,18 @@ func (m *Metrics) histoVec(h Histo) *HistogramVec {
 	defer m.vecMu.Unlock()
 	return m.histoVecs[h]
 }
+
+// validLabelName reports whether s is a Prometheus label name that a
+// user may set.
+func validLabelName(s string) bool {
+	if s == "" || s == "__name__" {
+		return false
+	}
+	for i, r := range s {
+		alpha := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
+		if !alpha && (i == 0 || r < '0' || r > '9') {
+			return false
+		}
+	}
+	return true
+}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"relcomplete/internal/promcheck"
 )
 
 func TestCounterVecBasics(t *testing.T) {
@@ -153,7 +155,7 @@ func TestLabeledExpositionValidates(t *testing.T) {
 	m.Inc(ServerDecides)
 
 	text := m.PrometheusText()
-	if err := ValidatePrometheusText([]byte(text)); err != nil {
+	if err := promcheck.ValidatePrometheusText([]byte(text)); err != nil {
 		t.Fatalf("labelled exposition rejected: %v\n%s", err, text)
 	}
 	wantLines := []string{
@@ -183,7 +185,7 @@ func TestLabeledExpositionValidates(t *testing.T) {
 func TestRuntimeGaugesExposed(t *testing.T) {
 	m := NewMetrics()
 	text := m.PrometheusText()
-	if err := ValidatePrometheusText([]byte(text)); err != nil {
+	if err := promcheck.ValidatePrometheusText([]byte(text)); err != nil {
 		t.Fatalf("exposition with runtime gauges rejected: %v", err)
 	}
 	for _, fam := range []string{

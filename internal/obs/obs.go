@@ -14,7 +14,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -292,10 +291,10 @@ func (m *Metrics) Snapshot() Stats {
 	return s
 }
 
-// MarshalJSON serialises the snapshot of m, making a *Metrics directly
-// usable as an expvar.Var-style JSON value.
+// MarshalJSON serialises the snapshot of m (AppendJSON), making a
+// *Metrics directly usable as an expvar.Var-style JSON value.
 func (m *Metrics) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m.Snapshot())
+	return m.AppendJSON(nil), nil
 }
 
 // String renders the snapshot as JSON; together with MarshalJSON this

@@ -8,8 +8,9 @@ package obs
 // bucket samples may trail a `# {trace_id="…"} value timestamp`
 // exemplar, and the document ends with the mandatory `# EOF`
 // terminator. /metrics serves this format on content negotiation
-// (Accept: application/openmetrics-text) and ValidateOpenMetricsText
-// (promvalidate.go) is the in-repo grammar check CI runs against it.
+// (Accept: application/openmetrics-text) and internal/promcheck's
+// ValidateOpenMetricsText is the in-repo grammar check CI runs against
+// it.
 
 import (
 	"fmt"

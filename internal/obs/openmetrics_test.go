@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"relcomplete/internal/promcheck"
 )
 
 func TestExemplarRecordAndReplace(t *testing.T) {
@@ -95,7 +97,7 @@ func TestOpenMetricsExposition(t *testing.T) {
 		int64(5*time.Millisecond), "aaaabbbbccccddddaaaabbbbccccdddd", "orders")
 
 	text := m.OpenMetricsText()
-	if err := ValidateOpenMetricsText([]byte(text)); err != nil {
+	if err := promcheck.ValidateOpenMetricsText([]byte(text)); err != nil {
 		t.Fatalf("own OpenMetrics exposition rejected: %v\n%s", err, text)
 	}
 	if !strings.HasSuffix(text, "# EOF\n") {
@@ -127,7 +129,7 @@ func TestOpenMetricsExposition(t *testing.T) {
 	// The classic exposition is unchanged by exemplars: still valid
 	// 0.0.4, no exemplar syntax.
 	prom := m.PrometheusText()
-	if err := ValidatePrometheusText([]byte(prom)); err != nil {
+	if err := promcheck.ValidatePrometheusText([]byte(prom)); err != nil {
 		t.Fatalf("Prometheus exposition rejected: %v", err)
 	}
 	if strings.Contains(prom, "# {") {
@@ -138,7 +140,7 @@ func TestOpenMetricsExposition(t *testing.T) {
 func TestOpenMetricsNilMetrics(t *testing.T) {
 	var m *Metrics
 	text := m.OpenMetricsText()
-	if err := ValidateOpenMetricsText([]byte(text)); err != nil {
+	if err := promcheck.ValidateOpenMetricsText([]byte(text)); err != nil {
 		t.Fatalf("nil-Metrics OpenMetrics exposition rejected: %v", err)
 	}
 	if !strings.Contains(text, "relcomplete_valuations_enumerated_total 0\n") {
@@ -163,67 +165,6 @@ func TestWantsOpenMetrics(t *testing.T) {
 		if got := WantsOpenMetrics(c.accept, c.format); got != c.want {
 			t.Errorf("WantsOpenMetrics(%q, %q) = %v, want %v", c.accept, c.format, got, c.want)
 		}
-	}
-}
-
-func TestOpenMetricsValidatorRejects(t *testing.T) {
-	cases := []struct {
-		name, doc, wantErr string
-	}{
-		{
-			"missing EOF",
-			"# TYPE relcomplete_x counter\nrelcomplete_x_total 1\n",
-			"# EOF",
-		},
-		{
-			"content after EOF",
-			"# EOF\nrelcomplete_x_total 1\n",
-			"after # EOF",
-		},
-		{
-			"bare counter sample",
-			"# TYPE relcomplete_x counter\nrelcomplete_x 1\n# EOF\n",
-			"_total",
-		},
-		{
-			"exemplar on a gauge",
-			"# TYPE relcomplete_g gauge\nrelcomplete_g 1 # {trace_id=\"ab\"} 1\n# EOF\n",
-			"exemplar",
-		},
-		{
-			"exemplar on _sum",
-			"# TYPE relcomplete_h histogram\nrelcomplete_h_bucket{le=\"+Inf\"} 1\nrelcomplete_h_sum 1 # {trace_id=\"ab\"} 1\nrelcomplete_h_count 1\n# EOF\n",
-			"exemplar",
-		},
-		{
-			"oversized exemplar label set",
-			"# TYPE relcomplete_h histogram\nrelcomplete_h_bucket{le=\"+Inf\"} 1 # {trace_id=\"" +
-				strings.Repeat("a", 130) + "\"} 1\nrelcomplete_h_sum 1\nrelcomplete_h_count 1\n# EOF\n",
-			"128",
-		},
-		{
-			"malformed exemplar labels",
-			"# TYPE relcomplete_h histogram\nrelcomplete_h_bucket{le=\"+Inf\"} 1 # {trace_id=} 1\n# EOF\n",
-			"exemplar",
-		},
-	}
-	for _, c := range cases {
-		err := ValidateOpenMetricsText([]byte(c.doc))
-		if err == nil {
-			t.Errorf("%s: validator accepted\n%s", c.name, c.doc)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantErr)
-		}
-	}
-
-	// The Prometheus validator must reject exemplar syntax outright —
-	// the 0.0.4 format has none.
-	err := ValidatePrometheusText([]byte(
-		"# TYPE relcomplete_h histogram\nrelcomplete_h_bucket{le=\"+Inf\"} 1 # {trace_id=\"ab\"} 1\n"))
-	if err == nil {
-		t.Error("Prometheus validator accepted exemplar syntax")
 	}
 }
 

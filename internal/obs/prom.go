@@ -6,7 +6,7 @@ package obs
 // (zero or not, so scrape series never appear and disappear), the
 // per-phase wall-clock totals as labelled counters, and every
 // histogram in the standard _bucket/_sum/_count shape.
-// ValidatePrometheusText (promvalidate.go) is the in-repo grammar
+// internal/promcheck's ValidatePrometheusText is the in-repo grammar
 // check CI runs against this output.
 
 import (

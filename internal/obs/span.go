@@ -43,14 +43,24 @@ type SpanID [8]byte
 // IsZero reports whether the trace id is the invalid all-zero id.
 func (t TraceID) IsZero() bool { return t == TraceID{} }
 
-// String renders the trace id as 32 lowercase hex digits.
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+// String renders the trace id as 32 lowercase hex digits, in one
+// allocation.
+func (t TraceID) String() string {
+	var b [2 * len(TraceID{})]byte
+	hex.Encode(b[:], t[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the span id is the invalid all-zero id.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
 
-// String renders the span id as 16 lowercase hex digits.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+// String renders the span id as 16 lowercase hex digits, in one
+// allocation.
+func (s SpanID) String() string {
+	var b [2 * len(SpanID{})]byte
+	hex.Encode(b[:], s[:])
+	return string(b[:])
+}
 
 // randTraceID and randSpanID draw process-unique identifiers. The ids
 // carry no security weight (they correlate log lines, they do not
@@ -120,11 +130,17 @@ func decodeLowerHex(dst []byte, src string) error {
 
 // FormatTraceparent renders a version-00 traceparent header.
 func FormatTraceparent(t TraceID, s SpanID, sampled bool) string {
+	return formatTraceparent(t.String(), s, sampled)
+}
+
+// formatTraceparent is FormatTraceparent with the trace id already in
+// hex.
+func formatTraceparent(traceHex string, s SpanID, sampled bool) string {
 	flags := "00"
 	if sampled {
 		flags = "01"
 	}
-	return "00-" + t.String() + "-" + s.String() + "-" + flags
+	return "00-" + traceHex + "-" + s.String() + "-" + flags
 }
 
 // SpanData is one finished span, shaped for encoding/json (the
@@ -151,12 +167,13 @@ const DefaultSpanCap = 256
 // most recent cap of them. All methods are safe for concurrent use —
 // search workers end spans and emit events from many goroutines.
 type SpanRecorder struct {
-	traceID TraceID
-	sampled bool
-	cap     int
-	events  io.Writer  // decision events stream here; nil drops them
-	start   time.Time  // the root's start, from which event times count
-	evMu    sync.Mutex // serialises writes to events, so lines stay whole
+	traceID  TraceID
+	traceHex string // traceID in hex, formatted once by Root
+	sampled  bool
+	cap      int
+	events   io.Writer  // decision events stream here; nil drops them
+	start    time.Time  // the root's start, from which event times count
+	evMu     sync.Mutex // serialises writes to events, so lines stay whole
 
 	mu      sync.Mutex
 	spans   []SpanData // grows to cap, then next is the oldest
@@ -190,7 +207,7 @@ func (r *SpanRecorder) Root(name, traceparent string) *Span {
 	if err != nil {
 		t, parent, sampled = randTraceID(), SpanID{}, true
 	}
-	r.traceID, r.sampled, r.start = t, sampled, time.Now()
+	r.traceID, r.traceHex, r.sampled, r.start = t, t.String(), sampled, time.Now()
 	return &Span{
 		rec:    r,
 		id:     randSpanID(),
@@ -328,13 +345,22 @@ func (s *Span) Trace() TraceID {
 	return s.rec.traceID
 }
 
+// TraceHex returns the span's trace id as 32 lowercase hex digits,
+// formatted once per recorder ("" on a nil receiver).
+func (s *Span) TraceHex() string {
+	if s == nil {
+		return ""
+	}
+	return s.rec.traceHex
+}
+
 // Traceparent renders the outbound traceparent header naming s as the
 // parent ("" on a nil receiver).
 func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
 	}
-	return FormatTraceparent(s.rec.traceID, s.id, s.rec.sampled)
+	return formatTraceparent(s.rec.traceHex, s.id, s.rec.sampled)
 }
 
 // SetAttr attaches one key/value attribute (formatted with %v) to the
@@ -376,7 +402,7 @@ func (s *Span) EndAt(end time.Time) {
 	}
 	s.ended = true
 	d := SpanData{
-		TraceID:    s.rec.traceID.String(),
+		TraceID:    s.rec.traceHex,
 		SpanID:     s.id.String(),
 		Name:       s.name,
 		Start:      s.start,

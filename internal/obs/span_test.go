@@ -201,3 +201,27 @@ func TestSpanRecorderCap(t *testing.T) {
 		t.Errorf("cap = %d, want 7", got)
 	}
 }
+
+// Ending a child span allocates two strings, its own id and its
+// parent's, one allocation each: the trace id is formatted once per
+// recorder, by Root, and every span reads it.
+func TestEndChildSpanAllocs(t *testing.T) {
+	rec := NewSpanRecorder(1)
+	root := rec.Root("root", "")
+	now := time.Now()
+	root.StartChild("warm", now).EndAt(now) // the recorder is at its cap
+	start := testing.AllocsPerRun(200, func() { root.StartChild("child", now) })
+	both := testing.AllocsPerRun(200, func() { root.StartChild("child", now).EndAt(now) })
+	if end := both - start; end != 2 {
+		t.Fatalf("ending a child span allocates %v objects, want 2", end)
+	}
+	if got, want := rec.Spans()[0].TraceID, rec.TraceID().String(); got != want {
+		t.Fatalf("span trace id %q, want %q", got, want)
+	}
+	if got, want := root.TraceHex(), rec.TraceID().String(); got != want {
+		t.Fatalf("TraceHex %q, want %q", got, want)
+	}
+	if got, want := root.Traceparent(), FormatTraceparent(rec.TraceID(), root.ID(), true); got != want {
+		t.Fatalf("Traceparent %q, want %q", got, want)
+	}
+}

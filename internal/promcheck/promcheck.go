@@ -1,16 +1,19 @@
-package obs
-
-// This file is a small in-repo validator for the Prometheus text
-// exposition format (0.0.4): enough grammar to catch a malformed
-// /metrics document in CI without importing a client library. It
-// checks line syntax (HELP/TYPE comments, sample lines with optional
-// labels and timestamps), metric and label name grammar, duplicate
-// label detection, float parsability, family grouping (one TYPE per
-// family, declared before its samples, samples not interleaved across
-// families), and the histogram invariants (cumulative non-decreasing
-// buckets, a +Inf bucket, _count equal to the +Inf bucket) — tracked
-// per label-set, since a labelled histogram family exposes one
-// independent bucket sequence per label combination.
+// Package promcheck validates metrics expositions: a small in-repo
+// checker of the Prometheus text exposition format (0.0.4) and of
+// OpenMetrics 1.0, enough grammar to catch a malformed /metrics
+// document in CI without importing a client library. It is a test
+// oracle: cmd/promlint and the tests of the packages that expose
+// metrics call it, and no server path does.
+//
+// The checks cover line syntax (HELP/TYPE comments, sample lines with
+// optional labels and timestamps), metric and label name grammar,
+// duplicate label detection, float parsability, family grouping (one
+// TYPE per family, declared before its samples, samples not
+// interleaved across families), and the histogram invariants
+// (cumulative non-decreasing buckets, a +Inf bucket, _count equal to
+// the +Inf bucket) — tracked per label-set, since a labelled histogram
+// family exposes one independent bucket sequence per label
+// combination.
 //
 // ValidateOpenMetricsText runs the same validator in OpenMetrics 1.0
 // mode, which additionally requires the `# EOF` terminator (and
@@ -19,6 +22,7 @@ package obs
 // and accepts-and-checks `# {labels} value [ts]` exemplars — only on
 // histogram _bucket and counter _total samples, with a valid label
 // set within the 128-rune budget.
+package promcheck
 
 import (
 	"fmt"

@@ -15,6 +15,7 @@ import (
 
 	"relcomplete/internal/httpx"
 	"relcomplete/internal/obs"
+	"relcomplete/internal/promcheck"
 )
 
 // The full observability identity contract of one decide: a client
@@ -150,7 +151,7 @@ func TestObsIdentityEndToEnd(t *testing.T) {
 	// exposition renders it — on the plain histogram and the per-tenant
 	// labelled series.
 	om := metrics.OpenMetricsText()
-	if err := obs.ValidateOpenMetricsText([]byte(om)); err != nil {
+	if err := promcheck.ValidateOpenMetricsText([]byte(om)); err != nil {
 		t.Fatalf("OpenMetrics exposition invalid: %v", err)
 	}
 	if !strings.Contains(om, `# {trace_id="`+wantID+`"}`) {

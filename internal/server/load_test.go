@@ -16,6 +16,7 @@ import (
 
 	"relcomplete/internal/httpx"
 	"relcomplete/internal/obs"
+	"relcomplete/internal/promcheck"
 )
 
 // End-to-end load test: the full rcserved stack — httpx listener,
@@ -174,7 +175,7 @@ func TestLoadEndToEnd(t *testing.T) {
 	}
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	if err := obs.ValidatePrometheusText(mbody); err != nil {
+	if err := promcheck.ValidatePrometheusText(mbody); err != nil {
 		t.Fatalf("/metrics under load: %v\n%s", err, mbody)
 	}
 	if !bytes.Contains(mbody, []byte(obs.MetricPrefix+"server_decides_total")) {

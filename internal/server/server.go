@@ -423,10 +423,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	began := time.Now()
 	root := obs.SpanFromContext(r.Context())
-	var traceID string
-	if t := root.Trace(); !t.IsZero() {
-		traceID = t.String()
-	}
+	traceID := root.TraceHex()
 	wantTrace := r.URL.Query().Get("trace") == "1"
 
 	resp := DecideResponse{Problem: name, TraceID: traceID}
@@ -434,8 +431,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	var queueWait, wall time.Duration
 	ran := false // a decider actually executed (wall is meaningful)
 	// view is the decide's request-scoped metrics: what this decide
-	// recorded, and all its stats report. nil (empty stats) until the
-	// request reaches runDecide.
+	// recorded, and all its stats report, written into the answer
+	// straight from its counters. nil (empty stats) until the request
+	// reaches runDecide.
 	var view *obs.Metrics
 
 	// finish is the single exit: per-tenant labelled metrics, the
@@ -468,7 +466,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			resp.Trace = &TraceInfo{TraceID: traceID, Spans: spans, Dropped: spansDropped}
 		}
 		resp.QueueWaitMS = float64(queueWait.Nanoseconds()) / 1e6
-		resp.Stats = view.Snapshot()
 		s.requests.Add(RequestRecord{
 			Time:         began,
 			TraceID:      traceID,
@@ -504,7 +501,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After",
 				fmt.Sprintf("%d", (resp.RetryAfterMS+999)/1000))
 		}
-		writeJSON(w, status, resp)
+		writeAnswer(w, status, &resp, view)
 	}
 	fail := func(status int, kind string, err error) {
 		resp.Kind = kind

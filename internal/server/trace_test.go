@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"relcomplete/internal/httpx"
-	"relcomplete/internal/obs"
+	"relcomplete/internal/promcheck"
 
 	"log/slog"
 )
@@ -222,7 +222,7 @@ func TestTraceCorrelationEndToEnd(t *testing.T) {
 
 	// 6. Per-tenant labelled metrics, through the exposition validator.
 	text := s.Metrics().PrometheusText()
-	if err := obs.ValidatePrometheusText([]byte(text)); err != nil {
+	if err := promcheck.ValidatePrometheusText([]byte(text)); err != nil {
 		t.Fatalf("/metrics invalid: %v", err)
 	}
 	if !strings.Contains(text,

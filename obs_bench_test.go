@@ -66,7 +66,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkObsHistogram prices one histogram observation (an atomic
 // bucket increment plus a sum add after a short linear bound scan) and
 // the snapshots built from the histograms: one observed histogram, and
-// the metrics a single decide leaves behind.
+// the metrics a single decide leaves behind, as a Stats value
+// (snapshot_decide) and as the JSON a served decide writes straight
+// from the counters (append_decide).
 func BenchmarkObsHistogram(b *testing.B) {
 	m := relcomplete.NewMetrics()
 	b.Run("observe", func(b *testing.B) {
@@ -88,10 +90,9 @@ func BenchmarkObsHistogram(b *testing.B) {
 			}
 		}
 	})
-	b.Run("snapshot_decide", func(b *testing.B) {
-		// What a served decide's stats cost: the metrics of one strong
-		// RCDP decide, as the request-scoped view holds them when the
-		// response is built.
+	// The metrics of one strong RCDP decide, as the request-scoped view
+	// holds them when the response is built.
+	decided := func(b *testing.B) *relcomplete.Metrics {
 		s := paperex.Reduced()
 		opts := core.Options{}
 		opts.Obs = relcomplete.NewMetrics()
@@ -102,10 +103,24 @@ func BenchmarkObsHistogram(b *testing.B) {
 		if _, err := p.RCDP(s.T, core.Strong); err != nil {
 			b.Fatal(err)
 		}
+		return opts.Obs
+	}
+	b.Run("snapshot_decide", func(b *testing.B) {
+		dm := decided(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if st := opts.Obs.Snapshot(); len(st.Histograms) == 0 {
+			if st := dm.Snapshot(); len(st.Histograms) == 0 {
 				b.Fatal("missing histograms")
+			}
+		}
+	})
+	b.Run("append_decide", func(b *testing.B) {
+		dm := decided(b)
+		var buf []byte
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if buf = dm.AppendJSON(buf[:0]); len(buf) == 0 {
+				b.Fatal("missing stats")
 			}
 		}
 	})
