@@ -227,7 +227,8 @@ var (
 )
 
 // PublishSnapshot publishes m's stats snapshot as the expvar variable
-// name. expvar.Publish panics on duplicate names; this wrapper makes
+// name: m itself, an expvar.Var whose String is Metrics.AppendJSON.
+// expvar.Publish panics on duplicate names; this wrapper makes
 // republishing (a second run() in the same test process, both binaries'
 // packages under one test run) a no-op — the first metrics instance
 // wins for the life of the process.
@@ -238,5 +239,5 @@ func PublishSnapshot(name string, m *obs.Metrics) {
 		return
 	}
 	published[name] = true
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
+	expvar.Publish(name, m)
 }

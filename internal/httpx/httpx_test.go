@@ -17,8 +17,8 @@ import (
 )
 
 // The debug mux end to end: /metrics must pass the in-repo Prometheus
-// grammar check, /debug/vars must expose the published snapshot, and
-// /debug/pprof/ must answer.
+// grammar check, /debug/vars must expose the published snapshot as
+// encoding/json writes it, and /debug/pprof/ must answer.
 func TestDebugMux(t *testing.T) {
 	m := obs.NewMetrics()
 	m.Inc(obs.ModelsChecked)
@@ -59,8 +59,12 @@ func TestDebugMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := vars["httpx_test_solver"]; !ok {
+	got, ok := vars["httpx_test_solver"]
+	if !ok {
 		t.Fatalf("published snapshot missing from expvar: %v", vars)
+	}
+	if want, _ := json.Marshal(m.Snapshot()); string(got) != string(want) {
+		t.Fatalf("published snapshot %s, want encoding/json's %s", got, want)
 	}
 
 	respP, err := http.Get(base + "/debug/pprof/")

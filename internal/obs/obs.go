@@ -300,10 +300,4 @@ func (m *Metrics) MarshalJSON() ([]byte, error) {
 // String renders the snapshot as JSON; together with MarshalJSON this
 // makes *Metrics implement expvar.Var, so a live instance can be
 // published under /debug/vars directly.
-func (m *Metrics) String() string {
-	b, err := m.MarshalJSON()
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
+func (m *Metrics) String() string { return string(m.AppendJSON(nil)) }

@@ -29,10 +29,8 @@ const maxScratch = 64 << 10
 
 func getScratch() *[]byte { return scratch.Get().(*[]byte) }
 
-// putScratch returns b, whose contents are b's last use, to the pool.
-func putScratch(b *[]byte, last []byte) {
-	if cap(last) <= maxScratch {
-		*b = last[:0]
+func putScratch(b *[]byte) {
+	if cap(*b) <= maxScratch {
 		scratch.Put(b)
 	}
 }
@@ -41,11 +39,11 @@ func putScratch(b *[]byte, last []byte) {
 // one line of compact JSON in a single Write.
 func writeAnswer(w http.ResponseWriter, status int, resp *DecideResponse, stats *obs.Metrics) {
 	buf := getScratch()
-	b := append(resp.appendJSON((*buf)[:0], stats), '\n')
+	*buf = append(resp.appendJSON((*buf)[:0], stats), '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(b)
-	putScratch(buf, b)
+	w.Write(*buf)
+	putScratch(buf)
 }
 
 // appendJSON appends resp as json.Marshal writes it with
@@ -89,7 +87,8 @@ func (resp *DecideResponse) appendJSON(dst []byte, stats *obs.Metrics) []byte {
 		dst = append(dst, `,"kind":`...)
 		dst = obs.AppendJSONString(dst, resp.Kind)
 	}
-	// The detail objects ride on error answers only.
+	// The detail objects ride on error answers only; made of strings
+	// and integers, they always encode.
 	if resp.Budget != nil {
 		b, _ := json.Marshal(resp.Budget)
 		dst = append(append(dst, `,"budget":`...), b...)

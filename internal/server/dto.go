@@ -74,9 +74,11 @@ func (b *BudgetRequest) apply(o core.Options) core.Options {
 // error answers, where Verdict stays null and Error/Kind carry the
 // typed failure. Stats is what this decide recorded (the same
 // obs.Stats object rcheck -json prints): its solver counters, phases
-// and histograms, taken from the request's own metrics view. An answer
-// that never reached a decider carries empty stats. Server-layer and
-// relation-layer counters are process-wide and appear only on /metrics.
+// and histograms, taken from the request's own metrics view. The server
+// writes them straight from that view (answer.go) and leaves the field
+// empty; clients decode into it. An answer that never reached a decider
+// carries empty stats. Server-layer and relation-layer counters are
+// process-wide and appear only on /metrics.
 type DecideResponse struct {
 	Problem        string `json:"problem"`
 	Property       string `json:"property"`

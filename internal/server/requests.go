@@ -71,10 +71,10 @@ func (r *RequestRing) Add(rec RequestRecord) {
 		return
 	}
 	buf := getScratch()
-	enc := rec.appendJSON((*buf)[:0])
-	b := make([]byte, len(enc))
-	copy(b, enc)
-	putScratch(buf, enc)
+	*buf = rec.appendJSON((*buf)[:0])
+	b := make([]byte, len(*buf))
+	copy(b, *buf)
+	putScratch(buf)
 	r.mu.Lock()
 	if len(r.recs) < r.capN {
 		r.recs = append(r.recs, b)
