@@ -109,13 +109,34 @@ func TestParallelMINPMatchesSequential(t *testing.T) {
 
 func TestParallelConsistentMatchesSequential(t *testing.T) {
 	for i, rp := range randomProblems(t, 305, 60) {
-		label := fmt.Sprintf("case %d", i)
-		seq, seqErr, par, parErr := atWorkers(t, rp.p, func() (bool, error) {
-			return rp.p.Consistent(rp.ci)
-		})
-		sameErr(t, label, seqErr, parErr)
-		if seq != par {
-			t.Fatalf("%s: sequential %v, parallel %v", label, seq, par)
+		scans := []struct {
+			name string
+			scan func() (string, error)
+		}{
+			{"consistency", func() (string, error) {
+				ok, err := rp.p.Consistent(rp.ci)
+				return fmt.Sprint(ok), err
+			}},
+			{"any model", func() (string, error) {
+				db, err := rp.p.AnyModel(rp.ci)
+				return fmt.Sprint(db), err
+			}},
+			{"all models", func() (string, error) {
+				dbs, err := rp.p.Models(rp.ci, 0)
+				return fmt.Sprint(dbs), err
+			}},
+			{"one model", func() (string, error) {
+				dbs, err := rp.p.Models(rp.ci, 1)
+				return fmt.Sprint(dbs), err
+			}},
+		}
+		for _, s := range scans {
+			label := fmt.Sprintf("case %d %s", i, s.name)
+			seq, seqErr, par, parErr := atWorkers(t, rp.p, s.scan)
+			sameErr(t, label, seqErr, parErr)
+			if seq != par {
+				t.Fatalf("%s: sequential %v, parallel %v", label, seq, par)
+			}
 		}
 	}
 }
