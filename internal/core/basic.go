@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 
 	"relcomplete/internal/ctable"
 	"relcomplete/internal/obs"
@@ -29,29 +30,6 @@ func (p *Problem) PartiallyClosedCtx(ctx context.Context, db *relation.Database)
 	return p.satisfiesCCs(ctx, db)
 }
 
-// forEachModel enumerates ModAdom(T, Dm, V): for every candidate µ(T)
-// (candidates) with (µ(T), Dm) ⊨ V, fn is called with µ(T), until fn
-// returns false. The context is consulted per valuation, so a deadline
-// interrupts the enumeration itself, not just the work between
-// candidates. d must be ci's domains.
-func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *domains,
-	fn func(db *relation.Database) (bool, error)) error {
-	var genErr, err error
-	cont := true
-	p.candidates(ctx, ci, d, &genErr)(func(c ctable.Candidate) bool {
-		var db *relation.Database
-		var model bool
-		if db, model, err = p.checkModel(ctx, d, c); model {
-			cont, err = fn(db)
-		}
-		return cont && err == nil
-	})
-	if err != nil {
-		return err
-	}
-	return genErr
-}
-
 // candidates adapts the ModAdom candidate enumeration to a
 // search.Generator for the parallel deciders. Valuations are applied
 // and deduplicated on the generator goroutine — the enumerator reuses
@@ -64,19 +42,12 @@ func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *dom
 // of the per-candidate work worth parallelising, see checkModel), so
 // candidates here are "potential models": deduplicated ground instances
 // not yet filtered by V. d must be ci's domains: its variable
-// candidates are ci's.
-//
-// Enumeration failures (ErrBudget, condition errors) are reported
-// through genErr, which the caller must read only after the search
-// returns (the search joins its goroutines, establishing the needed
-// happens-before edge). A decisive search outcome takes precedence
-// over genErr: the sequential loop would have stopped at the decisive
-// candidate before ever reaching the enumeration failure, since the
-// generator outruns the probes only in the parallel schedule.
-func (p *Problem) candidates(ctx context.Context, ci *ctable.CInstance, d *domains, genErr *error) search.Generator[ctable.Candidate] {
-	return func(yield func(ctable.Candidate) bool) {
+// candidates are ci's. The generator returns the enumeration's failure
+// (ErrBudget, condition errors).
+func (p *Problem) candidates(ctx context.Context, ci *ctable.CInstance, d *domains) search.Generator[ctable.Candidate] {
+	return func(yield func(ctable.Candidate) bool) error {
 		seen := map[string]bool{}
-		err := p.forEachValuation(ctx, d.vars, d.cands, func(mu ctable.Valuation) (bool, error) {
+		return p.forEachValuation(ctx, d.vars, d.cands, func(mu ctable.Valuation) (bool, error) {
 			p.Options.Obs.Inc(obs.ValuationsEnumerated)
 			c, err := ci.Candidate(mu)
 			if err != nil {
@@ -88,10 +59,57 @@ func (p *Problem) candidates(ctx context.Context, ci *ctable.CInstance, d *domai
 			seen[c.Key] = true
 			return yield(c), nil
 		})
-		if err != nil {
-			*genErr = err
-		}
 	}
+}
+
+// firstModel scans ModAdom(T, Dm, V) on search.FirstHit: each probe
+// checks one candidate (checkModel) and passes an admitted model to fn,
+// whose hit is decisive. It returns the lowest-index hit, whether there
+// was one, and whether any candidate was a model. The last is exact
+// whenever the scan ends without an error: a hit is a model, and a scan
+// without a hit probed every candidate. d must be ci's domains.
+func firstModel[R any](ctx context.Context, p *Problem, ci *ctable.CInstance, d *domains,
+	fn search.Probe[*model, R]) (_ search.Hit[R], found, anyModel bool, _ error) {
+	var admitted atomic.Bool
+	hit, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs, p.candidates(ctx, ci, d),
+		func(ctx context.Context, idx int, c ctable.Candidate) (R, bool, error) {
+			m, err := p.checkModel(ctx, d, c)
+			if err != nil || m == nil {
+				var none R
+				return none, false, err
+			}
+			admitted.Store(true)
+			return fn(ctx, idx, m)
+		})
+	return hit, found, admitted.Load(), err
+}
+
+// foldModels scans ModAdom(T, Dm, V) on search.ForEachOrdered: each
+// probe checks one candidate and maps an admitted model to a result
+// with fn, and consume receives the models' results in enumeration
+// order until it returns false. d must be ci's domains.
+func foldModels[R any](ctx context.Context, p *Problem, ci *ctable.CInstance, d *domains,
+	fn func(ctx context.Context, m *model) (R, error), consume func(r R) (bool, error)) error {
+	type result struct {
+		val     R
+		isModel bool
+	}
+	_, err := search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs, p.candidates(ctx, ci, d),
+		func(ctx context.Context, idx int, c ctable.Candidate) (result, error) {
+			m, err := p.checkModel(ctx, d, c)
+			if err != nil || m == nil {
+				return result{}, err
+			}
+			val, err := fn(ctx, m)
+			return result{val, true}, err
+		},
+		func(idx int, r result) (bool, error) {
+			if !r.isModel {
+				return true, nil
+			}
+			return consume(r.val)
+		})
+	return err
 }
 
 // Consistent decides the consistency problem: is Mod(T, Dm, V)
@@ -110,20 +128,10 @@ func (p *Problem) ConsistentCtx(ctx context.Context, ci *ctable.CInstance) (_ bo
 	if err != nil {
 		return false, err
 	}
-	var genErr error
-	probe := func(ctx context.Context, idx int, c ctable.Candidate) (struct{}, bool, error) {
-		_, ok, err := p.checkModel(ctx, d, c)
-		return struct{}{}, ok, err
-	}
-	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.candidates(ctx, ci, d, &genErr), probe)
-	if err != nil {
-		return false, err
-	}
-	if !found && genErr != nil {
-		return false, genErr
-	}
-	return found, nil
+	_, found, _, err := firstModel(ctx, p, ci, d, func(context.Context, int, *model) (struct{}, bool, error) {
+		return struct{}{}, true, nil
+	})
+	return found, err
 }
 
 // AnyModel returns one member of ModAdom(T, Dm, V), or nil when the
@@ -140,12 +148,10 @@ func (p *Problem) AnyModelCtx(ctx context.Context, ci *ctable.CInstance) (_ *rel
 	if err != nil {
 		return nil, err
 	}
-	var out *relation.Database
-	err = p.forEachModel(ctx, ci, d, func(db *relation.Database) (bool, error) {
-		out = db
-		return false, nil
+	hit, _, _, err := firstModel(ctx, p, ci, d, func(_ context.Context, _ int, m *model) (*relation.Database, bool, error) {
+		return m.db(), true, nil
 	})
-	return out, err
+	return hit.Value, err
 }
 
 // Models materialises ModAdom(T, Dm, V) up to max instances (0 = all).
@@ -162,7 +168,9 @@ func (p *Problem) ModelsCtx(ctx context.Context, ci *ctable.CInstance, max int) 
 		return nil, err
 	}
 	var out []*relation.Database
-	err = p.forEachModel(ctx, ci, d, func(db *relation.Database) (bool, error) {
+	err = foldModels(ctx, p, ci, d, func(_ context.Context, m *model) (*relation.Database, error) {
+		return m.db(), nil
+	}, func(db *relation.Database) (bool, error) {
 		out = append(out, db)
 		return max == 0 || len(out) < max, nil
 	})

@@ -693,17 +693,35 @@ func (p *Problem) traceCCViolation(ctx context.Context, sp *obs.Span, db *relati
 	}
 }
 
+// model is a candidate that checkModel admitted. µ(T) is built on its
+// first read, so a decider that works from the candidate's prefix and
+// added tuples alone never builds it. A model is read by the probe
+// that admitted it.
+type model struct {
+	c     ctable.Candidate
+	built *relation.Database
+}
+
+// db returns µ(T), building it on the first call.
+func (m *model) db() *relation.Database {
+	if m.built == nil {
+		m.built = m.c.Build()
+	}
+	return m.built
+}
+
 // checkModel checks a candidate model µ(T) of the c-instance against V:
 // the verdict of satisfiesCCs on µ(T), with the candidate-level
 // counters and decision events attached. Every decider probe routes its
 // model admission through here. With tuple-local CCs (delta.go) the
 // candidate is checked by what it adds: T's ground prefix once per d,
 // which must be the c-instance's domains, then each added tuple alone.
-// Otherwise µ(T) is built and checked whole. µ(T) is returned built
-// when the candidate is admitted, nil otherwise.
-func (p *Problem) checkModel(ctx context.Context, d *domains, c ctable.Candidate) (*relation.Database, bool, error) {
+// Otherwise µ(T) is built and checked whole. It returns the admitted
+// model, carrying µ(T) if the check or a decision event built it, and
+// nil when V prunes the candidate.
+func (p *Problem) checkModel(ctx context.Context, d *domains, c ctable.Candidate) (*model, error) {
 	if err := p.Options.FaultPlan.Visit(fault.SiteSearchWorker); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	m := p.Options.Obs
 	m.Inc(obs.ModelsChecked)
@@ -720,7 +738,7 @@ func (p *Problem) checkModel(ctx context.Context, d *domains, c ctable.Candidate
 		ok, err = p.satisfiesCCs(ctx, db)
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if ok {
 		m.Inc(obs.ModelsAdmitted)
@@ -737,12 +755,9 @@ func (p *Problem) checkModel(ctx context.Context, d *domains, c ctable.Candidate
 		}
 	}
 	if !ok {
-		return nil, false, nil
+		return nil, nil
 	}
-	if db == nil {
-		db = c.Build()
-	}
-	return db, true, nil
+	return &model{c: c, built: db}, nil
 }
 
 // domains bundles an active domain with its typed pruning (nil under

@@ -149,7 +149,7 @@ func TestRCDPExplainCounterexample(t *testing.T) {
 	if cex == nil {
 		t.Fatal("counterexample missing")
 	}
-	if !cex.Extension.Extends(cex.Model) {
+	if !cex.Model.SubsetOf(cex.Extension) || cex.Model.Size() >= cex.Extension.Size() {
 		t.Fatal("counterexample extension must extend the model")
 	}
 	if len(cex.Gained) == 0 {

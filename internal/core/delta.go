@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"relcomplete/internal/ctable"
 	"relcomplete/internal/query"
 	"relcomplete/internal/relation"
 )
@@ -183,21 +182,21 @@ func (p *Problem) prefixClosed(ctx context.Context, d *domains, prefix *relation
 	return d.prefixOK.get(func() (bool, error) { return p.satisfiesCCs(ctx, prefix) })
 }
 
-// modelAnswers returns Q(µ(T)) for a candidate c that checkModel
-// admitted as db. With a tuple-local Q it is Q(prefix) ∪ Q(Added):
-// Q(prefix), on the frozen ground prefix, is evaluated once per d,
-// which must be the c-instance's domains, and is the whole answer when
-// c adds nothing. Otherwise Q is evaluated on db. The result may be
-// the memoised slice and is read-only.
-func (p *Problem) modelAnswers(ctx context.Context, d *domains, c ctable.Candidate, db *relation.Database) ([]relation.Tuple, error) {
+// modelAnswers returns Q(µ(T)) for a model m that checkModel admitted.
+// With a tuple-local Q it is Q(prefix) ∪ Q(Added), and µ(T) is not
+// built: Q(prefix), on the frozen ground prefix, is evaluated once per
+// d, which must be the c-instance's domains, and is the whole answer
+// when m adds nothing. Otherwise Q is evaluated on µ(T). The result
+// may be the memoised slice and is read-only.
+func (p *Problem) modelAnswers(ctx context.Context, d *domains, m *model) ([]relation.Tuple, error) {
 	if !p.locality().query {
-		return p.answers(ctx, db)
+		return p.answers(ctx, m.db())
 	}
-	ans, err := d.prefixAns.get(func() ([]relation.Tuple, error) { return p.answers(ctx, c.Prefix()) })
-	if err != nil || len(c.Added) == 0 {
+	ans, err := d.prefixAns.get(func() ([]relation.Tuple, error) { return p.answers(ctx, m.c.Prefix()) })
+	if err != nil || len(m.c.Added) == 0 {
 		return ans, err
 	}
-	added, err := p.answers(ctx, p.deltaDatabase(c.Added...))
+	added, err := p.answers(ctx, p.deltaDatabase(m.c.Added...))
 	if err != nil {
 		return nil, err
 	}

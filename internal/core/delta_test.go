@@ -20,10 +20,10 @@ import (
 // modelCandidates is the ModAdom candidate enumeration with every
 // candidate built, for the reference deciders, which check whole
 // databases.
-func (p *Problem) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *domains, genErr *error) search.Generator[*relation.Database] {
-	gen := p.candidates(ctx, ci, d, genErr)
-	return func(yield func(*relation.Database) bool) {
-		gen(func(c ctable.Candidate) bool { return yield(c.Build()) })
+func (p *Problem) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *domains) search.Generator[*relation.Database] {
+	gen := p.candidates(ctx, ci, d)
+	return func(yield func(*relation.Database) bool) error {
+		return gen(func(c ctable.Candidate) bool { return yield(c.Build()) })
 	}
 }
 
@@ -229,16 +229,16 @@ func TestDeltaParity(t *testing.T) {
 		}
 		m := obs.NewMetrics()
 		p.Options.Obs = m
-		db, ok, err := p.checkModel(ctx, d, cand)
+		mod, err := p.checkModel(ctx, d, cand)
 		p.Options.Obs = nil
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok != want {
+		if ok := mod != nil; ok != want {
 			t.Fatalf("%s: checkModel admits %v, V on I ∪ Δ holds %v", label, ok, want)
 		}
-		if ok && db.String() != whole.String() {
-			t.Fatalf("%s: checkModel built %v, want %v", label, db, whole)
+		if mod != nil && mod.db().String() != whole.String() {
+			t.Fatalf("%s: checkModel built %v, want %v", label, mod.db(), whole)
 		}
 		checks := int64(1) // the full check of I ∪ Δ, or the check of I
 		if c.ccsOK {
@@ -450,32 +450,32 @@ func countDeltaModels(t *testing.T, p *Problem, ci *ctable.CInstance) (added, se
 		t.Fatal(err)
 	}
 	loc := p.locality()
-	var genErr error
-	p.candidates(ctx, ci, d, &genErr)(func(c ctable.Candidate) bool {
-		db, ok, err := p.checkModel(ctx, d, c)
-		if err == nil && ok && len(c.Added) > 0 {
+	genErr := p.candidates(ctx, ci, d)(func(c ctable.Candidate) bool {
+		var m *model
+		m, err = p.checkModel(ctx, d, c)
+		if err == nil && m != nil && len(c.Added) > 0 {
 			added++
 		}
-		if err == nil && ok && loc.ccs && loc.query {
+		if err == nil && m != nil && loc.ccs && loc.query {
 			var ans []relation.Tuple
 			var cex *Counterexample
 			var unseen bool
-			if ans, err = p.modelAnswers(ctx, d, c, db); err == nil {
-				cex, err = p.boundedCounterexample(ctx, db, ans, d, false)
+			if ans, err = p.modelAnswers(ctx, d, m); err == nil {
+				cex, err = p.boundedCounterexample(ctx, m.db(), ans, d, false)
 			}
 			if err == nil && cex == nil {
-				if unseen, err = p.hasUnseenTuple(db); unseen {
+				if unseen, err = p.hasUnseenTuple(m.db()); unseen {
 					settled++
 				}
 			}
 		}
-		if err != nil {
-			genErr = err
-		}
 		return err == nil
 	})
-	if genErr != nil && !errors.Is(genErr, ErrBudget) {
-		t.Fatal(genErr)
+	if err == nil {
+		err = genErr
+	}
+	if err != nil && !errors.Is(err, ErrBudget) {
+		t.Fatal(err)
 	}
 	return added, settled
 }

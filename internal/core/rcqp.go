@@ -372,12 +372,13 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 	}
 	found := ok
 	if !found && bound > 0 {
-		gen := func(yield func(int) bool) {
+		gen := func(yield func(int) bool) error {
 			for i := range lattice {
 				if !yield(i) {
-					return
+					break
 				}
 			}
+			return nil
 		}
 		probe := func(pctx context.Context, idx int, first int) (struct{}, bool, error) {
 			ok, err := subtree(pctx, empty.WithTuple(lattice[first].Rel, lattice[first].Tuple), first+1, bound-1)

@@ -128,7 +128,6 @@ func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m 
 		return p.referenceWeakComplete(ctx, ci, extra)
 	}
 	var any atomic.Bool
-	var genErr error
 	probe := func(ctx context.Context, idx int, db *relation.Database) (struct{}, bool, error) {
 		ok, err := p.satisfiesCCs(ctx, db)
 		if err != nil || !ok {
@@ -145,12 +144,9 @@ func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m 
 		return struct{}{}, complete, nil // hit = witness
 	}
 	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.modelCandidates(ctx, ci, d, &genErr), probe)
+		p.modelCandidates(ctx, ci, d), probe)
 	if err != nil {
 		return false, err
-	}
-	if !found && genErr != nil {
-		return false, genErr
 	}
 	if !any.Load() {
 		return false, ErrInconsistent
@@ -245,9 +241,8 @@ func (p *Problem) referenceWeakComplete(ctx context.Context, ci *ctable.CInstanc
 		}
 		return s, nil
 	}
-	var genErr error
 	_, err = search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
-		p.modelCandidates(ctx, ci, dom, &genErr), probe,
+		p.modelCandidates(ctx, ci, dom), probe,
 		func(idx int, s modelSweep) (bool, error) {
 			if !s.isModel {
 				return true, nil
@@ -264,9 +259,6 @@ func (p *Problem) referenceWeakComplete(ctx context.Context, ci *ctable.CInstanc
 		})
 	if err != nil {
 		return false, err
-	}
-	if genErr != nil {
-		return false, genErr
 	}
 	if !anyModel {
 		return false, ErrInconsistent

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"relcomplete/internal/ctable"
 	"relcomplete/internal/obs"
 	"relcomplete/internal/query"
 	"relcomplete/internal/relation"
-	"relcomplete/internal/search"
 )
 
 // This file implements the strong completeness model (Section 4):
@@ -96,42 +94,24 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 	if err != nil {
 		return false, nil, err
 	}
-	var consistent atomic.Bool
-	var genErr error
-	probe := func(ctx context.Context, idx int, c ctable.Candidate) (*Counterexample, bool, error) {
-		db, ok, err := p.checkModel(ctx, d, c)
+	hit, found, anyModel, err := firstModel(ctx, p, ci, d, func(ctx context.Context, _ int, m *model) (*Counterexample, bool, error) {
+		ans, err := p.modelAnswers(ctx, d, m)
 		if err != nil {
 			return nil, false, err
 		}
-		if !ok {
-			return nil, false, nil
-		}
-		consistent.Store(true)
-		ans, err := p.modelAnswers(ctx, d, c, db)
-		if err != nil {
-			return nil, false, err
-		}
-		cex, err := p.boundedCounterexample(ctx, db, ans, d, true)
+		cex, err := p.boundedCounterexample(ctx, m.db(), ans, d, true)
 		if err != nil {
 			return nil, false, err
 		}
 		return cex, cex != nil, nil
-	}
-	hit, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.candidates(ctx, ci, d, &genErr), probe)
-	if err != nil {
+	})
+	switch {
+	case err != nil:
 		return false, nil, err
-	}
-	if !found && genErr != nil {
-		return false, nil, genErr
-	}
-	if !consistent.Load() {
+	case !anyModel:
 		return false, nil, ErrInconsistent
 	}
-	if found {
-		return false, hit.Value, nil
-	}
-	return true, nil, nil
+	return !found, hit.Value, nil
 }
 
 // boundedCounterexample checks whether the ground instance I is
@@ -572,22 +552,12 @@ func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (_ bool,
 	}
 	// First hit = some model with a complete single-tuple removal,
 	// which refutes minimality; the models fan out over the workers.
-	var genErr error
-	probe := func(ctx context.Context, idx int, c ctable.Candidate) (struct{}, bool, error) {
-		db, ok, err := p.checkModel(ctx, d, c)
-		if err != nil || !ok {
-			return struct{}{}, false, err
-		}
-		nonMin, err := p.hasCompleteRemoval(ctx, db, d)
+	_, found, _, err := firstModel(ctx, p, ci, d, func(ctx context.Context, _ int, m *model) (struct{}, bool, error) {
+		nonMin, err := p.hasCompleteRemoval(ctx, m.db(), d)
 		return struct{}{}, nonMin, err
-	}
-	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.candidates(ctx, ci, d, &genErr), probe)
+	})
 	if err != nil {
 		return false, err
-	}
-	if !found && genErr != nil {
-		return false, genErr
 	}
 	return !found, nil
 }

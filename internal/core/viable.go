@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"relcomplete/internal/ctable"
-	"relcomplete/internal/search"
 )
 
 // This file implements the viable completeness model (Section 6):
@@ -36,30 +34,17 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 	if err != nil {
 		return false, nil, err
 	}
-	var consistent atomic.Bool
-	var genErr error
 	var mu sync.Mutex
 	lastIdx := -1
 	var lastCex *Counterexample
-	probe := func(ctx context.Context, idx int, c ctable.Candidate) (struct{}, bool, error) {
-		db, ok, err := p.checkModel(ctx, d, c)
+	_, viable, anyModel, err := firstModel(ctx, p, ci, d, func(ctx context.Context, idx int, m *model) (struct{}, bool, error) {
+		ans, err := p.modelAnswers(ctx, d, m)
 		if err != nil {
 			return struct{}{}, false, err
 		}
-		if !ok {
-			return struct{}{}, false, nil
-		}
-		consistent.Store(true)
-		ans, err := p.modelAnswers(ctx, d, c, db)
-		if err != nil {
-			return struct{}{}, false, err
-		}
-		cex, err := p.boundedCounterexample(ctx, db, ans, d, true)
-		if err != nil {
-			return struct{}{}, false, err
-		}
-		if cex == nil {
-			return struct{}{}, true, nil
+		cex, err := p.boundedCounterexample(ctx, m.db(), ans, d, true)
+		if err != nil || cex == nil {
+			return struct{}{}, err == nil, err // hit: a complete model
 		}
 		mu.Lock()
 		if idx > lastIdx {
@@ -67,19 +52,13 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 		}
 		mu.Unlock()
 		return struct{}{}, false, nil
-	}
-	_, viable, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.candidates(ctx, ci, d, &genErr), probe)
-	if err != nil {
+	})
+	switch {
+	case err != nil:
 		return false, nil, err
-	}
-	if !viable && genErr != nil {
-		return false, nil, genErr
-	}
-	if !consistent.Load() {
+	case !anyModel:
 		return false, nil, ErrInconsistent
-	}
-	if viable {
+	case viable:
 		return true, nil, nil
 	}
 	return false, lastCex, nil
@@ -99,43 +78,23 @@ func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (_ bool,
 	if err != nil {
 		return false, err
 	}
-	var consistent atomic.Bool
-	var genErr error
-	probe := func(ctx context.Context, idx int, c ctable.Candidate) (struct{}, bool, error) {
-		db, ok, err := p.checkModel(ctx, d, c)
+	_, found, anyModel, err := firstModel(ctx, p, ci, d, func(ctx context.Context, _ int, m *model) (struct{}, bool, error) {
+		ans, err := p.modelAnswers(ctx, d, m)
 		if err != nil {
 			return struct{}{}, false, err
 		}
-		if !ok {
-			return struct{}{}, false, nil
-		}
-		consistent.Store(true)
-		ans, err := p.modelAnswers(ctx, d, c, db)
-		if err != nil {
-			return struct{}{}, false, err
-		}
+		db := m.db()
 		cex, err := p.boundedCounterexample(ctx, db, ans, d, false)
-		if err != nil {
-			return struct{}{}, false, err
-		}
-		if cex != nil {
-			return struct{}{}, false, nil // this model is not even complete
+		if err != nil || cex != nil {
+			return struct{}{}, false, err // a counterexample: this model is not even complete
 		}
 		nonMin, err := p.hasCompleteRemoval(ctx, db, d)
-		if err != nil {
-			return struct{}{}, false, err
-		}
-		return struct{}{}, !nonMin, nil
-	}
-	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
-		p.candidates(ctx, ci, d, &genErr), probe)
-	if err != nil {
+		return struct{}{}, !nonMin && err == nil, err
+	})
+	switch {
+	case err != nil:
 		return false, err
-	}
-	if !found && genErr != nil {
-		return false, genErr
-	}
-	if !consistent.Load() {
+	case !anyModel:
 		return false, ErrInconsistent
 	}
 	return found, nil

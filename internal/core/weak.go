@@ -8,7 +8,6 @@ import (
 
 	"relcomplete/internal/ctable"
 	"relcomplete/internal/relation"
-	"relcomplete/internal/search"
 )
 
 // This file implements the weak completeness model (Section 5): the
@@ -40,47 +39,24 @@ func (p *Problem) CertainAnswersCtx(ctx context.Context, ci *ctable.CInstance) (
 
 // certainAnswers intersects Q over the models. Query evaluation fans
 // out over the workers; the results are folded into the intersection
-// strictly in enumeration order (search.ForEachOrdered), so the
-// accumulated slice — its order included — matches the sequential fold
-// bit for bit, and the early stop on an empty intersection fires at
-// the same model.
+// strictly in enumeration order (foldModels), so the accumulated
+// slice — its order included — matches the sequential fold bit for
+// bit, and the early stop on an empty intersection fires at the same
+// model.
 func (p *Problem) certainAnswers(ctx context.Context, ci *ctable.CInstance, d *domains) ([]relation.Tuple, error) {
-	type modelResult struct {
-		ans     []relation.Tuple
-		isModel bool
-	}
 	var acc []relation.Tuple
-	universe := true
-	any := false
-	var genErr error
-	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
-		p.candidates(ctx, ci, d, &genErr),
-		func(ctx context.Context, idx int, c ctable.Candidate) (modelResult, error) {
-			db, ok, err := p.checkModel(ctx, d, c)
-			if err != nil || !ok {
-				return modelResult{}, err
-			}
-			ans, err := p.modelAnswers(ctx, d, c, db)
-			if err != nil {
-				return modelResult{}, err
-			}
-			return modelResult{ans: ans, isModel: true}, nil
-		},
-		func(idx int, r modelResult) (bool, error) {
-			if !r.isModel {
-				return true, nil
-			}
-			any = true
-			acc, universe = intersectTuples(acc, universe, r.ans)
-			return universe || len(acc) > 0, nil
-		})
+	universe, anyModel := true, false
+	err := foldModels(ctx, p, ci, d, func(ctx context.Context, m *model) ([]relation.Tuple, error) {
+		return p.modelAnswers(ctx, d, m)
+	}, func(ans []relation.Tuple) (bool, error) {
+		anyModel = true
+		acc, universe = intersectTuples(acc, universe, ans)
+		return universe || len(acc) > 0, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if !stopped && genErr != nil {
-		return nil, genErr
-	}
-	if !any {
+	if !anyModel {
 		return nil, ErrInconsistent
 	}
 	return acc, nil
@@ -123,11 +99,11 @@ type extFold struct {
 
 // certainExtStream intersects Q over qualifying (model, single-tuple
 // extension) pairs and reports whether any such pair exists. Each
-// model's extensions are scanned by one probe of search.ForEachOrdered,
-// and the consumer folds the probes' intersections in enumeration
-// order. A probe starts its scan from the latest intersection the
-// consumer has published, which contains the final one, and the stream
-// stops as soon as the intersection is settled: empty, or (when
+// model's extensions are scanned by one probe of foldModels, and the
+// consumer folds the probes' intersections in enumeration order. A
+// probe starts its scan from the latest intersection the consumer has
+// published, which contains the final one, and the stream stops as
+// soon as the intersection is settled: empty, or (when
 // stopWithin is non-nil) contained in stopWithin. Later pairs only
 // shrink the intersection, so a settled one is already final for the
 // caller's containment check. At workers <= 1 a probe starts from
@@ -159,19 +135,17 @@ func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, st
 	var folded atomic.Pointer[extFold]
 	folded.Store(&extFold{universe: true})
 	localQuery := p.locality().query
-	probe := func(ctx context.Context, idx int, c ctable.Candidate) (extFold, error) {
-		base, ok, err := p.checkModel(ctx, d, c)
-		if err != nil || !ok {
-			return extFold{}, err
-		}
+	probe := func(ctx context.Context, m *model) (extFold, error) {
+		base := m.db()
 		var baseAns []relation.Tuple // Q(I)
 		if localQuery {
-			if baseAns, err = p.modelAnswers(ctx, d, c, base); err != nil {
+			var err error
+			if baseAns, err = p.modelAnswers(ctx, d, m); err != nil {
 				return extFold{}, err
 			}
 		}
 		s := *folded.Load()
-		err = p.forEachExtension(ctx, base, d, true, func(ext *relation.Database, rel string, t relation.Tuple) (bool, error) {
+		err := p.forEachExtension(ctx, base, d, true, func(ext *relation.Database, rel string, t relation.Tuple) (bool, error) {
 			s.anyExt = true
 			var ans []relation.Tuple
 			var err error
@@ -194,25 +168,19 @@ func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, st
 		return s, err
 	}
 	anyExt := false
-	var genErr error
-	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
-		p.candidates(ctx, ci, d, &genErr), probe,
-		func(idx int, s extFold) (bool, error) {
-			if !s.anyExt {
-				return true, nil
-			}
-			anyExt = true
-			f := folded.Load()
-			acc, _ := intersectTuples(f.acc, f.universe, s.acc)
-			f = &extFold{acc: acc}
-			folded.Store(f)
-			return !settled(f), nil
-		})
+	err = foldModels(ctx, p, ci, d, probe, func(s extFold) (bool, error) {
+		if !s.anyExt {
+			return true, nil
+		}
+		anyExt = true
+		f := folded.Load()
+		acc, _ := intersectTuples(f.acc, f.universe, s.acc)
+		f = &extFold{acc: acc}
+		folded.Store(f)
+		return !settled(f), nil
+	})
 	if err != nil {
 		return nil, false, err
-	}
-	if !stopped && genErr != nil {
-		return nil, false, genErr
 	}
 	return folded.Load().acc, anyExt, nil
 }

@@ -301,21 +301,6 @@ func (ci *CInstance) AllRows() []RowRef {
 	return out
 }
 
-// WithoutRow returns a copy of the c-instance with one row removed.
-func (ci *CInstance) WithoutRow(ref RowRef) *CInstance {
-	c := NewCInstance(ci.schema)
-	for _, r := range ci.schema.Relations() {
-		t := ci.tables[r.Name]
-		for i, row := range t.Rows() {
-			if r.Name == ref.Rel && i == ref.Index {
-				continue
-			}
-			c.MustAddRow(r.Name, row)
-		}
-	}
-	return c
-}
-
 // WithoutRows returns a copy with every row in refs removed (refs is a
 // set keyed by relation and index).
 func (ci *CInstance) WithoutRows(refs map[RowRef]bool) *CInstance {

@@ -97,9 +97,9 @@ func TestCInstanceRowOps(t *testing.T) {
 	if len(refs) != 3 {
 		t.Fatalf("AllRows = %v", refs)
 	}
-	less := ci.WithoutRow(RowRef{Rel: "R", Index: 0})
+	less := ci.WithoutRows(map[RowRef]bool{{Rel: "R", Index: 0}: true})
 	if less.Size() != 2 || ci.Size() != 3 {
-		t.Fatal("WithoutRow wrong or mutated receiver")
+		t.Fatal("WithoutRows of one row wrong or mutated receiver")
 	}
 	if less.Table("R").Len() != 1 || less.Table("S").Len() != 1 {
 		t.Fatal("wrong row removed")

@@ -272,17 +272,6 @@ func (r Row) ground() bool {
 	return true
 }
 
-// WithoutRow returns a copy of the table with row index i removed.
-func (t *CTable) WithoutRow(i int) *CTable {
-	c := NewCTable(t.schema)
-	for j, r := range t.rows {
-		if j != i {
-			c.MustAddRow(r)
-		}
-	}
-	return c
-}
-
 // Clone returns an independent copy.
 func (t *CTable) Clone() *CTable {
 	c := NewCTable(t.schema)

@@ -201,11 +201,14 @@ func (r *SpanRecorder) StreamEvents(w io.Writer) *SpanRecorder {
 // Root starts the trace's root span, adopting the trace id (and remote
 // parent link) of traceparent when it parses, and fresh random ids
 // when it is absent or malformed — a client error must never fail the
-// request it decorates. Call Root once per recorder.
+// request it decorates. An absent header is not parsed, so it builds
+// no error. Call Root once per recorder.
 func (r *SpanRecorder) Root(name, traceparent string) *Span {
-	t, parent, sampled, err := ParseTraceparent(traceparent)
-	if err != nil {
-		t, parent, sampled = randTraceID(), SpanID{}, true
+	t, parent, sampled := randTraceID(), SpanID{}, true
+	if traceparent != "" {
+		if pt, pp, ps, err := ParseTraceparent(traceparent); err == nil {
+			t, parent, sampled = pt, pp, ps
+		}
 	}
 	r.traceID, r.traceHex, r.sampled, r.start = t, t.String(), sampled, time.Now()
 	return &Span{

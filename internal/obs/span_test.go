@@ -132,6 +132,11 @@ func TestSpanRootWithoutTraceparent(t *testing.T) {
 	if spans := rec.Spans(); len(spans) != 1 || spans[0].ParentID != "" {
 		t.Errorf("spans = %+v", spans)
 	}
+	// An absent header is not parsed: the root allocates its span and
+	// the trace id's hex, and no parse error.
+	if got := testing.AllocsPerRun(100, func() { rec.Root("op", "") }); got > 2 {
+		t.Errorf("Root without a traceparent allocates %v objects, want at most 2", got)
+	}
 }
 
 func TestSpanNilSafety(t *testing.T) {

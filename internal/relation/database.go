@@ -120,23 +120,6 @@ func (db *Database) Equal(other *Database) bool {
 	return db.SubsetOf(other) && other.SubsetOf(db)
 }
 
-// Extends reports the paper's I ⊊ I': componentwise containment of
-// other in db with at least one relation strictly larger, i.e. db is a
-// proper extension of other.
-func (db *Database) Extends(other *Database) bool {
-	proper := false
-	for _, r := range db.schema.Relations() {
-		mine, theirs := db.insts[r.Name], other.Relation(r.Name)
-		if !theirs.SubsetOf(mine) {
-			return false
-		}
-		if theirs.Len() < mine.Len() {
-			proper = true
-		}
-	}
-	return proper
-}
-
 // WithTuple returns a copy of the database with t added to rel.
 func (db *Database) WithTuple(rel string, t Tuple) *Database {
 	c := db.Clone()

@@ -465,17 +465,6 @@ func (in *Instance) Freeze() {
 	in.frozen = true
 }
 
-// Union returns a new instance holding the tuples of both operands.
-func (in *Instance) Union(other *Instance) *Instance {
-	c := in.Clone()
-	if other != nil {
-		for _, t := range other.rows {
-			c.insertUnchecked(t)
-		}
-	}
-	return c
-}
-
 // WithTuple returns a copy of the instance with t added.
 func (in *Instance) WithTuple(t Tuple) *Instance {
 	c := in.Clone()
@@ -515,11 +504,6 @@ func (in *Instance) SubsetOf(other *Instance) bool {
 // Equal reports set equality with other.
 func (in *Instance) Equal(other *Instance) bool {
 	return in.Len() == other.Len() && in.SubsetOf(other)
-}
-
-// ProperSubsetOf reports in ⊊ other.
-func (in *Instance) ProperSubsetOf(other *Instance) bool {
-	return in.Len() < other.Len() && in.SubsetOf(other)
 }
 
 // activeValuesLocked returns the distinct values of the instance in

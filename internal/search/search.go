@@ -39,9 +39,10 @@
 // Generator panics are contained too: they surface as a *PanicError
 // with Index -1 after every dispatched candidate has been probed and
 // drained, so a crashing enumeration never leaks goroutines or
-// deadlocks the pool. A stop reached before the generator crashed
-// still wins — the sequential loop would have exited before reaching
-// the crash point.
+// deadlocks the pool. A generator's failure, the error it returns or
+// its panic, follows one rule: it is the search's error only when no
+// decisive outcome came first, since a stop reached before the failure
+// is where the sequential loop would have exited.
 package search
 
 import (
@@ -56,11 +57,13 @@ import (
 )
 
 // Generator enumerates candidates in a canonical order, calling yield
-// for each; it must stop when yield returns false. Generators run on a
+// for each; it must stop when yield returns false. It returns the
+// enumeration's failure, or nil, and the search reports that error
+// only when no decisive outcome came before it. Generators run on a
 // single goroutine: they may close over mutable state (deduplication
 // sets, budgets) without synchronisation, but must not touch state the
 // probes mutate.
-type Generator[T any] func(yield func(T) bool)
+type Generator[T any] func(yield func(T) bool) error
 
 // Probe evaluates one candidate. hit marks the candidate decisive (the
 // search stops dispatching new work); a non-nil error is decisive too.
@@ -115,15 +118,15 @@ func runProbe[T, R any](ctx context.Context, probe Probe[T, R], idx int, item T)
 	return o
 }
 
-// runGen invokes the generator with panic capture, mirroring runProbe.
-func runGen(gen func()) (err error) {
+// runGen runs the generator with panic capture, mirroring runProbe,
+// and returns its error.
+func runGen[T any](gen Generator[T], yield func(T) bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Index: -1, Recovered: r, Stack: debug.Stack()}
 		}
 	}()
-	gen()
-	return nil
+	return gen(yield)
 }
 
 // FirstHit probes the generator's candidates on up to workers
@@ -182,8 +185,9 @@ func ForEachOrdered[T, R any](ctx context.Context, workers int, m *obs.Metrics, 
 // run is the engine. It hands the outcomes to consume in generation
 // order until consume returns false (stopped) or an error, or an
 // outcome carries a probe error; that outcome's index is the stop. The
-// error returned is the one the search stopped on, else the generator's
-// failure, else (with workers) ctx.Err() when ctx is done.
+// error returned is the one the search stopped on, else, when consume
+// did not stop it, the generator's returned error or panic, else (with
+// workers) ctx.Err() when ctx is done.
 func run[T, R any](ctx context.Context, span string, workers int, m *obs.Metrics, gen Generator[T], probe Probe[T, R],
 	consume func(outcome[R]) (bool, error)) (stopped bool, err error) {
 	if sp := obs.SpanFromContext(ctx); sp != nil {
@@ -211,16 +215,14 @@ func run[T, R any](ctx context.Context, span string, workers int, m *obs.Metrics
 	var probed, races int64
 	var genErr error
 	if workers <= 1 {
-		genErr = runGen(func() {
-			gen(func(item T) bool {
-				if cerr := ctx.Err(); cerr != nil {
-					err = cerr
-					return false
-				}
-				o := runProbe(ctx, probe, int(probed), item)
-				probed++
-				return deliver(o)
-			})
+		genErr = runGen(gen, func(item T) bool {
+			if cerr := ctx.Err(); cerr != nil {
+				err = cerr
+				return false
+			}
+			o := runProbe(ctx, probe, int(probed), item)
+			probed++
+			return deliver(o)
 		})
 	} else {
 		probed, races, genErr = pool(ctx, workers, m, gen, probe, deliver)
@@ -263,26 +265,24 @@ func pool[T, R any](ctx context.Context, workers int, m *obs.Metrics, gen Genera
 	}
 
 	// Dispatcher: runs the generator, numbering candidates, until the
-	// search halts or ctx is done. A generator panic is captured into
-	// genErr, which is safe to read once results has closed: the
-	// assignment happens before the deferred close(dispatch), which
-	// happens before the workers exit, which happens before
-	// close(results).
+	// search halts or ctx is done. The generator's error or panic is
+	// captured into genErr, which is safe to read once results has
+	// closed: the assignment happens before the deferred
+	// close(dispatch), which happens before the workers exit, which
+	// happens before close(results).
 	go func() {
 		defer close(dispatch)
 		idx := 0
-		genErr = runGen(func() {
-			gen(func(item T) bool {
-				select {
-				case <-stop:
-					return false
-				case <-ctx.Done():
-					return false
-				case dispatch <- task{idx: idx, item: item}:
-					idx++
-					return true
-				}
-			})
+		genErr = runGen(gen, func(item T) bool {
+			select {
+			case <-stop:
+				return false
+			case <-ctx.Done():
+				return false
+			case dispatch <- task{idx: idx, item: item}:
+				idx++
+				return true
+			}
 		})
 	}()
 

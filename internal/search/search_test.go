@@ -15,12 +15,13 @@ import (
 
 // intRange yields 0..n-1.
 func intRange(n int) Generator[int] {
-	return func(yield func(int) bool) {
+	return func(yield func(int) bool) error {
 		for i := 0; i < n; i++ {
 			if !yield(i) {
-				return
+				return nil
 			}
 		}
+		return nil
 	}
 }
 
@@ -91,12 +92,12 @@ func TestFirstHitStopsGeneratorOnHit(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		genDone := make(chan struct{})
 		var dispatched atomic.Int64
-		gen := Generator[int](func(yield func(int) bool) {
+		gen := Generator[int](func(yield func(int) bool) error {
 			defer close(genDone)
 			for i := 0; ; i++ {
 				dispatched.Add(1)
 				if !yield(i) {
-					return
+					return nil
 				}
 			}
 		})
@@ -176,10 +177,10 @@ func TestFirstHitContextCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var probed atomic.Int64
-		gen := Generator[int](func(yield func(int) bool) {
+		gen := Generator[int](func(yield func(int) bool) error {
 			for i := 0; ; i++ {
 				if !yield(i) {
-					return
+					return nil
 				}
 			}
 		})
@@ -350,91 +351,106 @@ func TestForEachOrderedMetrics(t *testing.T) {
 	}
 }
 
-func TestFirstHitGeneratorPanicContained(t *testing.T) {
-	// A generator that crashes mid-enumeration must surface as a
-	// PanicError with Index -1 after the pool drains — never a deadlock
-	// or an unrecovered panic on an engine goroutine.
-	for _, workers := range []int{1, 4, 8} {
-		gen := Generator[int](func(yield func(int) bool) {
-			for i := 0; i < 5; i++ {
-				if !yield(i) {
-					return
-				}
+// errEnumeration is the failure a generator of failAfter returns.
+var errEnumeration = errors.New("enumeration failed")
+
+// genFailures are the two ways a generator fails: a panic, or a
+// returned error.
+var genFailures = []struct {
+	name   string
+	panics bool
+}{{"panic", true}, {"error", false}}
+
+// failAfter yields 0..n-1 and then fails: it panics when panics is
+// set, and otherwise returns errEnumeration.
+func failAfter(n int, panics bool) Generator[int] {
+	return func(yield func(int) bool) error {
+		for i := 0; i < n; i++ {
+			if !yield(i) {
+				return nil
 			}
+		}
+		if panics {
 			panic("generator exploded")
-		})
-		probe := func(ctx context.Context, idx int, item int) (int, bool, error) {
-			jitter()
-			return item, false, nil
 		}
-		_, found, err := FirstHit(context.Background(), workers, nil, gen, probe)
-		if found {
-			t.Fatalf("workers=%d: unexpected hit", workers)
-		}
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: want PanicError, got %v", workers, err)
-		}
-		if pe.Index != -1 {
-			t.Fatalf("workers=%d: panic index %d, want -1", workers, pe.Index)
+		return errEnumeration
+	}
+}
+
+// isGenFailure reports whether err is the failure of a failAfter
+// generator: a PanicError with Index -1, or errEnumeration.
+func isGenFailure(err error, panics bool) bool {
+	var pe *PanicError
+	if panics {
+		return errors.As(err, &pe) && pe.Index == -1
+	}
+	return errors.Is(err, errEnumeration)
+}
+
+func TestFirstHitGeneratorPanicContained(t *testing.T) {
+	// A generator that crashes or fails mid-enumeration must surface
+	// its failure (a panic as a PanicError with Index -1) after the
+	// pool drains — never a deadlock or an unrecovered panic on an
+	// engine goroutine.
+	for _, f := range genFailures {
+		for _, workers := range []int{1, 4, 8} {
+			probe := func(ctx context.Context, idx int, item int) (int, bool, error) {
+				jitter()
+				return item, false, nil
+			}
+			_, found, err := FirstHit(context.Background(), workers, nil, failAfter(5, f.panics), probe)
+			if found {
+				t.Fatalf("%s workers=%d: unexpected hit", f.name, workers)
+			}
+			if !isGenFailure(err, f.panics) {
+				t.Fatalf("%s workers=%d: want the generator's failure, got %v", f.name, workers, err)
+			}
 		}
 	}
 }
 
 func TestFirstHitHitBeatsGeneratorPanic(t *testing.T) {
-	// A decisive hit found before the generator crashed wins: the
-	// sequential loop would have exited before reaching the crash.
-	for _, workers := range []int{1, 4} {
-		gen := Generator[int](func(yield func(int) bool) {
-			for i := 0; i < 3; i++ {
-				if !yield(i) {
-					return
-				}
+	// A decisive hit found before the generator crashed or failed wins:
+	// the sequential loop would have exited before reaching the failure.
+	for _, f := range genFailures {
+		for _, workers := range []int{1, 4} {
+			probe := func(ctx context.Context, idx int, item int) (int, bool, error) {
+				return item, item == 1, nil
 			}
-			panic("too far")
-		})
-		probe := func(ctx context.Context, idx int, item int) (int, bool, error) {
-			return item, item == 1, nil
-		}
-		hit, found, err := FirstHit(context.Background(), workers, nil, gen, probe)
-		if err != nil || !found || hit.Index != 1 {
-			t.Fatalf("workers=%d: %+v %v %v", workers, hit, found, err)
+			hit, found, err := FirstHit(context.Background(), workers, nil, failAfter(3, f.panics), probe)
+			if err != nil || !found || hit.Index != 1 {
+				t.Fatalf("%s workers=%d: %+v %v %v", f.name, workers, hit, found, err)
+			}
 		}
 	}
 }
 
 func TestForEachOrderedGeneratorPanicContained(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
-		gen := Generator[int](func(yield func(int) bool) {
-			for i := 0; i < 4; i++ {
-				if !yield(i) {
-					return
-				}
+	for _, f := range genFailures {
+		for _, workers := range []int{1, 4, 8} {
+			probe := func(ctx context.Context, idx int, item int) (int, error) {
+				jitter()
+				return item, nil
 			}
-			panic("enumeration bug")
-		})
-		probe := func(ctx context.Context, idx int, item int) (int, error) {
-			jitter()
-			return item, nil
-		}
-		var got []int
-		stopped, err := ForEachOrdered(context.Background(), workers, nil, gen, probe,
-			func(idx int, r int) (bool, error) {
-				got = append(got, r)
-				return true, nil
-			})
-		if stopped {
-			t.Fatalf("workers=%d: unexpected stop", workers)
-		}
-		var pe *PanicError
-		if !errors.As(err, &pe) || pe.Index != -1 {
-			t.Fatalf("workers=%d: want generator PanicError, got %v", workers, err)
-		}
-		// Everything dispatched before the crash is still delivered in
-		// order (the prefix semantics hold even on a crashing generator).
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("workers=%d: out-of-order delivery %v", workers, got)
+			var got []int
+			stopped, err := ForEachOrdered(context.Background(), workers, nil, failAfter(4, f.panics), probe,
+				func(idx int, r int) (bool, error) {
+					got = append(got, r)
+					return true, nil
+				})
+			if stopped {
+				t.Fatalf("%s workers=%d: unexpected stop", f.name, workers)
+			}
+			if !isGenFailure(err, f.panics) {
+				t.Fatalf("%s workers=%d: want the generator's failure, got %v", f.name, workers, err)
+			}
+			// Everything dispatched before the failure is still delivered
+			// in order (the prefix semantics hold even on a failing
+			// generator).
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("%s workers=%d: out-of-order delivery %v", f.name, workers, got)
+				}
 			}
 		}
 	}
@@ -442,21 +458,15 @@ func TestForEachOrderedGeneratorPanicContained(t *testing.T) {
 
 func TestForEachOrderedConsumerStopBeatsGeneratorPanic(t *testing.T) {
 	// The consumer stopping is the sequential loop's early exit; a
-	// generator crash beyond the stop point is unobservable.
-	for _, workers := range []int{1, 4} {
-		gen := Generator[int](func(yield func(int) bool) {
-			for i := 0; i < 3; i++ {
-				if !yield(i) {
-					return
-				}
+	// generator crash or failure beyond the stop point is unobservable.
+	for _, f := range genFailures {
+		for _, workers := range []int{1, 4} {
+			probe := func(ctx context.Context, idx int, item int) (int, error) { return item, nil }
+			stopped, err := ForEachOrdered(context.Background(), workers, nil, failAfter(3, f.panics), probe,
+				func(idx int, r int) (bool, error) { return idx < 1, nil })
+			if err != nil || !stopped {
+				t.Fatalf("%s workers=%d: stopped=%v err=%v, want clean stop", f.name, workers, stopped, err)
 			}
-			panic("past the stop")
-		})
-		probe := func(ctx context.Context, idx int, item int) (int, error) { return item, nil }
-		stopped, err := ForEachOrdered(context.Background(), workers, nil, gen, probe,
-			func(idx int, r int) (bool, error) { return idx < 1, nil })
-		if err != nil || !stopped {
-			t.Fatalf("workers=%d: stopped=%v err=%v, want clean stop", workers, stopped, err)
 		}
 	}
 }
